@@ -155,8 +155,9 @@ def _cmd_optimize(args) -> int:
                 for t in result.trace
             ],
         }
+        text = json.dumps(payload, indent=2, allow_nan=False)
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
         print(f"solution -> {args.out}")
     return 0
 

@@ -11,6 +11,7 @@ radar-target distances, 100 us PRI with 25/30 us pulses overlapping for
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,6 +270,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Re-check every module precondition; raises ConfigError with context."""
+        for key in ("p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"power.{key}", "must be finite")
         try:
             self.geometry()
         except ValueError as exc:

@@ -14,12 +14,18 @@ alternates between
 * a closed-form unit-modulus projection for the auxiliary block,
 
 followed by an outer dual update and geometric shrinking of the penalty
-parameter. Closed-form solutions exist for the two single-radar special
-cases, and a phase-grid exhaustive search serves as a small-size oracle.
+parameter. A start that violates the cap is blended toward a cap
+minimizer, found by the same penalty-dual loop with the roles swapped: its
+disk block, min ||B^H x||^2 + ||x - c||^2 / (2 rho), is convex and is also
+solved exactly by Newton's method in a dual variable with at most 4 real
+entries. Both dual solves share the cap constants, built once per problem.
+Closed-form solutions exist for the two single-radar special cases, and a
+phase-grid exhaustive search serves as a small-size oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +78,14 @@ class ProjectionError(ArithmeticError):
     """A projection onto the capped unit disks stopped at a point over the cap."""
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """One instance of the unified cap-constrained maximization.
@@ -101,10 +115,7 @@ class ProblemData:
             elif v.shape[0] != n:
                 raise ValueError("all problem vectors must share one length")
             vecs[name] = v
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.p_u_min <= 0:
-            raise ValueError("p_u_min must be positive")
+        _check_positive(gamma=self.gamma, p_u_min=self.p_u_min)
         if np.linalg.norm(vecs["q1"]) == 0 and np.linalg.norm(vecs["q2"]) == 0:
             raise ValueError("at least one objective vector must be nonzero")
         for name, v in vecs.items():
@@ -203,12 +214,9 @@ def build_problem(
     """
     q_ls, q_us = scenario_powers
     u, v, r, g = (np.asarray(x, dtype=complex) for x in composites)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if p_u_min <= 0:
-        raise ValueError("p_u_min must be positive")
-    if q_ls <= 0:
-        raise ValueError("q_ls must be positive")
+    _check_positive(gamma=gamma, p_u_min=p_u_min, q_ls=q_ls)
+    if not math.isfinite(q_us):
+        raise ValueError("q_us must be finite")
     if q_us < 0:
         raise ValueError("q_us must be >= 0")
     zero = np.zeros_like(u)
@@ -265,59 +273,62 @@ def _unit_phases(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad(B: np.ndarray | None, x: np.ndarray) -> float:
-    if B is None:
-        return 0.0
-    return float(np.sum(np.abs(B.conj().T @ x) ** 2))
-
-
 def _top_sigma_sq(B: np.ndarray) -> float:
     """Largest eigenvalue of B B^H via the small Gram matrix."""
     gram = B.conj().T @ B
     return float(np.max(np.linalg.eigvalsh(gram)))
 
 
-def _apg_disk(
-    b: np.ndarray,
-    B: np.ndarray,
-    mu: float,
-    sig2: float,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
-    """Minimize 0.5 ||x - b||^2 + mu ||B^H x||^2 over the unit-disk product.
+class _CapDual:
+    """Per-problem constants of the two rank-<=2 dual solves.
 
-    Accelerated projected gradient with the momentum constant for strongly
-    convex objectives (modulus 1, Lipschitz constant 1 + 2 mu sigma^2).
+    Both disk blocks (the P9 projection and the cap minimizer's block) are
+    solved in a dual variable y in C^k, k = B.shape[1] <= 2, handled in the
+    real coordinates w = (Re y, Im y) through C = [B, iB], so that B y = C w
+    and Re(C^H x) = (Re B^H x, Im B^H x). Built once per problem and shared
+    by every start; it carries no iterate.
     """
-    Bh = B.conj().T
-    L = 1.0 + 2.0 * mu * sig2
-    inv_l = 1.0 / L
-    beta = (np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0)
-    two_mu = 2.0 * mu
-    x = _clip_disk(x0)
-    y = x
-    for _ in range(max_iter):
-        grad = (y - b) + two_mu * (B @ (Bh @ y))
-        x_new = _clip_disk(y - inv_l * grad)
-        step = np.abs(x_new - x).max()
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        if step < tol:
-            break
-    return x
+
+    def __init__(self, B: np.ndarray, gamma: float = 0.0, sig2: float | None = None):
+        self.B = B
+        self.Bh = B.conj().T
+        self.k = B.shape[1]
+        self.C = np.concatenate([B, 1j * B], axis=1)
+        self.Ch = self.C.conj().T
+        self.row_norms = np.linalg.norm(B, axis=1)
+        self.gamma = gamma
+        self.root_gamma = math.sqrt(gamma)
+        self.sig2 = _top_sigma_sq(B) if sig2 is None else sig2
+        self.eye = np.eye(2 * self.k)
+
+    def quad(self, x: np.ndarray) -> float:
+        """||B^H x||^2."""
+        return float(np.sum(np.abs(self.Bh @ x) ** 2))
+
+    def clip_gram(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Re(C^H J C) for the Jacobian J of x = clip(z) (2k x 2k).
+
+        Entries inside the disk contribute C_n^H C_n, clipped ones only their
+        tangential part, scaled by 1 / |z_n|.
+        """
+        r = np.abs(z)
+        free = (r <= 1.0).astype(float)
+        tang = (x.conj()[:, None] * self.C).imag
+        gram = ((self.Ch * free) @ self.C).real
+        gram += (tang.T * ((1.0 - free) / np.maximum(r, 1.0))) @ tang
+        return gram
+
+
+def _cap_dual(problem: ProblemData) -> _CapDual | None:
+    B = problem.cap_matrix()
+    return None if B is None else _CapDual(B, problem.gamma)
 
 
 _P9_MAX_STEPS = 100
 
 
 def _p9_dual(
-    b: np.ndarray,
-    B: np.ndarray | None,
-    gamma: float,
-    sig2: float,
-    y0: np.ndarray | None,
+    b: np.ndarray, dual: _CapDual | None, w0: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Projection of b onto {unit disks} intersect {||B^H x||^2 <= gamma}, exactly.
 
@@ -339,63 +350,56 @@ def _p9_dual(
     that lands on the maximizer can show a slope a rounding error below 0,
     and Huber terms outside the disk give g no curvature along their
     radius, so a full step can be orders of magnitude too long. The first
-    iterate is the better of the warm start ``y0`` and a proximal gradient
-    step from y = 0 (step 1 / ``sig2``, sig2 >= ||B||^2), which ascends
-    and keeps the iteration off the kink of ||y|| at 0.
+    iterate is the better of the warm start ``w0`` (real coordinates of y)
+    and a proximal gradient step from y = 0 (step 1 / sig2,
+    sig2 >= ||B||^2), which ascends and keeps the iteration off the kink of
+    ||y|| at 0.
 
-    Returns x and y, with y = None when clip(b) already meets the cap. The
-    returned x never exceeds the cap: a converged point that rounding
-    leaves a hair over it is pulled toward x = 0, which is feasible for any
-    gamma > 0. Raises :class:`ProjectionError` when the iteration stops
-    short of convergence, at the step limit or at the rounding floor, at a
-    point over the cap.
+    Returns x and the real coordinates w of y, with w = None when there is
+    no cap (``dual`` is None) or clip(b) already meets it. The returned x
+    never exceeds the cap: a converged point that rounding leaves a hair
+    over it is pulled toward x = 0, which is feasible for any gamma > 0.
+    Raises :class:`ProjectionError` when the iteration stops short of
+    convergence, at the step limit or at the rounding floor, at a point
+    over the cap.
     """
     x = _clip_disk(b)
-    if B is None or _quad(B, x) <= gamma:
+    if dual is None or dual.quad(x) <= dual.gamma:
         return x, None
-    k = B.shape[1]
-    C = np.concatenate([B, 1j * B], axis=1)  # real coordinates: B y = C w
-    Ch = C.conj().T
-    root_gamma = float(np.sqrt(gamma))
+    C, Ch, root_gamma, gamma = dual.C, dual.Ch, dual.root_gamma, dual.gamma
 
     def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """z = b - B y, x(y) = clip(z) and the gradient of g at w."""
         z = b - C @ w
         x = _clip_disk(z)
-        return z, x, (Ch @ x).real - (root_gamma / np.linalg.norm(w)) * w
+        return z, x, (Ch @ x).real - (root_gamma / math.sqrt(w @ w)) * w
 
     def value(z: np.ndarray, w: np.ndarray) -> float:
         r = np.abs(z)
         huber = np.where(r <= 1.0, 0.5 * r * r, r - 0.5)
-        return float(-np.sum(huber) - root_gamma * np.linalg.norm(w))
+        return float(-np.sum(huber) - root_gamma * math.sqrt(w @ w))
 
     grad0 = (Ch @ x).real
     # relative tolerance, floored above the rounding of B^H x(y): an entry of
     # z = b - B y carries an error of order eps (1 + |b_n|) near the optimum
-    tol = 1e-10 * root_gamma + 1e-13 * float(np.linalg.norm(B, axis=1) @ (1.0 + np.abs(b)))
-    w = grad0 * ((1.0 - root_gamma / float(np.linalg.norm(grad0))) / sig2)
+    tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + np.abs(b)))
+    w = grad0 * ((1.0 - root_gamma / math.sqrt(grad0 @ grad0)) / dual.sig2)
     z, x, grad = at(w)
-    if y0 is not None and np.any(y0):
-        w0 = np.concatenate([y0.real, y0.imag])
+    if w0 is not None and np.any(w0):
         z_w, x_w, grad_w = at(w0)
         if value(z_w, w0) > value(z, w):
             w, z, x, grad = w0, z_w, x_w, grad_w
     converged = False
     for _ in range(_P9_MAX_STEPS):
-        if np.linalg.norm(grad) <= tol:
+        if math.sqrt(grad @ grad) <= tol:
             converged = True
             break
-        # negated Hessian: entries inside the disk contribute C_n^H C_n, clipped
-        # ones only their tangential part, scaled by 1 / |z_n|
-        r = np.abs(z)
-        free = (r <= 1.0).astype(float)
-        tang = (x.conj()[:, None] * C).imag
-        nw = float(np.linalg.norm(w))
+        # negated Hessian of g
+        nw = math.sqrt(w @ w)
         what = w / nw
-        hess = ((Ch * free) @ C).real
-        hess += (tang.T * ((1.0 - free) / np.maximum(r, 1.0))) @ tang
-        hess += (root_gamma / nw) * (np.eye(2 * k) - np.outer(what, what))
-        hess += (1e-12 * np.trace(hess)) * np.eye(2 * k)
+        hess = dual.clip_gram(z, x)
+        hess += (root_gamma / nw) * (dual.eye - np.outer(what, what))
+        hess += (1e-12 * np.trace(hess)) * dual.eye
         d = np.linalg.solve(hess, grad)
         slope0 = float(grad @ d)
         if not slope0 > 0:  # rounding made the model indefinite: steepest ascent
@@ -431,19 +435,19 @@ def _p9_dual(
             break  # rounding floor: the step no longer moves y
         w = w_new
         z, x, grad = z_t, x_t, grad_t
-    cap = _quad(B, x)
+    cap = dual.quad(x)
     margin = 1e-12
     while converged and cap > gamma and margin < 1e-6:
         # the computed cap carries rounding of relative size up to
         # eps ||B|| ||x|| / sqrt(gamma), so the margin grows until it clears it
         x = x * (np.sqrt(gamma / cap) * (1.0 - margin))
-        cap = _quad(B, x)
+        cap = dual.quad(x)
         margin *= 10.0
     if cap > gamma:
         raise ProjectionError(
             f"P9 projection stopped at cap {cap:.17g} over gamma {gamma:.17g}"
         )
-    return x, w[:k] + 1j * w[k:]
+    return x, w
 
 
 def _solve_p9(
@@ -460,11 +464,70 @@ def _solve_p9(
     for the dual variable y of :func:`_p9_dual`; a warm start (x, mu) enters
     that solve as y = 2 mu B^H x, the stationarity relation between the two.
     """
-    y0 = None if B is None or warm_mu == 0.0 else 2.0 * warm_mu * (B.conj().T @ warm)
-    x, y = _p9_dual(b, B, gamma, sig2, y0)
-    if y is None:
+    if B is None:
+        return _clip_disk(b), 0.0
+    dual = _CapDual(B, gamma, sig2)
+    w0 = None
+    if warm_mu != 0.0:
+        y0 = 2.0 * warm_mu * (dual.Bh @ warm)
+        w0 = np.concatenate([y0.real, y0.imag])
+    x, w = _p9_dual(b, dual, w0)
+    if w is None:
         return x, 0.0
-    return x, float(np.linalg.norm(y)) / (2.0 * np.sqrt(gamma))
+    return x, math.sqrt(w @ w) / (2.0 * dual.root_gamma)
+
+
+_QUAD_MAX_STEPS = 50
+
+
+def _quad_dual(
+    c: np.ndarray, dual: _CapDual, rho: float, w0: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||B^H x||^2 + ||x - c||^2 / (2 rho) over the unit-disk product.
+
+    With ||B^H x||^2 = max_y 2 Re<y, B^H x> - ||y||^2 the disk problem
+    separates for fixed y into x(y) = clip(c - 2 rho B y), and the optimal
+    y solves F(y) = y - B^H x(y) = 0. F is -1/2 the gradient of a smooth,
+    strongly concave dual in at most 4 real variables, and is solved by
+    semismooth Newton with Newton matrix I + 2 rho Re(C^H J C), J the
+    Jacobian of the clip; a step is halved until ||F|| decreases. The
+    iteration starts from ``w0`` (real coordinates of y, zero when None)
+    and stops at a relative tolerance or at the rounding floor, where no
+    step along the Newton direction decreases ||F||.
+
+    Returns x(y) and the real coordinates w of y, the warm start of the
+    next call on a nearby c.
+    """
+    two_rho = 2.0 * rho
+    C, Ch = dual.C, dual.Ch
+
+    def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z = c - 2 rho B y, x(y) = clip(z) and F at w."""
+        z = c - two_rho * (C @ w)
+        x = _clip_disk(z)
+        return z, x, w - (Ch @ x).real
+
+    w = np.zeros(2 * dual.k) if w0 is None else w0
+    z, x, F = at(w)
+    size = math.sqrt(F @ F)
+    # above the rounding of B^H x(y), as in _p9_dual
+    tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
+    for _ in range(_QUAD_MAX_STEPS):
+        if size <= tol:
+            break
+        d = np.linalg.solve(dual.eye + two_rho * dual.clip_gram(z, x), -F)
+        t = 1.0
+        for _ in range(40):
+            z_t, x_t, F_t = at(w + t * d)
+            size_t = math.sqrt(F_t @ F_t)
+            if size_t < size:
+                break
+            t *= 0.5
+        else:
+            break  # rounding floor
+        w = w + t * d
+        z, x, F, size = z_t, x_t, F_t, size_t
+    return x, w
 
 
 def _p9_residual(
@@ -505,19 +568,20 @@ def _p8_objective(problem: ProblemData, theta: np.ndarray, center: np.ndarray, r
 class _ThetaBlock:
     """Reusable solver for the disk-constrained block of one problem.
 
-    Caches the stacked objective/cap matrices and carries the dual variable
-    y of the projection across calls, so each surrogate projection starts
-    its Newton iteration from the previous one's dual solution.
+    Caches the stacked objective matrix, shares the problem's cap constants
+    ``dual`` (None without a cap) and carries the dual variable of the
+    projection across calls, so each surrogate projection starts its Newton
+    iteration from the previous one's dual solution. Setting ``w`` to None
+    forgets it, which a new start does.
     """
 
-    def __init__(self, problem: ProblemData, params: PddParams):
+    def __init__(self, problem: ProblemData, params: PddParams, dual: _CapDual | None):
         self.problem = problem
         self.params = params
         self.Q = problem.objective_matrix()
         self.Qh = self.Q.conj().T
-        self.B = problem.cap_matrix()
-        self.sig2 = _top_sigma_sq(self.B) if self.B is not None else 0.0
-        self.y: np.ndarray | None = None
+        self.dual = dual
+        self.w: np.ndarray | None = None
 
     def update(self, state: PddState, stall_tol: float | None = None) -> tuple[np.ndarray, list[float]]:
         """Successive convex approximation on the penalized block problem.
@@ -538,7 +602,7 @@ class _ThetaBlock:
         for _ in range(self.params.max_sca):
             eps = self.Q @ (self.Qh @ theta)
             b = center + 2.0 * rho * eps
-            theta_new, self.y = _p9_dual(b, self.B, self.problem.gamma, self.sig2, self.y)
+            theta_new, self.w = _p9_dual(b, self.dual, self.w)
             obj = _p8_objective(self.problem, theta_new, center, rho)
             if obj > prev:
                 objectives.append(prev)
@@ -561,7 +625,7 @@ def inner_theta_update(
     the true objective at its expansion point.
     """
     params = params or PddParams()
-    return _ThetaBlock(problem, params).update(state)
+    return _ThetaBlock(problem, params, _cap_dual(problem)).update(state)
 
 
 def inner_vartheta_update(state: PddState) -> np.ndarray:
@@ -600,27 +664,35 @@ def minimize_unit_modulus_quadratic(
     suppressing reflections when no closed-form null applies.
     """
     B = np.stack([np.asarray(v, dtype=complex) for v in vectors], axis=1)
-    return _minimize_quad_core(B, params or PddParams(), ref)
+    scale = float(np.max(np.linalg.norm(B, axis=0)))
+    if scale == 0:
+        theta = np.ones(B.shape[0], dtype=complex) if ref is None else _unit_phases(ref)
+        return ReflectionVector.on(np.angle(theta)), 0.0
+    theta, val = _minimize_quad_core(_CapDual(B / scale), params or PddParams(), ref)
+    return theta, val * scale**2
 
 
 def _minimize_quad_core(
-    B: np.ndarray, params: PddParams, ref: np.ndarray | None
+    dual: _CapDual, params: PddParams, ref: np.ndarray | None
 ) -> tuple[ReflectionVector, float]:
+    """Penalty-dual minimization of ||B^H theta||^2 over unit-modulus theta.
+
+    The disk block, min ||B^H x||^2 + ||x - center||^2 / (2 rho) over the
+    unit disks, is solved exactly by :func:`_quad_dual`, warm-started from
+    the previous inner iteration's dual solution; the unit-modulus block is
+    the phase projection. The best unit-modulus copy seen is polished by
+    projected gradient with phase retraction.
+    """
+    B, Bh = dual.B, dual.Bh
     n = B.shape[0]
-    scale = float(np.max(np.linalg.norm(B, axis=0)))
-    if scale == 0:
-        theta = np.ones(n, dtype=complex) if ref is None else _unit_phases(ref)
-        return ReflectionVector.on(np.angle(theta)), 0.0
-    Bn = B / scale
-    sig2 = _top_sigma_sq(Bn)
     # start from the reference projected onto the null space of the cap form
     candidates = [ref] if ref is not None else []
     candidates += [np.ones(n, dtype=complex)]
     theta0 = None
-    gram_pinv = np.linalg.pinv(Bn.conj().T @ Bn)
+    gram_pinv = np.linalg.pinv(Bh @ B)
     for cand in candidates:
         cand = np.asarray(cand, dtype=complex)
-        proj = cand - Bn @ (gram_pinv @ (Bn.conj().T @ cand))
+        proj = cand - B @ (gram_pinv @ (Bh @ cand))
         if np.linalg.norm(proj) > 1e-9 * np.sqrt(n):
             theta0 = _unit_phases(proj)
             break
@@ -630,14 +702,13 @@ def _minimize_quad_core(
     vartheta = np.array(theta0)
     lam = np.zeros(n, dtype=complex)
     rho = params.rho0
+    w = None
     best = vartheta
-    best_val = _quad(Bn, vartheta)
+    best_val = dual.quad(vartheta)
     for outer in range(1, params.max_outer + 1):
         loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
         for _ in range(params.max_inner):
-            center = vartheta - rho * lam
-            # disk block: min ||B^H x||^2 + ||x - center||^2 / (2 rho)
-            theta_new = _apg_disk(center, Bn, rho, sig2, theta, 1e-10, 1500)
+            theta_new, w = _quad_dual(vartheta - rho * lam, dual, rho, w)
             vartheta_new = _unit_phases(theta_new + rho * lam)
             delta = max(
                 float(np.max(np.abs(theta_new - theta))),
@@ -646,7 +717,7 @@ def _minimize_quad_core(
             theta, vartheta = theta_new, vartheta_new
             if delta < loop_tol:
                 break
-        val = _quad(Bn, vartheta)
+        val = dual.quad(vartheta)
         if val < best_val:
             best, best_val = vartheta, val
         if float(np.max(np.abs(theta - vartheta))) < params.outer_tol:
@@ -655,33 +726,31 @@ def _minimize_quad_core(
         rho *= params.c
     # polish on the unit-modulus manifold: projected gradient with retraction
     x = np.array(best)
-    step = 1.0 / (2.0 * sig2)
+    step = 1.0 / (2.0 * dual.sig2)
     val = best_val
     for _ in range(400):
-        x_new = _unit_phases(x - step * 2.0 * (Bn @ (Bn.conj().T @ x)))
-        new_val = _quad(Bn, x_new)
+        x_new = _unit_phases(x - step * 2.0 * (B @ (Bh @ x)))
+        new_val = dual.quad(x_new)
         if new_val >= val:
             break
         x, val = x_new, new_val
     if val < best_val:
         best, best_val = x, val
-    return ReflectionVector.on(np.angle(best)), float(best_val * scale**2)
+    return ReflectionVector.on(np.angle(best)), best_val
 
 
 def _wrap_pm_pi(x: np.ndarray) -> np.ndarray:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _blend_feasible(
-    theta_obj: np.ndarray, theta_feas: np.ndarray, B: np.ndarray, gamma: float
-) -> np.ndarray:
+def _blend_feasible(theta_obj: np.ndarray, theta_feas: np.ndarray, dual: _CapDual) -> np.ndarray:
     """Phase-geodesic warm start: as close to theta_obj as stays under the cap."""
     psi0 = np.angle(theta_feas)
     dpsi = _wrap_pm_pi(np.angle(theta_obj) - psi0)
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _quad(B, np.exp(1j * (psi0 + mid * dpsi))) <= gamma:
+        if dual.quad(np.exp(1j * (psi0 + mid * dpsi))) <= dual.gamma:
             lo = mid
         else:
             hi = mid
@@ -736,17 +805,21 @@ def pdd_solve(
             gamma=problem.gamma,
             p_u_min=problem.p_u_min,
         )
-    B = scaled.cap_matrix()
+    dual = _cap_dual(scaled)  # cap constants shared by every start
     gamma = scaled.gamma
     feas_cap = gamma * (1.0 + 0.1 * FEAS_RTOL)
     feas_ref: dict[str, np.ndarray] = {}  # cap minimizer, computed at most once
+    block = _ThetaBlock(scaled, params, dual)
+
+    def feasible(theta: np.ndarray) -> bool:
+        return dual is None or dual.quad(theta) <= feas_cap
 
     def feasible_start(theta0: np.ndarray) -> np.ndarray:
         """Blend an infeasible start toward the cap minimizer."""
-        if B is None or _quad(B, theta0) <= feas_cap:
+        if feasible(theta0):
             return theta0
         if "theta" not in feas_ref:
-            rv, min_val = _minimize_quad_core(B, params, ref=theta0)
+            rv, min_val = _minimize_quad_core(dual, params, ref=theta0)
             if min_val > gamma * (1.0 + FEAS_RTOL):
                 raise Infeasible(
                     f"minimal cap value {min_val:.6g} exceeds gamma {gamma:.6g} "
@@ -754,9 +827,9 @@ def pdd_solve(
                 )
             feas_ref["theta"] = rv.coefficients
         theta_feas = feas_ref["theta"]
-        if _quad(B, theta_feas) > feas_cap:
+        if not feasible(theta_feas):
             return theta_feas  # near-threshold: start at the minimizer itself
-        return _blend_feasible(theta0, theta_feas, B, gamma)
+        return _blend_feasible(theta0, theta_feas, dual)
 
     def single_run(theta0: np.ndarray) -> tuple[np.ndarray | None, float, list, bool, int]:
         theta0 = feasible_start(theta0)
@@ -768,12 +841,12 @@ def pdd_solve(
         )
         best_theta: np.ndarray | None = None
         best_obj = -np.inf
-        if B is None or _quad(B, theta0) <= feas_cap:
+        if feasible(theta0):
             best_theta, best_obj = np.array(theta0), problem_objective(scaled, theta0)
         trace: list[PddTracePoint] = []
         converged = False
         outer_done = 0
-        block = _ThetaBlock(scaled, params)
+        block.w = None  # every start follows its own trajectory
         for outer in range(1, params.max_outer + 1):
             outer_done = outer
             # solve the inner problem inexactly at first, tightly once rho is small
@@ -788,7 +861,7 @@ def pdd_solve(
                 if delta < loop_tol:
                     break
             gap = float(np.max(np.abs(state.theta - state.vartheta)))
-            if B is None or _quad(B, state.vartheta) <= feas_cap:
+            if feasible(state.vartheta):
                 obj = problem_objective(scaled, state.vartheta)
                 if obj > best_obj:
                     best_obj, best_theta = obj, np.array(state.vartheta)
@@ -815,8 +888,8 @@ def pdd_solve(
 
     cap_binding = (
         best_theta is not None
-        and B is not None
-        and _quad(B, best_theta) > 0.5 * gamma
+        and dual is not None
+        and dual.quad(best_theta) > 0.5 * gamma
     )
     if (best_theta is None or cap_binding) and params.restarts > 1:
         restart_rng = np.random.default_rng(0x5EED)
@@ -828,14 +901,9 @@ def pdd_solve(
                 best_theta, best_obj, trace, converged = theta_k, obj_k, trace_k, conv_k
 
     if best_theta is None:
-        # never produced a unit-modulus iterate under the cap: settle it
-        feas_rv, min_val = _minimize_quad_core(B, params, ref=theta0)
-        if min_val > gamma * (1.0 + FEAS_RTOL):
-            raise Infeasible(
-                f"minimal cap value {min_val:.6g} exceeds gamma {gamma:.6g} "
-                "for every unit-modulus reflection"
-            )
-        best_theta = feas_rv.coefficients
+        # never produced a unit-modulus iterate under the cap: settle at the
+        # cap minimizer, which the infeasible first start already computed
+        best_theta = feas_ref["theta"]
         best_obj = problem_objective(scaled, best_theta)
         converged = False
     return PddResult(

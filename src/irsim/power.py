@@ -133,13 +133,10 @@ def irs_received_powers(
     return k_l * p_l, k_u * p_u
 
 
-def _array_gains(geom: ScenarioGeometry, theta: ReflectionVector) -> dict[str, float]:
-    coeff = theta.coefficients
-    gains = {}
-    for kind in ("U", "V", "R", "G"):
-        comp = composite_vector(kind, geom.angles_l, geom.angles_u, geom.irs_spec)
-        gains[kind] = abs(np.vdot(comp, coeff)) ** 2
-    return gains
+def _array_gain(kind: str, geom: ScenarioGeometry, coeff: np.ndarray) -> float:
+    """|composite^H theta|^2 for one composite kind ("U", "V", "R" or "G")."""
+    comp = composite_vector(kind, geom.angles_l, geom.angles_u, geom.irs_spec)
+    return abs(np.vdot(comp, coeff)) ** 2
 
 
 def link_power(
@@ -158,7 +155,6 @@ def link_power(
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
     k_l, k_u = _unit_power_gains(geom, w_l, w_u)
-    gains = _array_gains(geom, theta)
     # per-source powers written so a silent radar (p = 0) degrades cleanly
     factor = {
         "LL": k_l**2 * p_l,
@@ -167,7 +163,7 @@ def link_power(
         "UU": k_u**2 * p_u,
     }[link]
     kind = {"LL": "U", "LU": "V", "UL": "R", "UU": "G"}[link]
-    return float(factor * gains[kind])
+    return float(factor * _array_gain(kind, geom, theta.coefficients))
 
 
 def overlap_power(
@@ -200,11 +196,11 @@ def power_report(
     """Evaluate every power figure for one reflection vector."""
     k_l, k_u = _unit_power_gains(geom, w_l, w_u)
     q_ls, q_us = k_l * p_l, k_u * p_u
-    g = _array_gains(geom, theta)
-    q_ll = k_l**2 * p_l * g["U"]
-    q_lu = k_l * k_u * p_l * g["V"]
-    q_ul = k_l * k_u * p_u * g["R"]
-    q_uu = k_u**2 * p_u * g["G"]
+    coeff = theta.coefficients
+    q_ll = k_l**2 * p_l * _array_gain("U", geom, coeff)
+    q_lu = k_l * k_u * p_l * _array_gain("V", geom, coeff)
+    q_ul = k_l * k_u * p_u * _array_gain("R", geom, coeff)
+    q_uu = k_u**2 * p_u * _array_gain("G", geom, coeff)
     return PowerReport(
         q_ls=float(q_ls),
         q_us=float(q_us),

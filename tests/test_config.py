@@ -77,6 +77,23 @@ def test_field_level_messages(tmp_path):
         ScenarioConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize("key", ["p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_power_rejected(tmp_path, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[power]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"power.{key}.*finite"):
+        ScenarioConfig.from_file(str(path))
+
+
+def test_replace_rejects_non_finite():
+    cfg = ScenarioConfig.default()
+    with pytest.raises(ConfigError, match="power.gamma"):
+        cfg.replace(gamma=float("nan"))
+    with pytest.raises(ConfigError, match="power.p_u_min"):
+        cfg.replace(p_u_min=float("inf"))
+
+
 def test_mode_validation(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[protocol]\nmode = quarterly\n")

@@ -226,6 +226,44 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert cli_main(["optimize", "--config", str(bad)]) == 2
 
 
+def test_cli_non_finite_gamma_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.ini"
+    bad.write_text("[power]\ngamma = nan\n")
+    out = tmp_path / "sol.json"
+    assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
+    assert "power.gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_optimize_json_is_strict(tmp_path):
+    out = tmp_path / "sol.json"
+    assert cli_main(["optimize", "--problem", "p3", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert np.isfinite(payload["objective"]) and np.isfinite(payload["gamma"])
+
+
+def test_cli_optimize_never_writes_nan(tmp_path, monkeypatch):
+    # a non-finite figure that got past validation fails the run instead of
+    # landing in the file as a bare NaN, which is not JSON
+    import dataclasses
+
+    import irsim.cli
+
+    solve = irsim.cli.pdd_solve
+    monkeypatch.setattr(
+        irsim.cli, "pdd_solve",
+        lambda *a, **k: dataclasses.replace(solve(*a, **k), objective=float("nan")),
+    )
+    out = tmp_path / "sol.json"
+    with pytest.raises(ValueError, match="JSON"):
+        cli_main(["optimize", "--problem", "p1", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_unknown_figure_exits_2(tmp_path):
     assert cli_main(["reproduce", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -100,6 +100,31 @@ def test_problem_data_invariants():
         ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=-1.0, p_u_min=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_data_rejects_non_finite(bad):
+    z = np.zeros(3, dtype=complex)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=bad, p_u_min=1.0)
+    with pytest.raises(ValueError, match="p_u_min must be finite"):
+        ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=1.0, p_u_min=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_problem_rejects_non_finite(rng, bad):
+    comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
+    good = {"scenario_powers": (1.0, 1.0), "gamma": 1.0, "p_u_min": 1.0}
+    for key, value in (
+        ("gamma", bad),
+        ("p_u_min", bad),
+        ("q_ls", (bad, 1.0)),
+        ("q_us", (1.0, bad)),
+    ):
+        kwargs = dict(good)
+        kwargs["scenario_powers" if key.startswith("q_") else key] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            build_problem(case="P3", composites=comps, durations=None, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the surrogate projection (P9 analogue)
 
@@ -221,6 +246,46 @@ def test_p9_unconverged_over_cap_raises(rng, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the solver blocks
+
+
+def quad_block_residual(x, c, B, rho):
+    """Projected-gradient fixed-point residual of min ||B^H x||^2 + ||x - c||^2 / (2 rho)."""
+    L = 2.0 * _top_sigma_sq(B) + 1.0 / rho
+    grad = 2.0 * (B @ (B.conj().T @ x)) + (x - c) / rho
+    return float(np.max(np.abs(x - _clip_disk(x - grad / L))))
+
+
+def quad_block_reference(c, B, rho, steps=5000):
+    """The same minimizer by plain projected gradient, run far past convergence."""
+    L = 2.0 * _top_sigma_sq(B) + 1.0 / rho
+    x = _clip_disk(c)
+    for _ in range(steps):
+        x = _clip_disk(x - (2.0 * (B @ (B.conj().T @ x)) + (x - c) / rho) / L)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("c_scale", [1.0, 1e3])
+@pytest.mark.parametrize("rho", [1.0, 0.1, 1e-4])
+def test_cap_minimizer_block_solves_its_disk_problem(rng, k, c_scale, rho):
+    # the disk block of the cap minimizer, solved in its rank-k dual; with
+    # |c| >> 1 nearly every entry ends up clipped
+    n = 8
+    for _ in range(3):
+        B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
+        c = c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x, w = optimizer._quad_dual(c, optimizer._CapDual(B), rho, None)
+        assert w.shape == (2 * k,)
+        assert np.max(np.abs(x)) <= 1.0 + 1e-15
+        assert quad_block_residual(x, c, B, rho) < 1e-9
+        np.testing.assert_allclose(x, quad_block_reference(c, B, rho), atol=1e-9)
+        # a warm start from the solution of a nearby problem lands on the same point
+        c2 = c + 1e-3 * c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x2, _ = optimizer._quad_dual(c2, optimizer._CapDual(B), rho, w)
+        x2_cold, _ = optimizer._quad_dual(c2, optimizer._CapDual(B), rho, None)
+        assert quad_block_residual(x2, c2, B, rho) < 1e-9
+        np.testing.assert_allclose(x2, x2_cold, atol=1e-9)
+
 
 
 def test_vartheta_update_is_phase_projection(rng):
@@ -384,6 +449,27 @@ def test_pdd_with_candidates_keeps_best(rng):
     # feeding the solution back can only keep or improve the objective
     res2 = pdd_solve_with_candidates(prob, candidates=[res.theta.coefficients])
     assert res2.objective >= res.objective * (1 - 1e-12)
+
+
+def test_pdd_repeat_solves_identical_on_binding_cap(rng):
+    # a binding cap runs the cap minimizer and the extra starts, which share
+    # the problem's cap constants: no state may carry from one solve to the next
+    prob = random_problem(rng, n=16, gamma_frac=0.05)
+    r1 = pdd_solve(prob)
+    r2 = pdd_solve(prob)
+    assert r1.outer_iterations > len(r1.trace)  # more than one start ran
+    assert r1.objective == r2.objective
+    np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
+
+
+def test_minimize_quadratic_two_vectors_reaches_null(rng):
+    spec = ArraySpec(4, 4, 0.02, 0.2)
+    vecs = [composite_vector(kind, random_angles(rng), random_angles(rng), spec) for kind in "GV"]
+    theta, val = minimize_unit_modulus_quadratic(vecs)
+    assert val <= 1e-10 * spec.size**2
+    coeff = theta.coefficients
+    assert val == pytest.approx(sum(abs(np.vdot(v, coeff)) ** 2 for v in vecs), rel=1e-6, abs=1e-20)
+    np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
 
 
 def test_minimize_quadratic_reaches_structured_null(rng):
