@@ -118,7 +118,7 @@ def steering_irs(spec: ArraySpec, angles: AnglePair, sense: str = "incident") ->
     zx, zy = _irs_zetas(angles, sense)
     dx = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zx)
     dy = steering_1d(spec.count_b, spec.spacing, spec.wavelength, zy)
-    return np.kron(dx, dy)
+    return np.outer(dx, dy).ravel()
 
 
 def steering_radar(
@@ -143,7 +143,7 @@ def steering_radar(
     zz = s * np.cos(angles.elevation)
     dy = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zy)
     dz = steering_1d(spec.count_b, spec.spacing, spec.wavelength, zz)
-    return np.kron(dy, dz)
+    return np.outer(dy, dz).ravel()
 
 
 def composite_deltas(kind: str, angles_l: AnglePair, angles_u: AnglePair) -> tuple[float, float]:
@@ -204,7 +204,7 @@ def composite_vector_kron(
     dzx, dzy = composite_deltas(kind, angles_l, angles_u)
     dx = steering_1d(irs_spec.count_a, irs_spec.spacing, irs_spec.wavelength, dzx)
     dy = steering_1d(irs_spec.count_b, irs_spec.spacing, irs_spec.wavelength, dzy)
-    return np.kron(dx, dy)
+    return np.outer(dx, dy).ravel()
 
 
 def matched_beamformer(spec: ArraySpec, angles: AnglePair, role: str = "lrs") -> np.ndarray:

@@ -97,6 +97,14 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# float keys that must be finite, besides the azimuths
+_FINITE_KEYS = {
+    "geometry": ("lrs_distance", "urs_distance"),
+    "timing": ("pri", "lrs_duration", "urs_duration", "lrs_start", "urs_start", "bandwidth"),
+    "power": ("p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"),
+}
+
+
 def _cast(key: str, raw: str, kind):
     try:
         if kind is int:
@@ -270,9 +278,16 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Re-check every module precondition; raises ConfigError with context."""
-        for key in ("p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"power.{key}", "must be finite")
+        # AnglePair range-checks the elevation; a non-finite azimuth wraps to nan
+        finite = {
+            "geometry.lrs_azimuth_deg": self.angles_l.azimuth,
+            "geometry.urs_azimuth_deg": self.angles_u.azimuth,
+        }
+        for section, keys in _FINITE_KEYS.items():
+            finite.update((f"{section}.{key}", getattr(self, key)) for key in keys)
+        for key, value in finite.items():
+            if not math.isfinite(value):
+                raise ConfigError(key, "must be finite")
         try:
             self.geometry()
         except ValueError as exc:

@@ -267,10 +267,7 @@ def _clip_disk(x: np.ndarray) -> np.ndarray:
 def _unit_phases(x: np.ndarray) -> np.ndarray:
     """Nearest unit-modulus vector; zero entries map to 1 by convention."""
     mag = np.abs(x)
-    out = np.ones(x.shape, dtype=complex)
-    nz = mag > 0
-    out[nz] = x[nz] / mag[nz]
-    return out
+    return np.divide(x, mag, out=np.ones(x.shape, dtype=complex), where=mag > 0)
 
 
 def _top_sigma_sq(B: np.ndarray) -> float:
@@ -300,23 +297,32 @@ class _CapDual:
         self.root_gamma = math.sqrt(gamma)
         self.sig2 = _top_sigma_sq(B) if sig2 is None else sig2
         self.eye = np.eye(2 * self.k)
+        # per-row outer products of the rows C_n = a_n + i b_n, flattened and
+        # stacked as [Re(C_n^H C_n); b b^T; -(a b^T + b a^T); a a^T]
+        a, b = self.C.real, self.C.imag
+        aa, bb, ab = (u[:, :, None] * v[:, None] for u, v in ((a, a), (b, b), (a, b)))
+        tables = np.concatenate([aa + bb, bb, -(ab + ab.transpose(0, 2, 1)), aa])
+        self.tables = tables.reshape(4 * B.shape[0], -1)
 
     def quad(self, x: np.ndarray) -> float:
         """||B^H x||^2."""
-        return float(np.sum(np.abs(self.Bh @ x) ** 2))
+        v = self.Bh @ x
+        return float(np.vdot(v, v).real)
 
-    def clip_gram(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Re(C^H J C) for the Jacobian J of x = clip(z) (2k x 2k).
+    def clip_gram(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Re(C^H J C) for the Jacobian J of x = clip(z), given r = |z| (2k x 2k).
 
-        Entries inside the disk contribute C_n^H C_n, clipped ones only their
-        tangential part, scaled by 1 / |z_n|.
+        Entries inside the disk contribute Re(C_n^H C_n); clipped ones only
+        their tangential part, (Im conj(x_n) C_n)^T (Im conj(x_n) C_n) / r_n,
+        which with C_n = a + i b is (xr^2 b b^T - xr xi (a b^T + b a^T)
+        + xi^2 a a^T) / r_n. Both come from the row tables built with the
+        dual, so the matrix is one product of per-row weights with them.
         """
-        r = np.abs(z)
-        free = (r <= 1.0).astype(float)
-        tang = (x.conj()[:, None] * self.C).imag
-        gram = ((self.Ch * free) @ self.C).real
-        gram += (tang.T * ((1.0 - free) / np.maximum(r, 1.0))) @ tang
-        return gram
+        free = r <= 1.0
+        inv = ~free / np.maximum(r, 1.0)
+        xr, xi = x.real, x.imag
+        weights = np.concatenate([free, inv * xr * xr, inv * xr * xi, inv * xi * xi])
+        return (weights @ self.tables).reshape(2 * self.k, 2 * self.k)
 
 
 def _cap_dual(problem: ProblemData) -> _CapDual | None:
@@ -369,26 +375,26 @@ def _p9_dual(
     C, Ch, root_gamma, gamma = dual.C, dual.Ch, dual.root_gamma, dual.gamma
 
     def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """z = b - B y, x(y) = clip(z) and the gradient of g at w."""
+        """r = |z| for z = b - B y, x(y) = clip(z) and the gradient of g at w."""
         z = b - C @ w
-        x = _clip_disk(z)
-        return z, x, (Ch @ x).real - (root_gamma / math.sqrt(w @ w)) * w
-
-    def value(z: np.ndarray, w: np.ndarray) -> float:
         r = np.abs(z)
-        huber = np.where(r <= 1.0, 0.5 * r * r, r - 0.5)
-        return float(-np.sum(huber) - root_gamma * math.sqrt(w @ w))
+        x = z / np.maximum(r, 1.0)
+        return r, x, (Ch @ x).real - (root_gamma / math.sqrt(w @ w)) * w
+
+    def value(r: np.ndarray, w: np.ndarray) -> float:
+        m = np.minimum(r, 1.0)  # huber(r) = m (r - m / 2)
+        return float(-(m @ (r - 0.5 * m)) - root_gamma * math.sqrt(w @ w))
 
     grad0 = (Ch @ x).real
     # relative tolerance, floored above the rounding of B^H x(y): an entry of
     # z = b - B y carries an error of order eps (1 + |b_n|) near the optimum
     tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + np.abs(b)))
     w = grad0 * ((1.0 - root_gamma / math.sqrt(grad0 @ grad0)) / dual.sig2)
-    z, x, grad = at(w)
-    if w0 is not None and np.any(w0):
-        z_w, x_w, grad_w = at(w0)
-        if value(z_w, w0) > value(z, w):
-            w, z, x, grad = w0, z_w, x_w, grad_w
+    r, x, grad = at(w)
+    if w0 is not None and w0.any():
+        r_w, x_w, grad_w = at(w0)
+        if value(r_w, w0) > value(r, w):
+            w, r, x, grad = w0, r_w, x_w, grad_w
     converged = False
     for _ in range(_P9_MAX_STEPS):
         if math.sqrt(grad @ grad) <= tol:
@@ -397,21 +403,21 @@ def _p9_dual(
         # negated Hessian of g
         nw = math.sqrt(w @ w)
         what = w / nw
-        hess = dual.clip_gram(z, x)
-        hess += (root_gamma / nw) * (dual.eye - np.outer(what, what))
-        hess += (1e-12 * np.trace(hess)) * dual.eye
+        hess = dual.clip_gram(x, r)
+        hess += (root_gamma / nw) * (dual.eye - what[:, None] * what)
+        hess += (1e-12 * hess.trace()) * dual.eye
         d = np.linalg.solve(hess, grad)
         slope0 = float(grad @ d)
         if not slope0 > 0:  # rounding made the model indefinite: steepest ascent
             d, slope0 = grad, float(grad @ grad)
         t = 1.0
-        z_t, x_t, grad_t = at(w + d)
+        r_t, x_t, grad_t = at(w + d)
         slope = float(grad_t @ d)
         if slope < 0:  # overshoot: Illinois regula falsi on the slope
             lo, s_lo, hi, s_hi, side = 0.0, slope0, 1.0, slope, 0
             for _ in range(60):
                 t = lo + (hi - lo) * s_lo / (s_lo - s_hi)
-                z_t, x_t, grad_t = at(w + t * d)
+                r_t, x_t, grad_t = at(w + t * d)
                 slope = float(grad_t @ d)
                 if slope < 0:
                     hi, s_hi = t, slope
@@ -429,12 +435,12 @@ def _p9_dual(
                 if lo == 0.0:
                     break  # rounding floor: every step along d descends
                 t = lo
-                z_t, x_t, grad_t = at(w + t * d)
+                r_t, x_t, grad_t = at(w + t * d)
         w_new = w + t * d
-        if np.array_equal(w_new, w):
+        if (w_new == w).all():
             break  # rounding floor: the step no longer moves y
         w = w_new
-        z, x, grad = z_t, x_t, grad_t
+        r, x, grad = r_t, x_t, grad_t
     cap = dual.quad(x)
     margin = 1e-12
     while converged and cap > gamma and margin < 1e-6:
@@ -502,23 +508,24 @@ def _quad_dual(
     C, Ch = dual.C, dual.Ch
 
     def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """z = c - 2 rho B y, x(y) = clip(z) and F at w."""
+        """r = |z| for z = c - 2 rho B y, x(y) = clip(z) and F at w."""
         z = c - two_rho * (C @ w)
-        x = _clip_disk(z)
-        return z, x, w - (Ch @ x).real
+        r = np.abs(z)
+        x = z / np.maximum(r, 1.0)
+        return r, x, w - (Ch @ x).real
 
     w = np.zeros(2 * dual.k) if w0 is None else w0
-    z, x, F = at(w)
+    r, x, F = at(w)
     size = math.sqrt(F @ F)
     # above the rounding of B^H x(y), as in _p9_dual
     tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
     for _ in range(_QUAD_MAX_STEPS):
         if size <= tol:
             break
-        d = np.linalg.solve(dual.eye + two_rho * dual.clip_gram(z, x), -F)
+        d = np.linalg.solve(dual.eye + two_rho * dual.clip_gram(x, r), -F)
         t = 1.0
         for _ in range(40):
-            z_t, x_t, F_t = at(w + t * d)
+            r_t, x_t, F_t = at(w + t * d)
             size_t = math.sqrt(F_t @ F_t)
             if size_t < size:
                 break
@@ -526,7 +533,7 @@ def _quad_dual(
         else:
             break  # rounding floor
         w = w + t * d
-        z, x, F, size = z_t, x_t, F_t, size_t
+        r, x, F, size = r_t, x_t, F_t, size_t
     return x, w
 
 
@@ -560,11 +567,6 @@ def _principal_phases(Q: np.ndarray) -> np.ndarray:
 # the solver blocks
 
 
-def _p8_objective(problem: ProblemData, theta: np.ndarray, center: np.ndarray, rho: float) -> float:
-    penalty = float(np.sum(np.abs(theta - center) ** 2)) / (2.0 * rho)
-    return -problem_objective(problem, theta) + penalty
-
-
 class _ThetaBlock:
     """Reusable solver for the disk-constrained block of one problem.
 
@@ -576,7 +578,6 @@ class _ThetaBlock:
     """
 
     def __init__(self, problem: ProblemData, params: PddParams, dual: _CapDual | None):
-        self.problem = problem
         self.params = params
         self.Q = problem.objective_matrix()
         self.Qh = self.Q.conj().T
@@ -596,18 +597,23 @@ class _ThetaBlock:
         rho = state.rho
         tol = self.params.inner_tol if stall_tol is None else stall_tol
         center = state.vartheta - rho * state.lam
+
+        def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta."""
+            p, d = self.Qh @ theta, theta - center
+            return float(np.vdot(d, d).real / (2.0 * rho) - np.vdot(p, p).real), p
+
         theta = np.array(state.theta, dtype=complex)
-        prev = _p8_objective(self.problem, theta, center, rho)
+        prev, p = penalized(theta)
         objectives: list[float] = []
         for _ in range(self.params.max_sca):
-            eps = self.Q @ (self.Qh @ theta)
-            b = center + 2.0 * rho * eps
+            b = center + 2.0 * rho * (self.Q @ p)
             theta_new, self.w = _p9_dual(b, self.dual, self.w)
-            obj = _p8_objective(self.problem, theta_new, center, rho)
+            obj, p_new = penalized(theta_new)
             if obj > prev:
                 objectives.append(prev)
                 break
-            theta = theta_new
+            theta, p = theta_new, p_new
             objectives.append(obj)
             if prev - obj <= tol * max(1.0, abs(prev)):
                 break
@@ -645,7 +651,7 @@ def dual_and_penalty_update(state: PddState, params: PddParams) -> PddState:
     lam = state.lam + (state.theta - state.vartheta) / state.rho
     mag = np.abs(lam)
     big = mag > _LAMBDA_CAP
-    if np.any(big):
+    if big.any():
         lam = np.where(big, lam * (_LAMBDA_CAP / np.maximum(mag, 1e-300)), lam)
     return PddState(theta=state.theta, vartheta=state.vartheta, lam=lam, rho=params.c * state.rho)
 
@@ -711,8 +717,8 @@ def _minimize_quad_core(
             theta_new, w = _quad_dual(vartheta - rho * lam, dual, rho, w)
             vartheta_new = _unit_phases(theta_new + rho * lam)
             delta = max(
-                float(np.max(np.abs(theta_new - theta))),
-                float(np.max(np.abs(vartheta_new - vartheta))),
+                float(np.abs(theta_new - theta).max()),
+                float(np.abs(vartheta_new - vartheta).max()),
             )
             theta, vartheta = theta_new, vartheta_new
             if delta < loop_tol:
@@ -720,7 +726,7 @@ def _minimize_quad_core(
         val = dual.quad(vartheta)
         if val < best_val:
             best, best_val = vartheta, val
-        if float(np.max(np.abs(theta - vartheta))) < params.outer_tol:
+        if float(np.abs(theta - vartheta).max()) < params.outer_tol:
             break
         lam = lam + (theta - vartheta) / rho
         rho *= params.c
@@ -728,12 +734,14 @@ def _minimize_quad_core(
     x = np.array(best)
     step = 1.0 / (2.0 * dual.sig2)
     val = best_val
+    v = Bh @ x
     for _ in range(400):
-        x_new = _unit_phases(x - step * 2.0 * (B @ (Bh @ x)))
-        new_val = dual.quad(x_new)
+        x_new = _unit_phases(x - step * 2.0 * (B @ v))
+        v_new = Bh @ x_new
+        new_val = float(np.vdot(v_new, v_new).real)
         if new_val >= val:
             break
-        x, val = x_new, new_val
+        x, v, val = x_new, v_new, new_val
     if val < best_val:
         best, best_val = x, val
     return ReflectionVector.on(np.angle(best)), best_val
@@ -853,14 +861,14 @@ def pdd_solve(
             loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
             for _ in range(params.max_inner):
                 theta_new, _ = block.update(state, stall_tol=loop_tol)
-                delta = float(np.max(np.abs(theta_new - state.theta)))
+                delta = float(np.abs(theta_new - state.theta).max())
                 state.theta = theta_new
                 vartheta_new = inner_vartheta_update(state)
-                delta = max(delta, float(np.max(np.abs(vartheta_new - state.vartheta))))
+                delta = max(delta, float(np.abs(vartheta_new - state.vartheta).max()))
                 state.vartheta = vartheta_new
                 if delta < loop_tol:
                     break
-            gap = float(np.max(np.abs(state.theta - state.vartheta)))
+            gap = float(np.abs(state.theta - state.vartheta).max())
             if feasible(state.vartheta):
                 obj = problem_objective(scaled, state.vartheta)
                 if obj > best_obj:

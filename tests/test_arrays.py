@@ -98,6 +98,25 @@ def test_radar_role_validation():
         steering_radar(ArraySpec(2, 1, 0.1, 0.2), AnglePair(0.1, 0.1), "other", "transmit")
 
 
+@pytest.mark.parametrize("counts", [(1, 1), (4, 3), (1, 8), (8, 1), (5, 7), (16, 16)])
+def test_steering_builders_bit_equal_to_kron(rng, counts):
+    # the 2D builders are the Kronecker product of their 1D factors, bit for bit
+    spec = ArraySpec(*counts, 0.02, 0.2)
+    for _ in range(10):
+        a = random_angles(rng)
+        zx = np.sin(a.elevation) * np.cos(a.azimuth)
+        zy = np.sin(a.elevation) * np.sin(a.azimuth)
+        zz = np.cos(a.elevation)
+        for sense, s in (("incident", 1.0), ("reflected", -1.0)):
+            kron = np.kron(steering_1d(counts[0], 0.02, 0.2, s * zx),
+                           steering_1d(counts[1], 0.02, 0.2, s * zy))
+            np.testing.assert_array_equal(steering_irs(spec, a, sense), kron)
+        for sense, s in (("transmit", 1.0), ("receive", -1.0)):
+            kron = np.kron(steering_1d(counts[0], 0.02, 0.2, s * zy),
+                           steering_1d(counts[1], 0.02, 0.2, s * zz))
+            np.testing.assert_array_equal(steering_radar(spec, a, "lrs", sense), kron)
+
+
 def test_composite_u_broadside_all_ones(rng):
     v = composite_vector("U", AnglePair(0.0, 0.7), random_angles(rng), IRS43)
     np.testing.assert_allclose(v, np.ones(12), atol=1e-12)

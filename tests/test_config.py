@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irsim import ConfigError, ScenarioConfig
+from irsim import AnglePair, ConfigError, ScenarioConfig
+from irsim.cli import main as cli_main
 
 
 def test_defaults_match_reference_setup():
@@ -86,12 +87,45 @@ def test_non_finite_power_rejected(tmp_path, key, value):
         ScenarioConfig.from_file(str(path))
 
 
+GEOMETRY_KEYS = ["lrs_elevation_deg", "lrs_azimuth_deg", "urs_elevation_deg",
+                 "urs_azimuth_deg", "lrs_distance", "urs_distance"]
+TIMING_KEYS = ["pri", "lrs_duration", "urs_duration", "lrs_start", "urs_start", "bandwidth"]
+
+
+@pytest.mark.parametrize(
+    "section,key", [("geometry", k) for k in GEOMETRY_KEYS] + [("timing", k) for k in TIMING_KEYS]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_geometry_and_timing_rejected(tmp_path, section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    # an elevation is range-checked as an angle, every other key as a finite value
+    message = "outside" if key.endswith("elevation_deg") else "must be finite"
+    with pytest.raises(ConfigError, match=f"{section}.{key}: .*{message}"):
+        ScenarioConfig.from_file(str(path))
+
+
+def test_cli_non_finite_geometry_exits_2(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    for text, key in (("[geometry]\nlrs_distance = inf\n", "geometry.lrs_distance"),
+                      ("[timing]\npri = nan\n", "timing.pri")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_replace_rejects_non_finite():
     cfg = ScenarioConfig.default()
     with pytest.raises(ConfigError, match="power.gamma"):
         cfg.replace(gamma=float("nan"))
     with pytest.raises(ConfigError, match="power.p_u_min"):
         cfg.replace(p_u_min=float("inf"))
+    with pytest.raises(ConfigError, match="timing.urs_start"):
+        cfg.replace(urs_start=float("-inf"))
+    with pytest.raises(ConfigError, match="geometry.urs_azimuth_deg"):
+        cfg.replace(angles_u=AnglePair(0.5, float("nan")))
 
 
 def test_mode_validation(tmp_path):

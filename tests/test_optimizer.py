@@ -288,6 +288,52 @@ def test_cap_minimizer_block_solves_its_disk_problem(rng, k, c_scale, rho):
 
 
 
+def clip_gram_direct(C, z, x):
+    """Re(C^H J C) for the Jacobian J of x = clip(z), formed row by row."""
+    r = np.abs(z)
+    free = (r <= 1.0).astype(float)
+    tang = (x.conj()[:, None] * C).imag
+    gram = ((C.conj().T * free) @ C).real
+    gram += (tang.T * ((1.0 - free) / np.maximum(r, 1.0))) @ tang
+    return gram
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mix", ["free", "clipped", "mixed"])
+def test_clip_gram_matches_direct_formula(rng, k, mix):
+    n = 12
+    on_circle = np.array([1.0, -1.0, 1j, -1j])  # |z_n| exactly 1: still inside the disk
+    for _ in range(5):
+        B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
+        dual = optimizer._CapDual(B)
+        z = np.exp(2j * np.pi * rng.random(n))
+        size = {"free": rng.uniform(0.0, 1.0, n), "clipped": rng.uniform(1.0, 1e3, n),
+                "mixed": rng.uniform(0.0, 3.0, n)}[mix]
+        z *= size
+        if mix != "clipped":
+            z[:4] = on_circle
+            z[4] = 0.0
+        r = np.abs(z)
+        assert mix == "clipped" or np.all(r[:4] == 1.0)
+        x = _clip_disk(z)
+        want = clip_gram_direct(dual.C, z, x)
+        got = dual.clip_gram(x, r)
+        assert got.shape == (2 * k, 2 * k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_unit_phases_zero_convention_and_bits(rng):
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    x *= 10.0 ** rng.uniform(-300, 300, 40)
+    x[::7] = 0.0
+    x[3] = complex(-0.0, -0.0)
+    x[5] = complex(0.0, -2.5)
+    out = optimizer._unit_phases(x)
+    zero = x == 0
+    np.testing.assert_array_equal(out[zero], np.ones(zero.sum()))
+    np.testing.assert_array_equal(out[~zero], x[~zero] / np.abs(x[~zero]))
+
+
 def test_vartheta_update_is_phase_projection(rng):
     n = 6
     theta = rng.normal(size=n) + 1j * rng.normal(size=n)
