@@ -97,11 +97,16 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-# float keys that must be finite, besides the azimuths
+# float keys that must be finite, besides the azimuths; an INI value is
+# checked as it is read, before any constructor range-checks it
 _FINITE_KEYS = {
+    "arrays": ("wavelength", "radar_spacing", "irs_spacing"),
     "geometry": ("lrs_distance", "urs_distance"),
     "timing": ("pri", "lrs_duration", "urs_duration", "lrs_start", "urs_start", "bandwidth"),
     "power": ("p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"),
+    "protocol": ("echo_ratio",),
+    "error": ("angle_offset_deg", "angle_sigma_deg", "power_rel_error"),
+    "pdd": ("rho0", "inner_tol", "outer_tol"),
 }
 
 
@@ -179,7 +184,10 @@ class ScenarioConfig:
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ScenarioConfig":
         def get(section, key, kind=float):
-            return _cast(f"{section}.{key}", parser.get(section, key), kind)
+            value = _cast(f"{section}.{key}", parser.get(section, key), kind)
+            if key in _FINITE_KEYS.get(section, ()) and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}", "must be finite")
+            return value
 
         if parser.has_option("timing", "urs_pri"):
             raise ConfigError(
@@ -214,24 +222,22 @@ class ScenarioConfig:
         mode = get("protocol", "mode", str)
         if mode not in ("short_term", "long_term"):
             raise ConfigError("protocol.mode", f"must be short_term or long_term, got {mode!r}")
+        offset, sigma, rel = (
+            get("error", key) for key in ("angle_offset_deg", "angle_sigma_deg", "power_rel_error")
+        )
         try:
             error = EstimationError(
-                angle_offset=float(np.deg2rad(get("error", "angle_offset_deg"))),
-                angle_sigma=float(np.deg2rad(get("error", "angle_sigma_deg"))),
-                power_rel_error=get("error", "power_rel_error"),
+                angle_offset=float(np.deg2rad(offset)),
+                angle_sigma=float(np.deg2rad(sigma)),
+                power_rel_error=rel,
             )
         except ValueError as exc:
             raise ConfigError("error", str(exc)) from exc
+        solver = {
+            key: get("pdd", key, int if key.startswith("max_") else float) for key in DEFAULTS["pdd"]
+        }
         try:
-            pdd = PddParams(
-                rho0=get("pdd", "rho0"),
-                c=get("pdd", "c"),
-                inner_tol=get("pdd", "inner_tol"),
-                outer_tol=get("pdd", "outer_tol"),
-                max_outer=get("pdd", "max_outer", int),
-                max_inner=get("pdd", "max_inner", int),
-                max_sca=get("pdd", "max_sca", int),
-            )
+            pdd = PddParams(**solver)
         except ValueError as exc:
             raise ConfigError("pdd", str(exc)) from exc
 
@@ -279,13 +285,24 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Re-check every module precondition; raises ConfigError with context."""
         # AnglePair range-checks the elevation; a non-finite azimuth wraps to nan
-        finite = {
-            "geometry.lrs_azimuth_deg": self.angles_l.azimuth,
-            "geometry.urs_azimuth_deg": self.angles_u.azimuth,
-        }
-        for section, keys in _FINITE_KEYS.items():
-            finite.update((f"{section}.{key}", getattr(self, key)) for key in keys)
-        for key, value in finite.items():
+        finite = [
+            ("geometry.lrs_azimuth_deg", self.angles_l.azimuth),
+            ("geometry.urs_azimuth_deg", self.angles_u.azimuth),
+            ("arrays.wavelength", self.wavelength),
+            ("protocol.echo_ratio", self.echo_ratio),
+            ("error.angle_offset_deg", self.error.angle_offset),
+            ("error.angle_sigma_deg", self.error.angle_sigma),
+            ("error.power_rel_error", self.error.power_rel_error),
+            ("pdd.rho0", self.pdd.rho0),
+            ("pdd.inner_tol", self.pdd.inner_tol),
+            ("pdd.outer_tol", self.pdd.outer_tol),
+        ]
+        for spec, key in ((self.lrs_spec, "radar_spacing"), (self.urs_spec, "radar_spacing"),
+                          (self.irs_spec, "irs_spacing")):
+            finite += [("arrays.wavelength", spec.wavelength), (f"arrays.{key}", spec.spacing)]
+        for section in ("geometry", "timing", "power"):
+            finite += [(f"{section}.{key}", getattr(self, key)) for key in _FINITE_KEYS[section]]
+        for key, value in finite:
             if not math.isfinite(value):
                 raise ConfigError(key, "must be finite")
         try:

@@ -267,7 +267,43 @@ def _clip_disk(x: np.ndarray) -> np.ndarray:
 def _unit_phases(x: np.ndarray) -> np.ndarray:
     """Nearest unit-modulus vector; zero entries map to 1 by convention."""
     mag = np.abs(x)
+    if mag.all():
+        return x / mag
     return np.divide(x, mag, out=np.ones(x.shape, dtype=complex), where=mag > 0)
+
+
+def _spd_solve(a: list[float], b: list[float]) -> list[float] | None:
+    """Solve a x = b for a symmetric positive definite 2x2 or 4x4 matrix.
+
+    ``a`` is flat and row-major, and only its lower triangle is read. Cramer's
+    rule for 2x2, an unrolled LDL^T for 4x4; None when a pivot is not positive.
+    """
+    if len(b) == 2:
+        det = a[0] * a[3] - a[2] * a[2]
+        if not (a[0] > 0 and det > 0):
+            return None
+        return [(a[3] * b[0] - a[2] * b[1]) / det, (a[0] * b[1] - a[2] * b[0]) / det]
+    a00, _, _, _, a10, a11, _, _, a20, a21, a22, _, a30, a31, a32, a33 = a
+    try:  # pivots a00, d1, d2, d3 and unit lower factor l_ij, with e_ij = l_ij d_j
+        l10, l20, l30 = a10 / a00, a20 / a00, a30 / a00
+        d1 = a11 - l10 * a10
+        e21, e31 = a21 - l20 * a10, a31 - l30 * a10
+        l21, l31 = e21 / d1, e31 / d1
+        d2 = a22 - l20 * a20 - l21 * e21
+        e32 = a32 - l30 * a20 - l31 * e21
+        l32 = e32 / d2
+        d3 = a33 - l30 * a30 - l31 * e31 - l32 * e32
+    except ZeroDivisionError:
+        return None
+    if not (a00 > 0 and d1 > 0 and d2 > 0 and d3 > 0):
+        return None
+    b0, b1, b2, b3 = b
+    z1 = b1 - l10 * b0
+    z2 = b2 - l20 * b0 - l21 * z1
+    x3 = (b3 - l30 * b0 - l31 * z1 - l32 * z2) / d3
+    x2 = z2 / d2 - l32 * x3
+    x1 = z1 / d1 - l21 * x2 - l31 * x3
+    return [b0 / a00 - l10 * x1 - l20 * x2 - l30 * x3, x1, x2, x3]
 
 
 def _top_sigma_sq(B: np.ndarray) -> float:
@@ -296,7 +332,7 @@ class _CapDual:
         self.gamma = gamma
         self.root_gamma = math.sqrt(gamma)
         self.sig2 = _top_sigma_sq(B) if sig2 is None else sig2
-        self.eye = np.eye(2 * self.k)
+        self.eye = np.eye(2 * self.k).ravel().tolist()  # flat, as _spd_solve takes it
         # per-row outer products of the rows C_n = a_n + i b_n, flattened and
         # stacked as [Re(C_n^H C_n); b b^T; -(a b^T + b a^T); a a^T]
         a, b = self.C.real, self.C.imag
@@ -355,11 +391,12 @@ def _p9_dual(
     with slope in [0, slope(0) / 2]. Both cases are common: a full step
     that lands on the maximizer can show a slope a rounding error below 0,
     and Huber terms outside the disk give g no curvature along their
-    radius, so a full step can be orders of magnitude too long. The first
-    iterate is the better of the warm start ``w0`` (real coordinates of y)
-    and a proximal gradient step from y = 0 (step 1 / sig2,
-    sig2 >= ||B||^2), which ascends and keeps the iteration off the kink of
-    ||y|| at 0.
+    radius, so a full step can be orders of magnitude too long. Newton
+    systems are solved by :func:`_spd_solve`, and by steepest ascent where
+    rounding leaves them indefinite. The first iterate is the warm start
+    ``w0`` (real coordinates of y) when it is nonzero, else a proximal
+    gradient step from y = 0 (step 1 / sig2, sig2 >= ||B||^2), which
+    ascends and keeps the iteration off the kink of ||y|| at 0.
 
     Returns x and the real coordinates w of y, with w = None when there is
     no cap (``dual`` is None) or clip(b) already meets it. The returned x
@@ -381,32 +418,30 @@ def _p9_dual(
         x = z / np.maximum(r, 1.0)
         return r, x, (Ch @ x).real - (root_gamma / math.sqrt(w @ w)) * w
 
-    def value(r: np.ndarray, w: np.ndarray) -> float:
-        m = np.minimum(r, 1.0)  # huber(r) = m (r - m / 2)
-        return float(-(m @ (r - 0.5 * m)) - root_gamma * math.sqrt(w @ w))
-
-    grad0 = (Ch @ x).real
     # relative tolerance, floored above the rounding of B^H x(y): an entry of
     # z = b - B y carries an error of order eps (1 + |b_n|) near the optimum
     tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + np.abs(b)))
-    w = grad0 * ((1.0 - root_gamma / math.sqrt(grad0 @ grad0)) / dual.sig2)
-    r, x, grad = at(w)
     if w0 is not None and w0.any():
-        r_w, x_w, grad_w = at(w0)
-        if value(r_w, w0) > value(r, w):
-            w, r, x, grad = w0, r_w, x_w, grad_w
+        w = w0
+    else:
+        grad0 = (Ch @ x).real
+        w = grad0 * ((1.0 - root_gamma / math.sqrt(grad0 @ grad0)) / dual.sig2)
+    r, x, grad = at(w)
     converged = False
     for _ in range(_P9_MAX_STEPS):
         if math.sqrt(grad @ grad) <= tol:
             converged = True
             break
-        # negated Hessian of g
+        # negated Hessian of g as a flat list: clip_gram plus
+        # (sqrt(gamma) / ||w||) (I - u u^T), u = w / ||w||, plus a 1e-12 trace ridge
         nw = math.sqrt(w @ w)
-        what = w / nw
-        hess = dual.clip_gram(x, r)
-        hess += (root_gamma / nw) * (dual.eye - what[:, None] * what)
-        hess += (1e-12 * hess.trace()) * dual.eye
-        d = np.linalg.solve(hess, grad)
+        u, scale = [v / nw for v in w.tolist()], root_gamma / nw
+        parts = zip(dual.clip_gram(x, r).ravel().tolist(), dual.eye, [ui * uj for ui in u for uj in u])
+        hess = [h + scale * (e - o) for h, e, o in parts]
+        ridge = 1e-12 * sum(hess[:: 2 * dual.k + 1])
+        hess = [h + ridge * e for h, e in zip(hess, dual.eye)]
+        d = _spd_solve(hess, grad.tolist())
+        d = grad if d is None else np.array(d)
         slope0 = float(grad @ d)
         if not slope0 > 0:  # rounding made the model indefinite: steepest ascent
             d, slope0 = grad, float(grad @ grad)
@@ -496,10 +531,10 @@ def _quad_dual(
     y solves F(y) = y - B^H x(y) = 0. F is -1/2 the gradient of a smooth,
     strongly concave dual in at most 4 real variables, and is solved by
     semismooth Newton with Newton matrix I + 2 rho Re(C^H J C), J the
-    Jacobian of the clip; a step is halved until ||F|| decreases. The
-    iteration starts from ``w0`` (real coordinates of y, zero when None)
-    and stops at a relative tolerance or at the rounding floor, where no
-    step along the Newton direction decreases ||F||.
+    Jacobian of the clip, by :func:`_spd_solve`; a step is halved until
+    ||F|| decreases. The iteration starts from ``w0`` (real coordinates of
+    y, zero when None) and stops at a relative tolerance or at the rounding
+    floor, where no step along the Newton direction decreases ||F||.
 
     Returns x(y) and the real coordinates w of y, the warm start of the
     next call on a nearby c.
@@ -522,7 +557,11 @@ def _quad_dual(
     for _ in range(_QUAD_MAX_STEPS):
         if size <= tol:
             break
-        d = np.linalg.solve(dual.eye + two_rho * dual.clip_gram(x, r), -F)
+        newton = [e + two_rho * v for e, v in zip(dual.eye, dual.clip_gram(x, r).ravel().tolist())]
+        d = _spd_solve(newton, F.tolist())
+        if d is None:
+            break  # I + 2 rho Re(C^H J C) >= I: only non-finite entries get here
+        d = -np.array(d)
         t = 1.0
         for _ in range(40):
             r_t, x_t, F_t = at(w + t * d)

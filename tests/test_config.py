@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsim import AnglePair, ConfigError, ScenarioConfig
+from irsim import AnglePair, ArraySpec, ConfigError, EstimationError, PddParams, ScenarioConfig
 from irsim.cli import main as cli_main
 
 
@@ -114,6 +114,52 @@ def test_cli_non_finite_geometry_exits_2(tmp_path, capsys):
         assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+OTHER_FINITE_KEYS = [
+    ("arrays", "wavelength"), ("arrays", "radar_spacing"), ("arrays", "irs_spacing"),
+    ("protocol", "echo_ratio"),
+    ("error", "angle_offset_deg"), ("error", "angle_sigma_deg"), ("error", "power_rel_error"),
+    ("pdd", "rho0"), ("pdd", "inner_tol"), ("pdd", "outer_tol"),
+]
+
+
+@pytest.mark.parametrize("section,key", OTHER_FINITE_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_other_sections_rejected(tmp_path, section, key, value):
+    # named by its key, also where a range check (positive spacing, a sigma
+    # >= 0, a relative error in (-1, 1)) would otherwise catch it first
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key}: must be finite"):
+        ScenarioConfig.from_file(str(path))
+
+
+def test_cli_non_finite_solver_setting_exits_2(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[pdd]\nrho0 = nan\n")
+    assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
+    assert "pdd.rho0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replace_rejects_non_finite_nested_settings():
+    cfg = ScenarioConfig.default()
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ("arrays.wavelength", {"wavelength": nan}),
+        ("arrays.irs_spacing", {"irs_spec": ArraySpec(64, 1, inf, 0.2)}),
+        ("arrays.radar_spacing", {"urs_spec": ArraySpec(64, 1, nan, 0.2)}),
+        ("protocol.echo_ratio", {"echo_ratio": inf}),
+        ("error.angle_offset_deg", {"error": EstimationError(angle_offset=nan)}),
+        ("error.power_rel_error", {"error": EstimationError(power_rel_error=nan)}),
+        ("pdd.rho0", {"pdd": PddParams(rho0=inf)}),
+        ("pdd.outer_tol", {"pdd": PddParams(outer_tol=inf)}),
+    ]
+    for key, change in cases:
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            cfg.replace(**change)
 
 
 def test_replace_rejects_non_finite():

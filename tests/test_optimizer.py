@@ -244,6 +244,107 @@ def test_p9_unconverged_over_cap_raises(rng, monkeypatch):
         _solve_p9(b, B, gamma, _top_sigma_sq(B), _clip_disk(b), 0.0)
 
 
+def random_spd(rng, m, cond=None, scaled=False):
+    """Random symmetric positive definite m x m matrix.
+
+    ``cond`` spreads the eigenvalues over [1/cond, 1]; ``scaled`` instead
+    conditions a benign matrix by a diagonal scaling spanning sqrt(cond).
+    """
+    if scaled:
+        M = rng.normal(size=(m, m))
+        d = np.logspace(0, -0.5 * np.log10(cond), m)
+        A = d[:, None] * (M @ M.T + m * np.eye(m)) * d
+    else:
+        Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        lam = rng.uniform(0.1, 1.0, m) if cond is None else np.logspace(0, -np.log10(cond), m)
+        A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_spd_solve_matches_numpy(rng, m):
+    for cond, scaled in ((None, False), (1e10, True), (1e10, False)):
+        for _ in range(200):
+            A = random_spd(rng, m, cond, scaled)
+            b = rng.normal(size=m)
+            x = np.array(optimizer._spd_solve(A.ravel().tolist(), b.tolist()))
+            ref = np.linalg.solve(A, b)
+            if cond is None or scaled:
+                # a diagonal scaling leaves both solvers accurate to rounding
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                # with eigenvalues spread over 1e10 any two backward-stable
+                # solves differ by up to cond * eps; compare backward errors
+                scale = np.linalg.norm(A, 2)
+                assert np.linalg.norm(A @ x - b) <= 1e-12 * scale * np.linalg.norm(x)
+                assert np.linalg.norm(A @ ref - b) <= 1e-12 * scale * np.linalg.norm(ref)
+
+
+def test_spd_solve_reports_non_positive_pivot(rng):
+    rhs2, rhs4 = [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]
+    assert optimizer._spd_solve([1.0, 2.0, 2.0, 1.0], rhs2) is None  # eigenvalues 3, -1
+    assert optimizer._spd_solve([-1.0, 0.0, 0.0, 2.0], rhs2) is None
+    assert optimizer._spd_solve([0.0] * 4, rhs2) is None
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A = (Q * np.array([1.0, 0.5, -0.2, 2.0])) @ Q.T
+        assert optimizer._spd_solve((0.5 * (A + A.T)).ravel().tolist(), rhs4) is None
+    # exactly zero pivots, which a division would turn into an exception
+    assert optimizer._spd_solve([0.0] * 16, rhs4) is None
+    singular = np.outer([1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0]) + np.diag([0.0, 0.0, 1.0, 1.0])
+    assert optimizer._spd_solve(singular.ravel().tolist(), rhs4) is None
+    nan = np.eye(4)
+    nan[2, 2] = np.nan
+    assert optimizer._spd_solve(nan.ravel().tolist(), rhs4) is None
+
+
+def over_cap_projection(rng, k, n=6, frac=0.3):
+    b = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
+    gamma = frac * float(np.sum(np.abs(B.conj().T @ _clip_disk(b)) ** 2))
+    return b, optimizer._CapDual(B, gamma)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_p9_indefinite_newton_matrix_falls_back_to_steepest_ascent(rng, k, monkeypatch):
+    b, dual = over_cap_projection(rng, k)
+    x_ref, _ = optimizer._p9_dual(b, dual, None)
+    solves = []
+    spd_solve, clip_gram = optimizer._spd_solve, optimizer._CapDual.clip_gram
+
+    def recorded_solve(a, rhs):
+        out = spd_solve(a, rhs)
+        solves.append(out)
+        return out
+
+    def indefinite_first(self, x, r):
+        # the first three Newton matrices are made negative definite
+        gram = clip_gram(self, x, r)
+        return -gram - 10.0 * np.eye(2 * self.k) if len(solves) < 3 else gram
+
+    monkeypatch.setattr(optimizer, "_spd_solve", recorded_solve)
+    monkeypatch.setattr(optimizer._CapDual, "clip_gram", indefinite_first)
+    x, w = optimizer._p9_dual(b, dual, None)
+    assert len(solves) > 3 and all(out is None for out in solves[:3])
+    assert dual.quad(x) <= dual.gamma
+    assert np.max(np.abs(x)) <= 1 + 1e-12
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_p9_bad_warm_start_reaches_the_cold_solution(rng, k):
+    # the projection is unique, so a warm start moves the path, not the answer
+    for _ in range(5):
+        b, dual = over_cap_projection(rng, k)
+        x_cold, w_cold = optimizer._p9_dual(b, dual, None)
+        assert w_cold is not None and dual.quad(x_cold) <= dual.gamma
+        y = w_cold[:k] + 1j * w_cold[k:]
+        for y_bad in (-10.0 * y, 1j * y):  # far off, and in the wrong quadrant
+            x, w = optimizer._p9_dual(b, dual, np.concatenate([y_bad.real, y_bad.imag]))
+            assert dual.quad(x) <= dual.gamma
+            np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the solver blocks
 
@@ -332,6 +433,14 @@ def test_unit_phases_zero_convention_and_bits(rng):
     zero = x == 0
     np.testing.assert_array_equal(out[zero], np.ones(zero.sum()))
     np.testing.assert_array_equal(out[~zero], x[~zero] / np.abs(x[~zero]))
+
+
+def test_unit_phases_without_zeros_is_the_division(rng):
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    x *= 10.0 ** rng.uniform(-300, 300, 40)
+    x[5] = complex(0.0, -2.5)
+    x[6] = complex(-3.0, 0.0)
+    np.testing.assert_array_equal(optimizer._unit_phases(x), x / np.abs(x))
 
 
 def test_vartheta_update_is_phase_projection(rng):
