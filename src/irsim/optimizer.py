@@ -264,12 +264,24 @@ def _clip_disk(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(np.abs(x), 1.0)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def _unit_phases(x: np.ndarray) -> np.ndarray:
-    """Nearest unit-modulus vector; zero entries map to 1 by convention."""
+    """Nearest unit-modulus vector; zero entries map to 1 by convention.
+
+    The complex division overflows for a magnitude below the normal range,
+    so those entries alone are first scaled by 2^1000, which is exact.
+    """
     mag = np.abs(x)
-    if mag.all():
+    if mag.min() >= _TINY:
         return x / mag
-    return np.divide(x, mag, out=np.ones(x.shape, dtype=complex), where=mag > 0)
+    sub = mag < _TINY
+    if sub.any():
+        x = x.astype(complex)  # a copy
+        x[sub] *= 2.0**1000
+        mag[sub] = np.abs(x[sub])
+    return np.divide(x, mag, out=np.ones(x.shape, dtype=complex), where=mag != 0)
 
 
 def _spd_solve(a: list[float], b: list[float]) -> list[float] | None:
@@ -718,7 +730,7 @@ def minimize_unit_modulus_quadratic(
 
 
 def _minimize_quad_core(
-    dual: _CapDual, params: PddParams, ref: np.ndarray | None
+    dual: _CapDual, params: PddParams, ref: np.ndarray | None, stop: float | None = None
 ) -> tuple[ReflectionVector, float]:
     """Penalty-dual minimization of ||B^H theta||^2 over unit-modulus theta.
 
@@ -727,6 +739,13 @@ def _minimize_quad_core(
     the previous inner iteration's dual solution; the unit-modulus block is
     the phase projection. The best unit-modulus copy seen is polished by
     projected gradient with phase retraction.
+
+    With a stop level, the penalty loop ends as soon as its best copy has
+    ||B^H theta||^2 <= stop, checked at the null-space start and after each
+    outer iteration, and the polish runs from that copy. Neither the best
+    copy nor the polish ever raises the value, so a stopped run returns a
+    value <= stop, and a run that never reaches the level is exactly the
+    run without one.
     """
     B, Bh = dual.B, dual.Bh
     n = B.shape[0]
@@ -751,6 +770,8 @@ def _minimize_quad_core(
     best = vartheta
     best_val = dual.quad(vartheta)
     for outer in range(1, params.max_outer + 1):
+        if stop is not None and best_val <= stop:
+            break
         loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
         for _ in range(params.max_inner):
             theta_new, w = _quad_dual(vartheta - rho * lam, dual, rho, w)
@@ -824,10 +845,17 @@ def pdd_solve(
     tried and the best feasible result wins, since binding-cap instances
     can have several distinct local optima.
 
-    Raises :class:`Infeasible` when even the minimized cap value exceeds
-    gamma, i.e. no unit-modulus reflection can comply, and
-    :class:`ProjectionError` when a projection onto the capped disks fails
-    to reach a point under the cap.
+    A start over the cap is blended toward the point of the cap minimizer
+    (:func:`_minimize_quad_core`), run once per solve with gamma as its
+    stop level: its penalty loop ends at the first unit-modulus copy under
+    gamma, and runs to its end only when it finds none.
+
+    Raises :class:`Infeasible` when the cap minimizer ends above
+    gamma (1 + ``FEAS_RTOL``), i.e. no unit-modulus reflection it can find
+    complies. The stop level cannot change this decision: a stopped run
+    ends under gamma, and the full run from the same start would end lower
+    still. Raises :class:`ProjectionError` when a projection onto the
+    capped disks fails to reach a point under the cap.
     """
     params = params or PddParams()
     n = problem.n
@@ -866,7 +894,8 @@ def pdd_solve(
         if feasible(theta0):
             return theta0
         if "theta" not in feas_ref:
-            rv, min_val = _minimize_quad_core(dual, params, ref=theta0)
+            # any point under the cap will do, so stop there
+            rv, min_val = _minimize_quad_core(dual, params, ref=theta0, stop=gamma)
             if min_val > gamma * (1.0 + FEAS_RTOL):
                 raise Infeasible(
                     f"minimal cap value {min_val:.6g} exceeds gamma {gamma:.6g} "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -443,6 +445,29 @@ def test_unit_phases_without_zeros_is_the_division(rng):
     np.testing.assert_array_equal(optimizer._unit_phases(x), x / np.abs(x))
 
 
+def test_unit_phases_subnormal_entries(rng):
+    # 1/|x| can overflow below the normal range; those entries still get their
+    # phase, and the normal entries keep the bits of the plain division
+    np.testing.assert_array_equal(
+        optimizer._unit_phases(np.array([-1e-310 + 0j, 1e-310j])), [-1.0, 1j]
+    )
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    x *= 10.0 ** rng.uniform(-300, 300, 40)
+    x[::5] = x[::5] / np.abs(x[::5]) * 10.0 ** rng.uniform(-322, -309, 8)
+    x[2] = complex(5e-324, -5e-324)
+    x[4] = 0.0
+    x[6] = complex(3e-310, 1e-320)
+    before = x.copy()
+    out = optimizer._unit_phases(x)
+    np.testing.assert_array_equal(x, before)  # the input is left alone
+    sub = (np.abs(x) < np.finfo(float).tiny) & (x != 0)
+    assert sub.sum() == 10
+    normal = ~sub & (x != 0)
+    np.testing.assert_array_equal(out[normal], x[normal] / np.abs(x[normal]))
+    assert out[4] == 1.0
+    np.testing.assert_allclose(out[sub], np.exp(1j * np.angle(x[sub])), rtol=0, atol=4e-16)
+
+
 def test_vartheta_update_is_phase_projection(rng):
     n = 6
     theta = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -615,6 +640,67 @@ def test_pdd_repeat_solves_identical_on_binding_cap(rng):
     assert r1.outer_iterations > len(r1.trace)  # more than one start ran
     assert r1.objective == r2.objective
     np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
+
+
+def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
+    # pdd_solve stops its cap minimizer at the first unit-modulus point under
+    # gamma. The minimizer must either end under gamma or run exactly as the
+    # full minimizer does, and pdd_solve must raise Infeasible exactly when
+    # the full minimizer, from the same start, ends above gamma (1 + 1e-6).
+    core = optimizer._minimize_quad_core
+    calls = []
+
+    def spy(dual, params, ref, stop=None):
+        out = core(dual, params, ref, stop)
+        calls.append((dual, params, ref, out))
+        return out
+
+    class Decided(Exception):
+        pass
+
+    def stop_solving(*args, **kwargs):
+        raise Decided  # the start is chosen: the decision is made
+
+    monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
+    monkeypatch.setattr(optimizer._ThetaBlock, "update", stop_solving)
+
+    def solve(problem):
+        calls.clear()
+        try:
+            pdd_solve(problem)
+        except Infeasible:
+            return True
+        except Decided:
+            return False
+        raise AssertionError("pdd_solve ran no theta update")
+
+    seen = {"raised": 0, "kept": 0, "stopped": 0}
+    for trial in range(24):
+        n = 2 + trial % 3  # two cap vectors: no unit-modulus null at N = 2, 3
+        case = "P3" if trial % 2 else "P4"
+        base = random_problem(rng, n=n, case=case)
+        sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+        # probe with a cap far below the first start, to get its cap minimizer
+        solve(replace(base, gamma=1e-12 * sh2))
+        dual, params, ref, _ = calls[0]
+        full_val = core(dual, params, ref)[1]
+        if full_val <= 1e-10:
+            continue  # N = 4 can have a unit-modulus null
+        for frac in (0.5, 1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3, 2.0, 8.0):
+            problem = replace(base, gamma=frac * full_val * sh2)
+            raised = solve(problem)
+            if not calls:  # the first start was under the cap
+                assert not raised
+                continue
+            dual, params, ref, (theta, val) = calls[0]
+            full_theta, full_val_k = core(dual, params, ref)
+            assert raised == (full_val_k > dual.gamma * (1 + 1e-6))
+            early = val != full_val_k or not np.array_equal(theta.phases, full_theta.phases)
+            if early:
+                assert val <= dual.gamma
+            seen["raised" if raised else "kept"] += 1
+            seen["stopped"] += early
+    assert min(seen.values()) > 0, seen
 
 
 def test_minimize_quadratic_two_vectors_reaches_null(rng):
