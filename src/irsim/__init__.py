@@ -28,17 +28,12 @@ from .optimizer import (
     NoNullAvailable,
     PddParams,
     PddResult,
-    PddState,
     ProblemData,
     ProjectionError,
     brute_force_oracle,
     build_problem,
-    canonicalize,
     closed_form_lrs_only,
     closed_form_urs_null,
-    dual_and_penalty_update,
-    inner_theta_update,
-    inner_vartheta_update,
     minimize_unit_modulus_quadratic,
     pdd_solve,
     pdd_solve_with_candidates,
@@ -51,7 +46,6 @@ from .power import (
     bilinear_link_power,
     irs_received_powers,
     link_power,
-    overlap_power,
     power_report,
 )
 from .protocol import (

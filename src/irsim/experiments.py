@@ -190,7 +190,6 @@ def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=(
     geom = config.geometry()
     plan = config.timing()
     rows = []
-    segments_pris = config.pulses_per_cpi - config.step1_pris
     for k, variant in enumerate(schemes):
         rng = _rng_for(config, index * 8 + k)
         t0 = time.perf_counter()
@@ -201,22 +200,27 @@ def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=(
         wall = time.perf_counter() - t0
         rows.append(_row(value, variant, cpi.lrs_energy, cpi.urs_peak_power,
                          cpi.feasible, cpi.iterations, wall))
-    # baselines: reflector with random phases, and no reflector at all
-    rng = _rng_for(config, index * 8 + 7)
+    rand, base, wall = _baselines(config, geom, plan, _rng_for(config, index * 8 + 7))
+    rows.append(_row(value, "random_phase", *rand, True, 0, wall))
+    rows.append(_row(value, "no_irs", *base, True, 0, 0.0))
+    return rows
+
+
+def _baselines(config: ScenarioConfig, geom, plan, rng) -> tuple[tuple, tuple, float]:
+    """Step-II (energy, URS peak) of the random-phase and the no-reflector baselines.
+
+    Returns both pairs and the wall time of the random-phase baseline alone.
+    """
+    n_pris = config.pulses_per_cpi - config.step1_pris
     t0 = time.perf_counter()
     rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
     seg = segment_pri(plan)
-    e_rand = segments_pris * (
-        seg.t_case1 * rand.q_ll + seg.t_case2 * rand.q_ul + seg.t_overlap * rand.q_ol
-    )
+    e_rand = n_pris * (seg.t_case1 * rand.q_ll + seg.t_case2 * rand.q_ul + seg.t_overlap * rand.q_ol)
     u_rand = max(rand.q_lu, rand.q_uu, rand.q_ou)
     wall = time.perf_counter() - t0
-    rows.append(_row(value, "random_phase", e_rand, u_rand, True, 0, wall))
     rcs = default_rcs(config.irs_spec, config.echo_ratio)
     p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)
-    e_base = segments_pris * plan.lrs.duration * p_l_base
-    rows.append(_row(value, "no_irs", e_base, p_u_base, True, 0, 0.0))
-    return rows
+    return (e_rand, u_rand), (n_pris * plan.lrs.duration * p_l_base, p_u_base), wall
 
 
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
@@ -292,20 +296,12 @@ def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
                                    cpi.feasible, cpi.iterations, wall))
         rows_by_point[int(index)] = point_rows
     # cap-independent baselines, once
-    rng = _rng_for(config, 7)
-    rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
-    seg = segment_pri(plan)
-    n_pris = config.pulses_per_cpi - config.step1_pris
-    e_rand = n_pris * (seg.t_case1 * rand.q_ll + seg.t_case2 * rand.q_ul + seg.t_overlap * rand.q_ol)
-    u_rand = max(rand.q_lu, rand.q_uu, rand.q_ou)
-    rcs = default_rcs(config.irs_spec, config.echo_ratio)
-    p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)
-    e_base = n_pris * plan.lrs.duration * p_l_base
+    rand, base, _ = _baselines(config, geom, plan, _rng_for(config, 7))
     rows = []
     for index, gamma in enumerate(grid):
         rows.extend(rows_by_point[index])
-        rows.append(_row(gamma, "random_phase", e_rand, u_rand, True, 0, 0.0))
-        rows.append(_row(gamma, "no_irs", e_base, p_u_base, True, 0, 0.0))
+        rows.append(_row(gamma, "random_phase", *rand, True, 0, 0.0))
+        rows.append(_row(gamma, "no_irs", *base, True, 0, 0.0))
     return rows
 
 

@@ -26,6 +26,7 @@ phase-grid exhaustive search serves as a small-size oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,22 +41,17 @@ __all__ = [
     "BudgetExceeded",
     "ProblemData",
     "PddParams",
-    "PddState",
     "PddTracePoint",
     "PddResult",
     "build_problem",
     "problem_objective",
     "problem_constraint",
-    "inner_theta_update",
-    "inner_vartheta_update",
-    "dual_and_penalty_update",
     "pdd_solve",
     "pdd_solve_with_candidates",
     "minimize_unit_modulus_quadratic",
     "closed_form_lrs_only",
     "closed_form_urs_null",
     "brute_force_oracle",
-    "canonicalize",
 ]
 
 FEAS_RTOL = 1e-6  # relative slack accepted on the power-cap constraint
@@ -161,21 +157,6 @@ class PddParams:
             raise ValueError("tolerances must be positive")
         if min(self.max_outer, self.max_inner, self.max_sca, self.restarts) < 1:
             raise ValueError("iteration caps must be >= 1")
-
-
-@dataclass
-class PddState:
-    """Iterate of the penalty-dual loop.
-
-    ``theta`` lives on the unit-disk product, ``vartheta`` on the
-    unit-modulus torus, ``lam`` is the dual for theta = vartheta and ``rho``
-    the current penalty parameter.
-    """
-
-    theta: np.ndarray
-    vartheta: np.ndarray
-    lam: np.ndarray
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -503,33 +484,6 @@ def _p9_dual(
     return x, w
 
 
-def _solve_p9(
-    b: np.ndarray,
-    B: np.ndarray | None,
-    gamma: float,
-    sig2: float,
-    warm: np.ndarray,
-    warm_mu: float,
-) -> tuple[np.ndarray, float]:
-    """P9 projection in multiplier form: returns (x, mu) for the quadratic cap.
-
-    mu is the multiplier of ||B^H x||^2 <= gamma, mu = ||y|| / (2 sqrt(gamma))
-    for the dual variable y of :func:`_p9_dual`; a warm start (x, mu) enters
-    that solve as y = 2 mu B^H x, the stationarity relation between the two.
-    """
-    if B is None:
-        return _clip_disk(b), 0.0
-    dual = _CapDual(B, gamma, sig2)
-    w0 = None
-    if warm_mu != 0.0:
-        y0 = 2.0 * warm_mu * (dual.Bh @ warm)
-        w0 = np.concatenate([y0.real, y0.imag])
-    x, w = _p9_dual(b, dual, w0)
-    if w is None:
-        return x, 0.0
-    return x, math.sqrt(w @ w) / (2.0 * dual.root_gamma)
-
-
 _QUAD_MAX_STEPS = 50
 
 
@@ -588,17 +542,6 @@ def _quad_dual(
     return x, w
 
 
-def _p9_residual(
-    theta: np.ndarray, b: np.ndarray, B: np.ndarray | None, mu: float, sig2: float
-) -> float:
-    """Projected-gradient fixed-point residual of a P9 candidate solution."""
-    L = 1.0 + (0.0 if B is None else 2.0 * mu * sig2)
-    grad = theta - b
-    if B is not None and mu > 0:
-        grad = grad + (2.0 * mu) * (B @ (B.conj().T @ theta))
-    return float(np.max(np.abs(theta - _clip_disk(theta - grad / L))))
-
-
 def _principal_phases(Q: np.ndarray) -> np.ndarray:
     """Unit-modulus phase alignment with the dominant objective direction.
 
@@ -635,26 +578,27 @@ class _ThetaBlock:
         self.dual = dual
         self.w: np.ndarray | None = None
 
-    def update(self, state: PddState, stall_tol: float | None = None) -> tuple[np.ndarray, list[float]]:
+    def update(
+        self, theta: np.ndarray, center: np.ndarray, rho: float, tol: float
+    ) -> tuple[np.ndarray, list[float]]:
         """Successive convex approximation on the penalized block problem.
 
-        Re-linearizes the (negated) objective at each surrogate solution
-        until the penalized objective stalls; a safeguard keeps the previous
-        iterate whenever a surrogate step fails to descend (only possible
-        through subsolver tolerance), so the returned objective sequence is
-        non-increasing. ``stall_tol`` loosens the stall threshold for
-        inexact early outer iterations.
+        Minimizes -||Q^H x||^2 + ||x - center||^2 / (2 rho) over the capped
+        unit disks from ``theta``, re-linearizing the (negated) objective at
+        each surrogate solution until the penalized objective stalls to the
+        relative tolerance ``tol``; a safeguard keeps the previous iterate
+        whenever a surrogate step fails to descend (only possible through
+        subsolver tolerance). Returns the new theta and the penalized
+        objective after every surrogate solve, a non-increasing sequence
+        because each surrogate majorizes the true objective at its
+        expansion point.
         """
-        rho = state.rho
-        tol = self.params.inner_tol if stall_tol is None else stall_tol
-        center = state.vartheta - rho * state.lam
 
         def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
             """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta."""
             p, d = self.Qh @ theta, theta - center
             return float(np.vdot(d, d).real / (2.0 * rho) - np.vdot(p, p).real), p
 
-        theta = np.array(state.theta, dtype=complex)
         prev, p = penalized(theta)
         objectives: list[float] = []
         for _ in range(self.params.max_sca):
@@ -672,39 +616,79 @@ class _ThetaBlock:
         return theta, objectives
 
 
-def inner_theta_update(
-    state: PddState, problem: ProblemData, params: PddParams | None = None
-) -> tuple[np.ndarray, list[float]]:
-    """Update the disk-constrained block by successive convex approximation.
+def _dual_step(
+    lam: np.ndarray, theta: np.ndarray, vartheta: np.ndarray, rho: float, c: float
+) -> tuple[np.ndarray, float]:
+    """Outer step: ascend the dual of theta = vartheta, then shrink rho by c.
 
-    Returns the new theta and the penalized objective after every surrogate
-    solve; the sequence is non-increasing because each surrogate majorizes
-    the true objective at its expansion point.
+    Shrinking rho enlarges the penalty weight 1/(2 rho), so the two copies
+    are tied progressively harder. Entries of lambda whose magnitude exceeds
+    ``_LAMBDA_CAP`` are scaled back onto it, keeping their phase.
     """
-    params = params or PddParams()
-    return _ThetaBlock(problem, params, _cap_dual(problem)).update(state)
-
-
-def inner_vartheta_update(state: PddState) -> np.ndarray:
-    """Closed-form unit-modulus block update: the phase of theta + rho*lambda.
-
-    Entries with a zero argument are set to 1 (the phase of 0 is undefined).
-    """
-    return _unit_phases(state.theta + state.rho * state.lam)
-
-
-def dual_and_penalty_update(state: PddState, params: PddParams) -> PddState:
-    """Outer step: ascend the dual of the copy constraint, then shrink rho.
-
-    Shrinking rho by c < 1 enlarges the penalty weight 1/(2 rho) so the two
-    variable copies are tied progressively harder.
-    """
-    lam = state.lam + (state.theta - state.vartheta) / state.rho
+    lam = lam + (theta - vartheta) / rho
     mag = np.abs(lam)
     big = mag > _LAMBDA_CAP
     if big.any():
         lam = np.where(big, lam * (_LAMBDA_CAP / np.maximum(mag, 1e-300)), lam)
-    return PddState(theta=state.theta, vartheta=state.vartheta, lam=lam, rho=params.c * state.rho)
+    return lam, c * rho
+
+
+def _penalty_dual(
+    theta0: np.ndarray,
+    block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
+    score: Callable[[np.ndarray], float | None],
+    params: PddParams,
+    stop: float | None = None,
+) -> tuple[np.ndarray | None, float, list[tuple[np.ndarray, float, float]], bool]:
+    """The penalty-dual loop, shared by the solver and the cap minimizer.
+
+    Starts both copies at ``theta0`` with lambda = 0 and rho = rho0. Each
+    outer iteration alternates, until the copies move less than a loop
+    tolerance that shrinks with the outer index to ``inner_tol``, between
+    the disk block, ``block(theta, center, rho, tol)`` whose first return
+    is the new theta (center = vartheta - rho lambda), and the unit-modulus
+    block, the phase of theta + rho lambda; then it takes a dual step.
+
+    ``score`` rates a unit-modulus copy, higher being better, or returns
+    None for a copy that may not be returned; the best-rated copy seen,
+    ``theta0`` included, is kept. The loop ends when the copies merge to
+    ``outer_tol`` with a copy kept (converged), after ``max_outer`` outer
+    iterations, or, with a ``stop`` score, as soon as the kept copy scores
+    at least that, checked before every outer iteration.
+
+    Returns the kept copy (None if none), its score (-inf if none), the
+    (theta, gap, rho) of every outer iteration and the converged flag.
+    """
+    theta = vartheta = theta0
+    lam = np.zeros(theta0.shape, dtype=complex)
+    rho = params.rho0
+    first = score(theta0)
+    best, best_score = (None, -math.inf) if first is None else (theta0, first)
+    history: list[tuple[np.ndarray, float, float]] = []
+    for outer in range(1, params.max_outer + 1):
+        if stop is not None and best_score >= stop:
+            break
+        # solve the inner problem inexactly at first, tightly once rho is small
+        loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
+        for _ in range(params.max_inner):
+            theta_new = block(theta, vartheta - rho * lam, rho, loop_tol)[0]
+            vartheta_new = _unit_phases(theta_new + rho * lam)
+            delta = max(
+                float(np.abs(theta_new - theta).max()),
+                float(np.abs(vartheta_new - vartheta).max()),
+            )
+            theta, vartheta = theta_new, vartheta_new
+            if delta < loop_tol:
+                break
+        gap = float(np.abs(theta - vartheta).max())
+        value = score(vartheta)
+        if value is not None and value > best_score:
+            best, best_score = vartheta, value
+        history.append((theta, gap, rho))
+        if gap < params.outer_tol and best is not None:
+            return best, best_score, history, True
+        lam, rho = _dual_step(lam, theta, vartheta, rho, params.c)
+    return best, best_score, history, False
 
 
 def minimize_unit_modulus_quadratic(
@@ -734,66 +718,44 @@ def _minimize_quad_core(
 ) -> tuple[ReflectionVector, float]:
     """Penalty-dual minimization of ||B^H theta||^2 over unit-modulus theta.
 
-    The disk block, min ||B^H x||^2 + ||x - center||^2 / (2 rho) over the
-    unit disks, is solved exactly by :func:`_quad_dual`, warm-started from
-    the previous inner iteration's dual solution; the unit-modulus block is
-    the phase projection. The best unit-modulus copy seen is polished by
-    projected gradient with phase retraction.
+    Runs :func:`_penalty_dual` from the reference projected onto the null
+    space of the cap form, scoring a copy by -||B^H theta||^2. The disk
+    block, min ||B^H x||^2 + ||x - center||^2 / (2 rho) over the unit disks,
+    is solved exactly by :func:`_quad_dual`, warm-started from the previous
+    inner iteration's dual solution. The best unit-modulus copy seen is
+    polished by projected gradient with phase retraction.
 
     With a stop level, the penalty loop ends as soon as its best copy has
-    ||B^H theta||^2 <= stop, checked at the null-space start and after each
-    outer iteration, and the polish runs from that copy. Neither the best
-    copy nor the polish ever raises the value, so a stopped run returns a
-    value <= stop, and a run that never reaches the level is exactly the
+    ||B^H theta||^2 <= stop, and the polish runs from that copy. Neither the
+    best copy nor the polish ever raises the value, so a stopped run returns
+    a value <= stop, and a run that never reaches the level is exactly the
     run without one.
     """
     B, Bh = dual.B, dual.Bh
     n = B.shape[0]
     # start from the reference projected onto the null space of the cap form
-    candidates = [ref] if ref is not None else []
-    candidates += [np.ones(n, dtype=complex)]
-    theta0 = None
     gram_pinv = np.linalg.pinv(Bh @ B)
-    for cand in candidates:
+    for cand in ([] if ref is None else [ref]) + [np.ones(n, dtype=complex)]:
         cand = np.asarray(cand, dtype=complex)
         proj = cand - B @ (gram_pinv @ (Bh @ cand))
         if np.linalg.norm(proj) > 1e-9 * np.sqrt(n):
             theta0 = _unit_phases(proj)
             break
-    if theta0 is None:
-        theta0 = _unit_phases(candidates[-1])
-    theta = np.array(theta0)
-    vartheta = np.array(theta0)
-    lam = np.zeros(n, dtype=complex)
-    rho = params.rho0
+    else:
+        theta0 = _unit_phases(cand)  # every candidate lies in the span of B: all ones
     w = None
-    best = vartheta
-    best_val = dual.quad(vartheta)
-    for outer in range(1, params.max_outer + 1):
-        if stop is not None and best_val <= stop:
-            break
-        loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
-        for _ in range(params.max_inner):
-            theta_new, w = _quad_dual(vartheta - rho * lam, dual, rho, w)
-            vartheta_new = _unit_phases(theta_new + rho * lam)
-            delta = max(
-                float(np.abs(theta_new - theta).max()),
-                float(np.abs(vartheta_new - vartheta).max()),
-            )
-            theta, vartheta = theta_new, vartheta_new
-            if delta < loop_tol:
-                break
-        val = dual.quad(vartheta)
-        if val < best_val:
-            best, best_val = vartheta, val
-        if float(np.abs(theta - vartheta).max()) < params.outer_tol:
-            break
-        lam = lam + (theta - vartheta) / rho
-        rho *= params.c
+
+    def disk_block(theta, center, rho, tol):
+        nonlocal w
+        x, w = _quad_dual(center, dual, rho, w)
+        return x, w
+
+    best, score, _, _ = _penalty_dual(
+        theta0, disk_block, lambda x: -dual.quad(x), params, None if stop is None else -stop
+    )
     # polish on the unit-modulus manifold: projected gradient with retraction
-    x = np.array(best)
+    x, val = best, -score
     step = 1.0 / (2.0 * dual.sig2)
-    val = best_val
     v = Bh @ x
     for _ in range(400):
         x_new = _unit_phases(x - step * 2.0 * (B @ v))
@@ -802,9 +764,7 @@ def _minimize_quad_core(
         if new_val >= val:
             break
         x, v, val = x_new, v_new, new_val
-    if val < best_val:
-        best, best_val = x, val
-    return ReflectionVector.on(np.angle(best)), best_val
+    return ReflectionVector.on(np.angle(x)), val
 
 
 def _wrap_pm_pi(x: np.ndarray) -> np.ndarray:
@@ -861,25 +821,15 @@ def pdd_solve(
     n = problem.n
     # scale objective and cap to O(1) vectors so rho0 is problem-independent
     sq = float(np.max([np.linalg.norm(problem.q1), np.linalg.norm(problem.q2)]))
-    sh = float(np.max([np.linalg.norm(problem.h1), np.linalg.norm(problem.h2)]))
-    if sh > 0:
-        scaled = ProblemData(
-            q1=problem.q1 / sq,
-            q2=problem.q2 / sq,
-            h1=problem.h1 / sh,
-            h2=problem.h2 / sh,
-            gamma=problem.gamma / sh**2,
-            p_u_min=problem.p_u_min,
-        )
-    else:
-        scaled = ProblemData(
-            q1=problem.q1 / sq,
-            q2=problem.q2 / sq,
-            h1=problem.h1,
-            h2=problem.h2,
-            gamma=problem.gamma,
-            p_u_min=problem.p_u_min,
-        )
+    sh = float(np.max([np.linalg.norm(problem.h1), np.linalg.norm(problem.h2)])) or 1.0
+    scaled = replace(
+        problem,
+        q1=problem.q1 / sq,
+        q2=problem.q2 / sq,
+        h1=problem.h1 / sh,
+        h2=problem.h2 / sh,
+        gamma=problem.gamma / sh**2,
+    )
     dual = _cap_dual(scaled)  # cap constants shared by every start
     gamma = scaled.gamma
     feas_cap = gamma * (1.0 + 0.1 * FEAS_RTOL)
@@ -888,6 +838,9 @@ def pdd_solve(
 
     def feasible(theta: np.ndarray) -> bool:
         return dual is None or dual.quad(theta) <= feas_cap
+
+    def score(theta: np.ndarray) -> float | None:
+        return problem_objective(scaled, theta) if feasible(theta) else None
 
     def feasible_start(theta0: np.ndarray) -> np.ndarray:
         """Blend an infeasible start toward the cap minimizer."""
@@ -907,60 +860,17 @@ def pdd_solve(
             return theta_feas  # near-threshold: start at the minimizer itself
         return _blend_feasible(theta0, theta_feas, dual)
 
-    def single_run(theta0: np.ndarray) -> tuple[np.ndarray | None, float, list, bool, int]:
+    def single_run(theta0: np.ndarray):
         theta0 = feasible_start(theta0)
-        state = PddState(
-            theta=np.array(theta0),
-            vartheta=np.array(theta0),
-            lam=np.zeros(n, dtype=complex),
-            rho=params.rho0,
-        )
-        best_theta: np.ndarray | None = None
-        best_obj = -np.inf
-        if feasible(theta0):
-            best_theta, best_obj = np.array(theta0), problem_objective(scaled, theta0)
-        trace: list[PddTracePoint] = []
-        converged = False
-        outer_done = 0
         block.w = None  # every start follows its own trajectory
-        for outer in range(1, params.max_outer + 1):
-            outer_done = outer
-            # solve the inner problem inexactly at first, tightly once rho is small
-            loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
-            for _ in range(params.max_inner):
-                theta_new, _ = block.update(state, stall_tol=loop_tol)
-                delta = float(np.abs(theta_new - state.theta).max())
-                state.theta = theta_new
-                vartheta_new = inner_vartheta_update(state)
-                delta = max(delta, float(np.abs(vartheta_new - state.vartheta).max()))
-                state.vartheta = vartheta_new
-                if delta < loop_tol:
-                    break
-            gap = float(np.abs(state.theta - state.vartheta).max())
-            if feasible(state.vartheta):
-                obj = problem_objective(scaled, state.vartheta)
-                if obj > best_obj:
-                    best_obj, best_theta = obj, np.array(state.vartheta)
-            trace.append(
-                PddTracePoint(
-                    outer=outer,
-                    objective=sq**2 * problem_objective(scaled, state.theta),
-                    constraint=problem_constraint(problem, state.theta),
-                    gap=gap,
-                    rho=state.rho,
-                )
-            )
-            if gap < params.outer_tol and best_theta is not None:
-                converged = True
-                break
-            state = dual_and_penalty_update(state, params)
-        return best_theta, best_obj, trace, converged, outer_done
+        return _penalty_dual(theta0, block.update, score, params)
 
     if init is not None:
         theta0 = _unit_phases(np.asarray(init, dtype=complex))
     else:
         theta0 = _principal_phases(scaled.objective_matrix())
-    best_theta, best_obj, trace, converged, total_outer = single_run(theta0)
+    best_theta, best_obj, history, converged = single_run(theta0)
+    total_outer = len(history)
 
     cap_binding = (
         best_theta is not None
@@ -971,10 +881,10 @@ def pdd_solve(
         restart_rng = np.random.default_rng(0x5EED)
         for _ in range(params.restarts - 1):
             extra = np.exp(1j * restart_rng.uniform(0.0, 2.0 * np.pi, n))
-            theta_k, obj_k, trace_k, conv_k, outer_k = single_run(extra)
-            total_outer += outer_k
+            theta_k, obj_k, history_k, conv_k = single_run(extra)
+            total_outer += len(history_k)
             if theta_k is not None and obj_k > best_obj:
-                best_theta, best_obj, trace, converged = theta_k, obj_k, trace_k, conv_k
+                best_theta, best_obj, history, converged = theta_k, obj_k, history_k, conv_k
 
     if best_theta is None:
         # never produced a unit-modulus iterate under the cap: settle at the
@@ -982,6 +892,16 @@ def pdd_solve(
         best_theta = feas_ref["theta"]
         best_obj = problem_objective(scaled, best_theta)
         converged = False
+    trace = [
+        PddTracePoint(
+            outer=outer,
+            objective=sq**2 * problem_objective(scaled, theta),
+            constraint=problem_constraint(problem, theta),
+            gap=gap,
+            rho=rho,
+        )
+        for outer, (theta, gap, rho) in enumerate(history, 1)
+    ]
     return PddResult(
         theta=ReflectionVector.on(np.angle(best_theta)),
         objective=sq**2 * best_obj,
@@ -1010,9 +930,8 @@ def pdd_solve_with_candidates(
         coeff = _unit_phases(np.asarray(cand, dtype=complex))
         if problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 0.1 * FEAS_RTOL):
             feasible.append((problem_objective(problem, coeff), coeff))
-    init = max(feasible, key=lambda t: t[0])[1] if feasible else None
-    result = pdd_solve(problem, params, init=init)
     best_cand = max(feasible, key=lambda t: t[0]) if feasible else None
+    result = pdd_solve(problem, params, init=None if best_cand is None else best_cand[1])
     if best_cand is not None and best_cand[0] > result.objective:
         return replace(
             result,
@@ -1099,18 +1018,3 @@ def brute_force_oracle(
         raise Infeasible("no grid point satisfies the cap")
     return ReflectionVector.on(np.angle(best)), best_obj
 
-
-def canonicalize(theta: ReflectionVector) -> ReflectionVector:
-    """Rotate the global phase so the first active element has phase 0.
-
-    Objectives are invariant to a global phase; canonicalizing makes
-    solutions comparable entrywise.
-    """
-    coeff = theta.coefficients
-    active = np.nonzero(theta.amplitudes > 0)[0]
-    if active.size == 0:
-        return theta
-    ref = coeff[active[0]]
-    rotated = coeff * np.conj(ref / abs(ref))
-    phases = np.where(theta.amplitudes > 0, np.angle(rotated), 0.0)
-    return ReflectionVector(theta.amplitudes.copy(), phases)

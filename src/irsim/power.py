@@ -24,7 +24,6 @@ __all__ = [
     "PowerReport",
     "irs_received_powers",
     "link_power",
-    "overlap_power",
     "power_report",
     "bilinear_link_power",
 ]
@@ -164,25 +163,6 @@ def link_power(
     }[link]
     kind = {"LL": "U", "LU": "V", "UL": "R", "UU": "G"}[link]
     return float(factor * _array_gain(kind, geom, theta.coefficients))
-
-
-def overlap_power(
-    side: str,
-    theta: ReflectionVector,
-    geom: ScenarioGeometry,
-    p_l: float,
-    p_u: float,
-    w_l=None,
-    w_u=None,
-) -> float:
-    """Expected case-3 power at one radar ("L" or "U"), averaged over reference phases."""
-    if side == "L":
-        pair = ("LL", "UL")
-    elif side == "U":
-        pair = ("LU", "UU")
-    else:
-        raise ValueError(f"side must be 'L' or 'U', got {side!r}")
-    return sum(link_power(k, theta, geom, p_l, p_u, w_l, w_u) for k in pair)
 
 
 def power_report(

@@ -24,8 +24,8 @@ from irsim import (
     irs_received_powers,
     link_power,
     no_irs_baseline_power,
-    overlap_power,
     pdd_solve,
+    power_report,
     problem_constraint,
     default_rcs,
     run_cpi,
@@ -124,7 +124,8 @@ def test_criterion_cross_term_vanishing():
             theta = random_reflection(rng, geom.irs_spec.size)
             for side in ("L", "U"):
                 mc = overlap_monte_carlo(geom, theta, P, P, 10**5, rng, side)
-                analytic = overlap_power(side, theta, geom, P, P)
+                rep = power_report(theta, geom, P, P)
+                analytic = rep.q_ol if side == "L" else rep.q_ou
                 np.testing.assert_allclose(mc, analytic, rtol=0.01)
     report("cross-term vanishing: Monte-Carlo overlap power within 1% on 10 scenarios", t, 30.0)
 

@@ -11,18 +11,13 @@ from irsim import (
     Infeasible,
     NoNullAvailable,
     PddParams,
-    PddState,
     ProblemData,
     ProjectionError,
     brute_force_oracle,
     build_problem,
-    canonicalize,
     closed_form_lrs_only,
     closed_form_urs_null,
     composite_vector,
-    dual_and_penalty_update,
-    inner_theta_update,
-    inner_vartheta_update,
     minimize_unit_modulus_quadratic,
     pdd_solve,
     pdd_solve_with_candidates,
@@ -30,7 +25,7 @@ from irsim import (
     problem_objective,
 )
 from irsim import optimizer
-from irsim.optimizer import _clip_disk, _p9_residual, _solve_p9, _top_sigma_sq
+from irsim.optimizer import _CapDual, _clip_disk, _p9_dual, _top_sigma_sq, _unit_phases
 
 from conftest import random_angles
 
@@ -158,13 +153,38 @@ def p9_numeric_oracle(b, B, gamma):
     return unpack(res.x), res.fun
 
 
+def p9_multiplier(w, dual):
+    """Multiplier mu of ||B^H x||^2 <= gamma for the dual point w of _p9_dual.
+
+    mu = ||y|| / (2 sqrt(gamma)) for y = w[:k] + i w[k:], and 0 when the
+    projection returned no dual point (no cap, or clip(b) already under it).
+    """
+    return 0.0 if w is None else float(np.linalg.norm(w)) / (2.0 * dual.root_gamma)
+
+
+def p9_residual(theta, b, B, mu, sig2):
+    """Projected-gradient fixed-point residual of a P9 candidate solution."""
+    L = 1.0 + (0.0 if B is None else 2.0 * mu * sig2)
+    grad = theta - b
+    if B is not None and mu > 0:
+        grad = grad + (2.0 * mu) * (B @ (B.conj().T @ theta))
+    return float(np.max(np.abs(theta - _clip_disk(theta - grad / L))))
+
+
+def p9_solve(b, B, gamma, w0=None):
+    """(x, mu) of the P9 projection of b under the cap ||B^H x||^2 <= gamma."""
+    dual = _CapDual(B, gamma)
+    x, w = _p9_dual(b, dual, w0)
+    return x, p9_multiplier(w, dual)
+
+
 def test_p9_unconstrained_is_clipped_minimum(rng):
     # hand-derived stationary point: clip the free minimum into the disks
     for _ in range(10):
         n = 5
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        theta, mu = _solve_p9(b, None, np.inf, 0.0, b, 0.0)
-        assert mu == 0.0
+        theta, w = _p9_dual(b, None, None)
+        assert w is None
         np.testing.assert_allclose(theta, _clip_disk(b), atol=1e-14)
 
 
@@ -174,8 +194,7 @@ def test_p9_matches_numeric_solver(rng):
         b = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         B = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) / np.sqrt(n)
         gamma = float(rng.uniform(0.05, 0.5))
-        sig2 = _top_sigma_sq(B)
-        theta, mu = _solve_p9(b, B, gamma, sig2, _clip_disk(b), 0.0)
+        theta, mu = p9_solve(b, B, gamma)
         ref, ref_val = p9_numeric_oracle(b, B, gamma)
         val = float(np.sum(np.abs(theta - b) ** 2))
         # same optimum up to the oracle's own accuracy (the projection is
@@ -189,9 +208,8 @@ def test_p9_kkt_residual_small(rng):
     n = 6
     b = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     B = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) / np.sqrt(n)
-    sig2 = _top_sigma_sq(B)
-    theta, mu = _solve_p9(b, B, 0.2, sig2, _clip_disk(b), 0.0)
-    assert _p9_residual(theta, b, B, mu, sig2) < 1e-7
+    theta, mu = p9_solve(b, B, 0.2)
+    assert p9_residual(theta, b, B, mu, _top_sigma_sq(B)) < 1e-7
 
 
 def assert_p9_exact(theta, mu, b, B, gamma):
@@ -201,23 +219,23 @@ def assert_p9_exact(theta, mu, b, B, gamma):
     assert np.max(np.abs(theta)) <= 1 + 1e-12
     _, ref_val = p9_numeric_oracle(b, B, gamma)
     assert float(np.sum(np.abs(theta - b) ** 2)) <= ref_val + 5e-5 * max(1.0, ref_val)
-    assert _p9_residual(theta, b, B, mu, sig2) < 1e-7
+    assert p9_residual(theta, b, B, mu, sig2) < 1e-7
 
 
 def test_p9_barely_over_cap_from_unrelated_warm_start(rng):
     # one cap column, every |b_n| > 1 and clip(b) only 3% over the cap: the
     # dual maximizer sits close to the kink of ||y|| at 0, and the warm start
-    # (the multiplier and point of an unrelated projection) points elsewhere
+    # (the dual point y = 2 mu B^H x of an unrelated projection) points elsewhere
     n = 6
     B = (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) / np.sqrt(n)
-    sig2 = _top_sigma_sq(B)
     other = 3.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    warm, warm_mu = _solve_p9(other, B, 0.05, sig2, _clip_disk(other), 0.0)
-    assert warm_mu > 0
+    other_dual = _CapDual(B, 0.05)
+    _, warm_w = _p9_dual(other, other_dual, None)
+    assert p9_multiplier(warm_w, other_dual) > 0
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     b = phases * rng.uniform(1.1, 2.0, n)
     gamma = float(np.sum(np.abs(B.conj().T @ phases) ** 2)) / 1.03
-    theta, mu = _solve_p9(b, B, gamma, sig2, warm, warm_mu)
+    theta, mu = p9_solve(b, B, gamma, warm_w)
     assert mu > 0
     assert_p9_exact(theta, mu, b, B, gamma)
 
@@ -229,7 +247,7 @@ def test_p9_tight_cap_two_columns(rng):
     b = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     B = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) / np.sqrt(n)
     gamma = 1e-5 * float(np.sum(np.abs(B.conj().T @ _clip_disk(b)) ** 2))
-    theta, mu = _solve_p9(b, B, gamma, _top_sigma_sq(B), _clip_disk(b), 0.0)
+    theta, mu = p9_solve(b, B, gamma)
     assert mu > 0
     assert_p9_exact(theta, mu, b, B, gamma)
 
@@ -243,7 +261,7 @@ def test_p9_unconverged_over_cap_raises(rng, monkeypatch):
     gamma = 1e-5 * float(np.sum(np.abs(B.conj().T @ _clip_disk(b)) ** 2))
     monkeypatch.setattr(optimizer, "_P9_MAX_STEPS", 0)
     with pytest.raises(ProjectionError):
-        _solve_p9(b, B, gamma, _top_sigma_sq(B), _clip_disk(b), 0.0)
+        p9_solve(b, B, gamma)
 
 
 def random_spd(rng, m, cond=None, scaled=False):
@@ -472,30 +490,23 @@ def test_vartheta_update_is_phase_projection(rng):
     n = 6
     theta = rng.normal(size=n) + 1j * rng.normal(size=n)
     lam = rng.normal(size=n) + 1j * rng.normal(size=n)
-    state = PddState(theta=theta, vartheta=np.ones(n, complex), lam=lam, rho=0.7)
-    out = inner_vartheta_update(state)
     arg = theta + 0.7 * lam
-    np.testing.assert_allclose(out, arg / np.abs(arg), atol=1e-12)
+    np.testing.assert_allclose(_unit_phases(arg), arg / np.abs(arg), atol=1e-12)
 
 
 def test_vartheta_update_real_positive_gives_ones():
-    state = PddState(
-        theta=np.array([0.5 + 0j, 2.0 + 0j]),
-        vartheta=np.ones(2, complex),
-        lam=np.zeros(2, complex),
-        rho=1.0,
-    )
-    np.testing.assert_array_equal(inner_vartheta_update(state), np.ones(2))
+    np.testing.assert_array_equal(_unit_phases(np.array([0.5 + 0j, 2.0 + 0j])), np.ones(2))
 
 
 def test_vartheta_update_zero_argument_convention():
-    state = PddState(
-        theta=np.array([0.0 + 0j]),
-        vartheta=np.ones(1, complex),
-        lam=np.zeros(1, complex),
-        rho=1.0,
-    )
-    np.testing.assert_array_equal(inner_vartheta_update(state), [1.0 + 0j])
+    np.testing.assert_array_equal(_unit_phases(np.array([0.0 + 0j])), [1.0 + 0j])
+
+
+def theta_update(prob, theta, vartheta, lam, rho, params=None):
+    """One disk-block update of a fresh _ThetaBlock at the full inner tolerance."""
+    params = params or PddParams()
+    block = optimizer._ThetaBlock(prob, params, optimizer._cap_dual(prob))
+    return block.update(theta, vartheta - rho * lam, rho, params.inner_tol)
 
 
 def test_theta_update_unconstrained_closed_form(rng):
@@ -512,9 +523,7 @@ def test_theta_update_unconstrained_closed_form(rng):
     assert abs(np.vdot(q1, theta0)) < 1e-12
     vartheta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     lam = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    state = PddState(theta=theta0, vartheta=vartheta, lam=lam, rho=0.8)
-    params = PddParams(max_sca=1)
-    theta, objs = inner_theta_update(state, prob, params)
+    theta, objs = theta_update(prob, theta0, vartheta, lam, 0.8, PddParams(max_sca=1))
     np.testing.assert_allclose(theta, _clip_disk(vartheta - 0.8 * lam), atol=1e-12)
 
 
@@ -523,9 +532,7 @@ def test_theta_update_monotone_descent(rng):
         prob = random_problem(rng)
         n = prob.n
         theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        state = PddState(theta=theta0, vartheta=np.array(theta0),
-                         lam=np.zeros(n, complex), rho=1.0)
-        _, objs = inner_theta_update(state, prob)
+        _, objs = theta_update(prob, theta0, theta0, np.zeros(n, complex), 1.0)
         for a, b in zip(objs, objs[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a))
 
@@ -538,27 +545,45 @@ def test_theta_update_fixed_point(rng):
                        gamma=1.0, p_u_min=1.0)
     res = pdd_solve(prob)
     theta_star = res.theta.coefficients
-    state = PddState(theta=np.array(theta_star), vartheta=np.array(theta_star),
-                     lam=np.zeros(n, complex), rho=1e-6)
-    theta, _ = inner_theta_update(state, prob)
+    theta, _ = theta_update(prob, theta_star, theta_star, np.zeros(n, complex), 1e-6)
     np.testing.assert_allclose(theta, theta_star, atol=1e-4)
 
 
 def test_dual_update_identity_when_copies_match(rng):
     n = 3
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    state = PddState(theta=theta, vartheta=np.array(theta),
-                     lam=np.full(n, 0.5 + 0.5j), rho=1.0)
-    out = dual_and_penalty_update(state, PddParams(c=0.5))
-    np.testing.assert_allclose(out.lam, state.lam, atol=1e-15)
-    assert out.rho == 0.5
+    lam0 = np.full(n, 0.5 + 0.5j)
+    lam, rho = optimizer._dual_step(lam0, theta, np.array(theta), 1.0, 0.5)
+    np.testing.assert_allclose(lam, lam0, atol=1e-15)
+    assert rho == 0.5
 
 
 def test_dual_update_scales_rho():
-    state = PddState(theta=np.ones(2, complex), vartheta=np.ones(2, complex),
-                     lam=np.zeros(2, complex), rho=1.0)
-    out = dual_and_penalty_update(state, PddParams(c=0.5))
-    assert out.rho == pytest.approx(0.5)
+    ones = np.ones(2, complex)
+    _, rho = optimizer._dual_step(np.zeros(2, complex), ones, ones, 1.0, 0.5)
+    assert rho == pytest.approx(0.5)
+
+
+def test_dual_step_clamps_lambda_keeping_its_phase(rng):
+    # a copy gap far above rho * _LAMBDA_CAP drives the dual step past the
+    # clamp on some entries; only those are pulled back onto it
+    n = 8
+    cap = optimizer._LAMBDA_CAP
+    rho = 1e-9  # |theta - vartheta| ~ 1 gives a step of ~1e9 >> cap
+    lam0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vartheta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    theta = _clip_disk(2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    small = np.arange(n) % 2 == 0
+    theta[small] = vartheta[small]  # matching copies: these entries stay put
+    unclamped = lam0 + (theta - vartheta) / rho
+    assert np.all(np.abs(unclamped[~small]) > 100 * cap)
+    lam, rho_new = optimizer._dual_step(lam0, theta, vartheta, rho, 0.7)
+    np.testing.assert_allclose(np.abs(lam[~small]), cap, rtol=1e-15)
+    np.testing.assert_allclose(lam[~small] / np.abs(lam[~small]),
+                               unclamped[~small] / np.abs(unclamped[~small]), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(lam[small], lam0[small])
+    assert np.all(np.abs(lam0[small]) < cap)
+    assert rho_new == 0.7 * rho
 
 
 # ---------------------------------------------------------------------------
@@ -799,16 +824,3 @@ def test_oracle_budget():
                        h2=np.zeros(16), gamma=1.0, p_u_min=1.0)
     with pytest.raises(BudgetExceeded):
         brute_force_oracle(prob, 16)
-
-
-def test_canonicalize_zeroes_leading_phase(rng):
-    from irsim import ReflectionVector
-
-    rv = ReflectionVector.on(rng.uniform(0, 2 * np.pi, 5))
-    canon = canonicalize(rv)
-    assert canon.phases[0] == pytest.approx(0.0, abs=1e-12)
-    # global phase does not change the objective
-    u = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-    np.testing.assert_allclose(
-        abs(np.vdot(u, canon.coefficients)), abs(np.vdot(u, rv.coefficients)), rtol=1e-12
-    )

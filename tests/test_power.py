@@ -15,7 +15,6 @@ from irsim import (
     irs_received_powers,
     link_power,
     matched_beamformer,
-    overlap_power,
     path_gain,
     power_report,
     pulse_sample,
@@ -106,9 +105,6 @@ def test_overlap_decomposes_into_link_sums(rng):
     rep = power_report(theta, geom, P, P)
     np.testing.assert_allclose(rep.q_ol, rep.q_ll + rep.q_ul, rtol=1e-12)
     np.testing.assert_allclose(rep.q_ou, rep.q_lu + rep.q_uu, rtol=1e-12)
-    np.testing.assert_allclose(
-        overlap_power("L", theta, geom, P, P), rep.q_ol, rtol=1e-12
-    )
 
 
 def test_overlap_monte_carlo_oracle(rng):
@@ -122,7 +118,7 @@ def test_overlap_monte_carlo_oracle(rng):
     nu = rng.uniform(0, 2 * np.pi, size=(10**5, 2))
     field = np.exp(2j * nu[:, 0]) * a_own + np.exp(1j * (nu[:, 0] + nu[:, 1])) * a_cross
     mc = np.mean(np.abs(field) ** 2)
-    analytic = overlap_power("L", theta, geom, P, P)
+    analytic = power_report(theta, geom, P, P).q_ol
     np.testing.assert_allclose(mc, analytic, rtol=0.01)
 
 
@@ -153,7 +149,7 @@ def test_overlap_reduces_to_single_link_without_urs(rng):
     theta = random_reflection(rng, geom.irs_spec.size)
     # no unauthorized transmit power: the cross term carries nothing
     np.testing.assert_allclose(
-        overlap_power("L", theta, geom, P, 0.0),
+        power_report(theta, geom, P, 0.0).q_ol,
         link_power("LL", theta, geom, P, 0.0),
         rtol=1e-12,
     )
@@ -171,7 +167,7 @@ def test_overlap_coincident_angles_coherent(rng):
     theta = ReflectionVector.on(np.angle(u))
     q_ls, q_us = irs_received_powers(geom, P, P)
     expect = (q_ls**2 / P + q_ls * q_us / P) * n**2
-    np.testing.assert_allclose(overlap_power("L", theta, geom, P, P), expect, rtol=1e-10)
+    np.testing.assert_allclose(power_report(theta, geom, P, P).q_ol, expect, rtol=1e-10)
 
 
 def test_random_phase_gain_statistics(rng):
