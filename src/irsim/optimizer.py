@@ -14,13 +14,16 @@ alternates between
 * a closed-form unit-modulus projection for the auxiliary block,
 
 followed by an outer dual update and geometric shrinking of the penalty
-parameter. A start that violates the cap is blended toward a cap
-minimizer, found by the same penalty-dual loop with the roles swapped: its
-disk block, min ||B^H x||^2 + ||x - c||^2 / (2 rho), is convex and is also
-solved exactly by Newton's method in a dual variable with at most 4 real
-entries. Both dual solves share the cap constants, built once per problem.
-Closed-form solutions exist for the two single-radar special cases, and a
-phase-grid exhaustive search serves as a small-size oracle.
+parameter. The alternation, a fixed-point iteration on the auxiliary copy,
+is sped up by Anderson extrapolation, kept only where it does not raise a
+merit that the plain alternation never raises; the exit test and exit state
+stay those of the plain alternation. A start that violates the cap is
+blended toward a cap minimizer, found by the same penalty-dual loop with the
+roles swapped: its disk block, min ||B^H x||^2 + ||x - c||^2 / (2 rho), is
+convex and is also solved exactly by Newton's method in a dual variable with
+at most 4 real entries. Both dual solves share the cap constants, built once
+per problem. Closed-form solutions exist for the two single-radar special
+cases, and a phase-grid exhaustive search serves as a small-size oracle.
 """
 
 from __future__ import annotations
@@ -580,7 +583,7 @@ class _ThetaBlock:
 
     def update(
         self, theta: np.ndarray, center: np.ndarray, rho: float, tol: float
-    ) -> tuple[np.ndarray, list[float]]:
+    ) -> tuple[np.ndarray, float, list[float]]:
         """Successive convex approximation on the penalized block problem.
 
         Minimizes -||Q^H x||^2 + ||x - center||^2 / (2 rho) over the capped
@@ -588,10 +591,10 @@ class _ThetaBlock:
         each surrogate solution until the penalized objective stalls to the
         relative tolerance ``tol``; a safeguard keeps the previous iterate
         whenever a surrogate step fails to descend (only possible through
-        subsolver tolerance). Returns the new theta and the penalized
-        objective after every surrogate solve, a non-increasing sequence
-        because each surrogate majorizes the true objective at its
-        expansion point.
+        subsolver tolerance). Returns the new theta, -||Q^H theta||^2 there,
+        and the penalized objective after every surrogate solve, a
+        non-increasing sequence because each surrogate majorizes the true
+        objective at its expansion point.
         """
 
         def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -613,7 +616,7 @@ class _ThetaBlock:
             if prev - obj <= tol * max(1.0, abs(prev)):
                 break
             prev = obj
-        return theta, objectives
+        return theta, -float(np.vdot(p, p).real), objectives
 
 
 def _dual_step(
@@ -633,6 +636,26 @@ def _dual_step(
     return lam, c * rho
 
 
+_ANDERSON_MEMORY = 2  # residual differences per extrapolation; _spd_solve takes 2 or 4
+
+
+def _anderson(memory: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Anderson step from the (image, residual) pairs of the last inner map evaluations.
+
+    Combines the image differences with the real coefficients that make
+    the newest residual smallest in least squares over the residual
+    differences (normal equations on Python floats), and puts the result
+    back on the unit circle; the newest image itself if they are singular.
+    """
+    (g, f), pairs = memory[-1], list(zip(memory, memory[1:]))
+    df = [b[1] - a[1] for a, b in pairs]
+    coef = _spd_solve([float(np.vdot(u, v).real) for u in df for v in df],
+                      [float(np.vdot(u, f).real) for u in df])
+    if coef is None:
+        return g
+    return _unit_phases(g - sum(c * (b[0] - a[0]) for c, (a, b) in zip(coef, pairs)))
+
+
 def _penalty_dual(
     theta0: np.ndarray,
     block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
@@ -643,11 +666,20 @@ def _penalty_dual(
     """The penalty-dual loop, shared by the solver and the cap minimizer.
 
     Starts both copies at ``theta0`` with lambda = 0 and rho = rho0. Each
-    outer iteration alternates, until the copies move less than a loop
-    tolerance that shrinks with the outer index to ``inner_tol``, between
-    the disk block, ``block(theta, center, rho, tol)`` whose first return
-    is the new theta (center = vartheta - rho lambda), and the unit-modulus
-    block, the phase of theta + rho lambda; then it takes a dual step.
+    outer iteration alternates between the disk block,
+    ``block(theta, center, rho, tol)``, which returns the new theta and the
+    block objective f there (center = vartheta - rho lambda), and the
+    unit-modulus block, the phase of theta + rho lambda; then it takes a
+    dual step. The alternation is the map vartheta -> phase(block(theta,
+    vartheta - rho lambda) + rho lambda); from its third image on, vartheta
+    is extrapolated by :func:`_anderson`, and kept only if the block result
+    from it does not raise the merit Phi(theta) = f(theta) + ||theta +
+    rho lambda - phase(theta + rho lambda)||^2 / (2 rho), which the plain
+    alternation never raises; else the plain step follows and the memory
+    is cleared. Every block call counts toward ``max_inner``. The
+    alternation stops once an image moves less than a loop tolerance that
+    shrinks with the outer index to ``inner_tol``, and leaves
+    vartheta = phase(theta + rho lambda).
 
     ``score`` rates a unit-modulus copy, higher being better, or returns
     None for a copy that may not be returned; the best-rated copy seen,
@@ -670,16 +702,22 @@ def _penalty_dual(
             break
         # solve the inner problem inexactly at first, tightly once rho is small
         loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
+        shift = rho * lam
+        trial, merit, memory = vartheta, math.inf, []
         for _ in range(params.max_inner):
-            theta_new = block(theta, vartheta - rho * lam, rho, loop_tol)[0]
-            vartheta_new = _unit_phases(theta_new + rho * lam)
-            delta = max(
-                float(np.abs(theta_new - theta).max()),
-                float(np.abs(vartheta_new - vartheta).max()),
-            )
-            theta, vartheta = theta_new, vartheta_new
+            theta_new, f = block(theta, trial - shift, rho, loop_tol)[:2]
+            vartheta_new = _unit_phases(theta_new + shift)
+            r = theta_new + shift - vartheta_new
+            merit_new = f + float(np.vdot(r, r).real) / (2.0 * rho)
+            if trial is not vartheta and merit_new > merit:
+                trial, memory = vartheta, []  # extrapolation rejected: plain step
+                continue
+            delta = max(np.abs(theta_new - theta).max(), np.abs(vartheta_new - trial).max())
+            theta, vartheta, merit = theta_new, vartheta_new, merit_new
             if delta < loop_tol:
                 break
+            memory = (memory + [(vartheta, vartheta - trial)])[-_ANDERSON_MEMORY - 1 :]
+            trial = _anderson(memory) if len(memory) > _ANDERSON_MEMORY else vartheta
         gap = float(np.abs(theta - vartheta).max())
         value = score(vartheta)
         if value is not None and value > best_score:
@@ -748,7 +786,7 @@ def _minimize_quad_core(
     def disk_block(theta, center, rho, tol):
         nonlocal w
         x, w = _quad_dual(center, dual, rho, w)
-        return x, w
+        return x, dual.quad(x)
 
     best, score, _, _ = _penalty_dual(
         theta0, disk_block, lambda x: -dual.quad(x), params, None if stop is None else -stop

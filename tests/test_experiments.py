@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import irsim
 from irsim import ScenarioConfig, SweepSpec, default_grid, emit, run_experiment
 from irsim.cli import main as cli_main
 from irsim.experiments import COLUMNS, all_infeasible
@@ -299,8 +300,12 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_cli_entry_point_installed():
+    # the child imports the same package as this process, installed or from src/
+    src = os.path.dirname(os.path.dirname(irsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "irsim.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "irsim.cli", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "scan" in proc.stdout and "reproduce" in proc.stdout

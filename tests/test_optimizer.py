@@ -171,6 +171,20 @@ def p9_residual(theta, b, B, mu, sig2):
     return float(np.max(np.abs(theta - _clip_disk(theta - grad / L))))
 
 
+def kkt_residual(problem, theta):
+    """Stationarity residual of a unit-modulus theta for the capped problem.
+
+    r = ||Im(conj(theta) * (Q Q^H theta - mu B B^H theta))|| / ||Q Q^H theta||
+    with mu >= 0 fitted by least squares: 0 at a KKT point of the maximization
+    of ||Q^H theta||^2 over the torus under ||B^H theta||^2 <= gamma.
+    """
+    grad = problem.q1 * np.vdot(problem.q1, theta) + problem.q2 * np.vdot(problem.q2, theta)
+    cap = problem.h1 * np.vdot(problem.h1, theta) + problem.h2 * np.vdot(problem.h2, theta)
+    a, b = (np.conj(theta) * grad).imag, (np.conj(theta) * cap).imag
+    mu = max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
+    return float(np.linalg.norm(a - mu * b) / np.linalg.norm(grad))
+
+
 def p9_solve(b, B, gamma, w0=None):
     """(x, mu) of the P9 projection of b under the cap ||B^H x||^2 <= gamma."""
     dual = _CapDual(B, gamma)
@@ -506,7 +520,8 @@ def theta_update(prob, theta, vartheta, lam, rho, params=None):
     """One disk-block update of a fresh _ThetaBlock at the full inner tolerance."""
     params = params or PddParams()
     block = optimizer._ThetaBlock(prob, params, optimizer._cap_dual(prob))
-    return block.update(theta, vartheta - rho * lam, rho, params.inner_tol)
+    theta, _, objectives = block.update(theta, vartheta - rho * lam, rho, params.inner_tol)
+    return theta, objectives
 
 
 def test_theta_update_unconstrained_closed_form(rng):
@@ -584,6 +599,169 @@ def test_dual_step_clamps_lambda_keeping_its_phase(rng):
     np.testing.assert_array_equal(lam[small], lam0[small])
     assert np.all(np.abs(lam0[small]) < cap)
     assert rho_new == 0.7 * rho
+
+
+# ---------------------------------------------------------------------------
+# the accelerated inner loop of the penalty-dual loop
+
+
+def unit_problem(rng, n=16, frac=0.1):
+    """O(1) random P3-shaped problem whose cap binds at the aligned reflection."""
+    q1, q2, h1, h2 = ((rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(n) for _ in range(4))
+    loose = ProblemData(q1=q1, q2=q2, h1=h1, h2=h2, gamma=1.0, p_u_min=1.0)
+    gamma = frac * problem_constraint(loose, np.exp(1j * np.angle(q1)))
+    return replace(loose, gamma=gamma)
+
+
+def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
+    """Run the solver's penalty-dual loop once, recording every block call.
+
+    Returns the loop's result, the block calls as (theta in, trial, rho,
+    shift, theta out, f), the dual steps' (lambda, theta, vartheta, rho) and
+    the memories handed to _anderson. trial = center + shift is the copy the
+    block was called with, shift = rho lambda.
+    """
+    params = PddParams()
+    inner = block or optimizer._ThetaBlock(problem, params, optimizer._cap_dual(problem)).update
+    calls, steps, memories = [], [], []
+    state = {"lam": np.zeros(problem.n, complex)}
+    dual_step, anderson = optimizer._dual_step, optimizer._anderson
+
+    def spy_block(theta, center, rho, tol):
+        theta_out, f, *rest = inner(theta, center, rho, tol)
+        shift = rho * state["lam"]
+        calls.append((theta, center + shift, rho, shift, theta_out, f))
+        return (theta_out, f, *rest)
+
+    def spy_step(lam, theta, vartheta, rho, c):
+        steps.append((lam, theta, vartheta, rho))
+        state["lam"], rho_new = dual_step(lam, theta, vartheta, rho, c)
+        return state["lam"], rho_new
+
+    def spy_anderson(memory):
+        memories.append((len(calls), list(memory)))
+        return anderson(memory)
+
+    monkeypatch.setattr(optimizer, "_dual_step", spy_step)
+    monkeypatch.setattr(optimizer, "_anderson", spy_anderson)
+
+    def score(theta):  # as pdd_solve rates a copy
+        feasible = problem_constraint(problem, theta) <= problem.gamma
+        return problem_objective(problem, theta) if feasible else None
+
+    out = optimizer._penalty_dual(theta0, spy_block, score, params)
+    return out, calls, steps, memories
+
+
+def merit(theta, f, rho, shift):
+    """f(theta) + ||theta + shift - phase(theta + shift)||^2 / (2 rho)."""
+    r = theta + shift - _unit_phases(theta + shift)
+    return f + float(np.vdot(r, r).real) / (2.0 * rho)
+
+
+def accepted_calls(calls, steps, history):
+    """Indices of the block calls whose result the loop went on from."""
+    later = {id(c[0]) for c in calls} | {id(s[1]) for s in steps} | {id(h[0]) for h in history}
+    return [k for k, c in enumerate(calls) if id(c[4]) in later]
+
+
+def test_penalty_dual_merit_never_rises_over_accepted_iterates(rng, monkeypatch):
+    extrapolated_kept = rejected = 0
+    for _ in range(4):
+        problem = unit_problem(rng)
+        theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
+        (_, _, history, _), calls, steps, _ = traced_penalty_dual(monkeypatch, problem, theta0)
+        kept = accepted_calls(calls, steps, history)
+        rejected += len(calls) - len(kept)
+        last = None  # (rho, merit) of the last accepted iterate
+        for k in kept:
+            theta_in, trial, rho, shift, theta_out, f = calls[k]
+            phi = merit(theta_out, f, rho, shift)
+            if last is not None and last[0] == rho:  # same outer iteration
+                assert phi <= last[1] + 1e-12 * max(1.0, abs(last[1]))
+                plain = _unit_phases(theta_in + shift)
+                extrapolated_kept += not np.allclose(trial, plain, rtol=0, atol=1e-12)
+            last = (rho, phi)
+    # the check covered kept extrapolations, and the safeguard did fire
+    assert extrapolated_kept > 0 and rejected > 0
+
+
+def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
+    # the block reports a raised objective for the first extrapolated copy:
+    # the loop must drop it, take the plain step from the same theta, and
+    # extrapolate next from images made after the rejection only
+    problem = unit_problem(rng)
+    real = optimizer._ThetaBlock(problem, PddParams(), optimizer._cap_dual(problem)).update
+    seen = {"calls": 0, "extrapolated": None}
+    anderson = optimizer._anderson
+
+    def block(theta, center, rho, tol):
+        theta_out, f, objs = real(theta, center, rho, tol)
+        seen["calls"] += 1
+        if seen["extrapolated"] == seen["calls"] - 1:
+            f += 1e6
+        return theta_out, f, objs
+
+    def first_extrapolation(memory):
+        out = anderson(memory)
+        if seen["extrapolated"] is None and out is not memory[-1][0]:
+            seen["extrapolated"] = seen["calls"]  # index of the next block call
+        return out
+
+    monkeypatch.setattr(optimizer, "_anderson", first_extrapolation)
+    theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
+    (_, _, history, _), calls, steps, memories = traced_penalty_dual(
+        monkeypatch, problem, theta0, block
+    )
+    k = seen["extrapolated"]
+    assert k is not None and k + 4 < len(calls)
+    theta_in, trial, rho, shift, _, _ = calls[k]
+    assert not np.allclose(trial, _unit_phases(theta_in + shift), rtol=0, atol=1e-12)
+    assert k not in accepted_calls(calls, steps, history)
+    # the plain step from the same theta
+    retry_in, retry_trial, retry_rho, retry_shift, retry_out, _ = calls[k + 1]
+    assert retry_in is theta_in and retry_rho == rho
+    np.testing.assert_allclose(retry_trial, _unit_phases(theta_in + shift), rtol=0, atol=1e-15)
+    # memory cleared: the next extrapolation comes three images later, the
+    # oldest of them the plain step's
+    after = [(at, memory) for at, memory in memories if at > k]
+    at, memory = after[0]
+    assert at == k + 4 and len(memory) == 3
+    np.testing.assert_array_equal(memory[0][0], _unit_phases(retry_out + retry_shift))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_penalty_dual_exit_state_is_the_phase_of_theta_plus_shift(monkeypatch, seed):
+    # after every inner loop vartheta is the unit-modulus block's image of the
+    # last kept theta, never an extrapolated copy: the copy gap, the dual step
+    # and the kept copies read the plain alternation's state
+    rng = np.random.default_rng(seed)
+    problem = unit_problem(rng)
+    theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
+    (_, _, history, _), calls, steps, memories = traced_penalty_dual(monkeypatch, problem, theta0)
+    assert memories and steps
+    for lam, theta, vartheta, rho in steps:
+        np.testing.assert_array_equal(vartheta, _unit_phases(theta + rho * lam))
+    for theta, gap, rho in history:  # the last outer iteration takes no dual step
+        shift = [call[3] for call in calls if call[2] == rho][-1]
+        assert gap == float(np.abs(theta - _unit_phases(theta + shift)).max())
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (64, 1)])
+def test_pdd_uncapped_rank_one_reaches_closed_form(rng, shape):
+    # the coherent maximum N^2 of closed_form_lrs_only, from the aligned start
+    # and from random starts, which the loop has to climb out of
+    spec = ArraySpec(*shape, 0.02, 0.2)
+    u = composite_vector("U", random_angles(rng), random_angles(rng), spec)
+    n = spec.size
+    z = np.zeros(n)
+    prob = ProblemData(q1=u, q2=z, h1=z, h2=z, gamma=1.0, p_u_min=1.0)
+    best = abs(np.vdot(u, closed_form_lrs_only(u).coefficients)) ** 2
+    np.testing.assert_allclose(best, n**2, rtol=1e-12)
+    for init in [None] + [np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in range(3)]:
+        res = pdd_solve(prob, init=init)
+        np.testing.assert_allclose(res.objective, best, rtol=1e-9)
+        assert problem_objective(prob, res.theta.coefficients) == pytest.approx(best, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
