@@ -110,6 +110,13 @@ _FINITE_KEYS = {
 }
 
 
+def _parser() -> configparser.ConfigParser:
+    # defaults first, for a file to override; "key = 1  ; note" reads as 1
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_dict(DEFAULTS)
+    return parser
+
+
 def _cast(key: str, raw: str, kind):
     try:
         if kind is int:
@@ -157,15 +164,12 @@ class ScenarioConfig:
 
     @classmethod
     def default(cls, **overrides) -> "ScenarioConfig":
-        parser = configparser.ConfigParser()
-        parser.read_dict(DEFAULTS)
-        cfg = cls.from_parser(parser)
+        cfg = cls.from_parser(_parser())
         return cfg.replace(**overrides) if overrides else cfg
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
-        parser = configparser.ConfigParser()
-        parser.read_dict(DEFAULTS)
+        parser = _parser()
         try:
             with open(path) as fh:
                 parser.read_file(fh)

@@ -28,6 +28,7 @@ from .waveform import segment_pri
 from .optimizer import minimize_unit_modulus_quadratic, closed_form_lrs_only, closed_form_urs_null, NoNullAvailable
 from .power import link_power, irs_received_powers
 from .protocol import (
+    _step2_figures,
     default_rcs,
     no_irs_baseline_power,
     random_phase_baseline,
@@ -185,21 +186,27 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     return rows
 
 
+def _cpi_row(config: ScenarioConfig, geom, plan, variant, gamma, value, seed_index, warm=None):
+    """One CPI at cap ``gamma`` and its row; returns (CpiResult, row)."""
+    rng = _rng_for(config, seed_index)
+    t0 = time.perf_counter()
+    cpi = run_cpi(
+        geom, plan, variant, gamma, config.p_l, config.p_u, config.p_u_min,
+        err=config.error, rng=rng, params=config.pdd, step1_pris=config.step1_pris, warm=warm,
+    )
+    wall = time.perf_counter() - t0
+    return cpi, _row(value, variant, cpi.lrs_energy, cpi.urs_peak_power,
+                     cpi.feasible, cpi.iterations, wall)
+
+
 def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=("short_term",)) -> list[dict]:
     """Rows for one grid point of a CPI-based sweep (baselines included)."""
     geom = config.geometry()
     plan = config.timing()
-    rows = []
-    for k, variant in enumerate(schemes):
-        rng = _rng_for(config, index * 8 + k)
-        t0 = time.perf_counter()
-        cpi = run_cpi(
-            geom, plan, variant, config.gamma, config.p_l, config.p_u, config.p_u_min,
-            err=config.error, rng=rng, params=config.pdd, step1_pris=config.step1_pris,
-        )
-        wall = time.perf_counter() - t0
-        rows.append(_row(value, variant, cpi.lrs_energy, cpi.urs_peak_power,
-                         cpi.feasible, cpi.iterations, wall))
+    rows = [
+        _cpi_row(config, geom, plan, variant, config.gamma, value, index * 8 + k)[1]
+        for k, variant in enumerate(schemes)
+    ]
     rand, base, wall = _baselines(config, geom, plan, _rng_for(config, index * 8 + 7))
     rows.append(_row(value, "random_phase", *rand, True, 0, wall))
     rows.append(_row(value, "no_irs", *base, True, 0, 0.0))
@@ -214,13 +221,11 @@ def _baselines(config: ScenarioConfig, geom, plan, rng) -> tuple[tuple, tuple, f
     n_pris = config.pulses_per_cpi - config.step1_pris
     t0 = time.perf_counter()
     rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
-    seg = segment_pri(plan)
-    e_rand = n_pris * (seg.t_case1 * rand.q_ll + seg.t_case2 * rand.q_ul + seg.t_overlap * rand.q_ol)
-    u_rand = max(rand.q_lu, rand.q_uu, rand.q_ou)
+    rand_figures = _step2_figures(rand, segment_pri(plan), n_pris)
     wall = time.perf_counter() - t0
     rcs = default_rcs(config.irs_spec, config.echo_ratio)
     p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)
-    return (e_rand, u_rand), (n_pris * plan.lrs.duration * p_l_base, p_u_base), wall
+    return rand_figures, (n_pris * plan.lrs.duration * p_l_base, p_u_base), wall
 
 
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
@@ -282,18 +287,11 @@ def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
         gamma = float(grid[index])
         point_rows = []
         for k, variant in enumerate(("short_term", "long_term")):
-            rng = _rng_for(config, int(index) * 8 + k)
-            t0 = time.perf_counter()
-            cpi = run_cpi(
-                geom, plan, variant, gamma, config.p_l, config.p_u, config.p_u_min,
-                err=config.error, rng=rng, params=config.pdd,
-                step1_pris=config.step1_pris, warm=warm[variant],
-            )
-            wall = time.perf_counter() - t0
+            cpi, row = _cpi_row(config, geom, plan, variant, gamma, gamma,
+                                int(index) * 8 + k, warm[variant])
             if cpi.feasible:
                 warm[variant] = cpi.mode
-            point_rows.append(_row(gamma, variant, cpi.lrs_energy, cpi.urs_peak_power,
-                                   cpi.feasible, cpi.iterations, wall))
+            point_rows.append(row)
         rows_by_point[int(index)] = point_rows
     # cap-independent baselines, once
     rand, base, _ = _baselines(config, geom, plan, _rng_for(config, 7))

@@ -2,9 +2,12 @@
 
 Production path: the closed forms in which every link power factors into
 (received power at the reflector) x (reflection-domain array gain
-|composite^H theta|^2). Guard path: :func:`bilinear_link_power` evaluates
-the full beamformer/channel-matrix product and must agree with the closed
-forms to machine precision; it exists to catch element-ordering bugs.
+|composite^H theta|^2). One table, ``_LINK_TABLE``, gives each link its
+composite and its per-watt factor; link powers (beam scans), power reports
+(CPIs) and the random-phase baseline all evaluate through it. Guard path:
+:func:`bilinear_link_power` evaluates the full beamformer/channel-matrix
+product and must agree with the closed forms to machine precision; it
+exists to catch element-ordering bugs.
 
 All powers are evaluated at in-pulse (peak) time, where the chirp envelope
 carries its full transmit power.
@@ -28,7 +31,15 @@ __all__ = [
     "bilinear_link_power",
 ]
 
-LINKS = ("LL", "LU", "UL", "UU")
+# link -> (composite kind, per-watt factor of the one-hop gains k_l, k_u);
+# per-source powers written so a silent radar (p = 0) degrades cleanly
+_LINK_TABLE = {
+    "LL": ("U", lambda k_l, k_u, p_l, p_u: k_l**2 * p_l),
+    "LU": ("V", lambda k_l, k_u, p_l, p_u: k_l * k_u * p_l),
+    "UL": ("R", lambda k_l, k_u, p_l, p_u: k_l * k_u * p_u),
+    "UU": ("G", lambda k_l, k_u, p_l, p_u: k_u**2 * p_u),
+}
+LINKS = tuple(_LINK_TABLE)
 
 
 @dataclass(frozen=True)
@@ -153,16 +164,22 @@ def link_power(
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
+    kind, factor = _LINK_TABLE[link]
     k_l, k_u = _unit_power_gains(geom, w_l, w_u)
-    # per-source powers written so a silent radar (p = 0) degrades cleanly
-    factor = {
-        "LL": k_l**2 * p_l,
-        "LU": k_l * k_u * p_l,
-        "UL": k_l * k_u * p_u,
-        "UU": k_u**2 * p_u,
-    }[link]
-    kind = {"LL": "U", "LU": "V", "UL": "R", "UU": "G"}[link]
-    return float(factor * _array_gain(kind, geom, theta.coefficients))
+    return float(factor(k_l, k_u, p_l, p_u) * _array_gain(kind, geom, theta.coefficients))
+
+
+def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u, w_l, w_u) -> PowerReport:
+    """The power report whose array gain for composite kind k is ``gains[k]``."""
+    k_l, k_u = _unit_power_gains(geom, w_l, w_u)
+    q_ll, q_lu, q_ul, q_uu = (
+        factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()
+    )
+    return PowerReport(
+        q_ls=float(k_l * p_l), q_us=float(k_u * p_u),
+        q_ll=float(q_ll), q_lu=float(q_lu), q_ul=float(q_ul), q_uu=float(q_uu),
+        q_ol=float(q_ll + q_ul), q_ou=float(q_lu + q_uu),
+    )
 
 
 def power_report(
@@ -174,23 +191,9 @@ def power_report(
     w_u=None,
 ) -> PowerReport:
     """Evaluate every power figure for one reflection vector."""
-    k_l, k_u = _unit_power_gains(geom, w_l, w_u)
-    q_ls, q_us = k_l * p_l, k_u * p_u
     coeff = theta.coefficients
-    q_ll = k_l**2 * p_l * _array_gain("U", geom, coeff)
-    q_lu = k_l * k_u * p_l * _array_gain("V", geom, coeff)
-    q_ul = k_l * k_u * p_u * _array_gain("R", geom, coeff)
-    q_uu = k_u**2 * p_u * _array_gain("G", geom, coeff)
-    return PowerReport(
-        q_ls=float(q_ls),
-        q_us=float(q_us),
-        q_ll=float(q_ll),
-        q_lu=float(q_lu),
-        q_ul=float(q_ul),
-        q_uu=float(q_uu),
-        q_ol=float(q_ll + q_ul),
-        q_ou=float(q_lu + q_uu),
-    )
+    gains = {kind: _array_gain(kind, geom, coeff) for kind in "UVRG"}
+    return _report_from_gains(gains, geom, p_l, p_u, w_l, w_u)
 
 
 def bilinear_link_power(

@@ -6,7 +6,9 @@ powers (estimation itself is abstracted: true values plus a configurable
 error). Step II applies optimized reflections: either one vector per
 timing case within each PRI (short-term) or a single fixed vector for the
 whole step (long-term). Reflections are designed from the estimated
-parameters but all reported powers are evaluated with the true ones.
+parameters but all reported powers are evaluated with the true ones, one
+power report per distinct reflection. One reduction, ``_step2_figures``,
+turns a report into the step-II energy and URS peak, for CPIs and baselines.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ import numpy as np
 
 from .arrays import composite_vector
 from .channel import ScenarioGeometry
-from .power import PowerReport, ReflectionVector, irs_received_powers, link_power
+from .power import (
+    PowerReport, ReflectionVector, _report_from_gains, irs_received_powers, power_report,
+)
 from .optimizer import (
     Infeasible,
     PddParams,
     build_problem,
     pdd_solve_with_candidates,
 )
-from .waveform import TimingPlan, segment_pri
+from .waveform import CaseSegments, TimingPlan, segment_pri
 
 __all__ = [
     "ProtocolMode",
@@ -78,10 +82,6 @@ class EstimationError:
         if abs(self.power_rel_error) >= 1:
             raise ValueError("power_rel_error must lie in (-1, 1)")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.angle_offset == 0 and self.angle_sigma == 0 and self.power_rel_error == 0
-
 
 @dataclass(frozen=True)
 class CpiResult:
@@ -93,7 +93,6 @@ class CpiResult:
     mode: ProtocolMode
     feasible: bool
     iterations: int  # summed solver outer iterations
-    step1_reflected_power: float = 0.0  # exactly 0: reflectors are off in step I
 
 
 def _perturb_angles(geom: ScenarioGeometry, err: EstimationError, rng) -> ScenarioGeometry:
@@ -149,7 +148,6 @@ def run_cpi(
         p_u_min = p_u if p_u > 0 else 1.0
     rng = rng or np.random.default_rng(0)
     params = params or PddParams()
-    n = geom.irs_spec.size
     segments = segment_pri(plan)
     t1, t2, t3 = segments.t_case1, segments.t_case2, segments.t_overlap
     n_pris = plan.pulses_per_cpi - step1_pris
@@ -169,7 +167,7 @@ def run_cpi(
 
     feasible = True
     iterations = 0
-    off = ReflectionVector.off(n)
+    off = ReflectionVector.off(geom.irs_spec.size)
     try:
         p4 = build_problem("P4", (q_ls_est, q_us_est), comps_est, durations, gamma, p_u_min)
         res4 = pdd_solve_with_candidates(p4, params, candidates=warm_coeff)
@@ -206,44 +204,29 @@ def run_cpi(
         feasible = False
         reflections = (off, off, off) if variant == "short_term" else (off,)
 
-    if variant == "short_term":
-        th1, th2, th3 = reflections
-    else:
-        th1 = th2 = th3 = reflections[0]
-
-    # step II evaluation at the true scenario
-    def lp(link, th):
-        return link_power(link, th, geom, p_l, p_u)
-
-    q_ll = lp("LL", th1)
-    q_lu = lp("LU", th1)
-    q_ul = lp("UL", th2)
-    q_uu = lp("UU", th2)
-    q_ol = lp("LL", th3) + lp("UL", th3)
-    q_ou = lp("LU", th3) + lp("UU", th3)
-    report = PowerReport(
-        q_ls=q_ls_true, q_us=q_us_true,
-        q_ll=q_ll, q_lu=q_lu, q_ul=q_ul, q_uu=q_uu, q_ol=q_ol, q_ou=q_ou,
-    )
-    lrs_energy = n_pris * (t1 * q_ll + t2 * q_ul + t3 * q_ol)
-    peaks = []
-    if t1 > 0:
-        peaks.append(q_lu)
-    if t2 > 0:
-        peaks.append(q_uu)
-    if t3 > 0:
-        peaks.append(q_ou)
-    urs_peak = max(peaks) if peaks else 0.0
-    step1_power = link_power("LL", off, geom, p_l, p_u)
+    # step II evaluation at the true scenario, one report per distinct vector
+    cases = reflections if variant == "short_term" else reflections * 3
+    distinct = {id(th): th for th in cases}
+    reports = {key: power_report(th, geom, p_l, p_u) for key, th in distinct.items()}
+    r1, r2, r3 = (reports[id(th)] for th in cases)
+    report = replace(r1, q_ul=r2.q_ul, q_uu=r2.q_uu, q_ol=r3.q_ol, q_ou=r3.q_ou)
+    lrs_energy, urs_peak = _step2_figures(report, segments, n_pris)
     return CpiResult(
-        lrs_energy=float(lrs_energy),
-        urs_peak_power=float(urs_peak),
+        lrs_energy=lrs_energy,
+        urs_peak_power=urs_peak,
         powers=report,
         mode=ProtocolMode(variant, reflections),
         feasible=feasible,
         iterations=iterations,
-        step1_reflected_power=float(step1_power),
     )
+
+
+def _step2_figures(report: PowerReport, seg: CaseSegments, n_pris: int) -> tuple[float, float]:
+    """(LRS energy, URS peak) of step II; a case of zero duration sets no peak."""
+    t1, t2, t3 = seg.t_case1, seg.t_case2, seg.t_overlap
+    energy = n_pris * (t1 * report.q_ll + t2 * report.q_ul + t3 * report.q_ol)
+    peaks = [q for t, q in ((t1, report.q_lu), (t2, report.q_uu), (t3, report.q_ou)) if t > 0]
+    return float(energy), float(max(peaks, default=0.0))
 
 
 def default_rcs(irs_spec, echo_ratio: float = 1.2) -> float:
@@ -290,17 +273,8 @@ def random_phase_baseline(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     n = geom.irs_spec.size
-    q_ls, q_us = irs_received_powers(geom, p_l, p_u, w_l, w_u)
     comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(draws, n))
     thetas = np.exp(1j * phases)
     mean_gain = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
-    q_ll = q_ls**2 / p_l * mean_gain["U"]
-    q_lu = q_ls * q_us / p_u * mean_gain["V"]
-    q_ul = q_ls * q_us / p_l * mean_gain["R"]
-    q_uu = q_us**2 / p_u * mean_gain["G"]
-    return PowerReport(
-        q_ls=q_ls, q_us=q_us,
-        q_ll=q_ll, q_lu=q_lu, q_ul=q_ul, q_uu=q_uu,
-        q_ol=q_ll + q_ul, q_ou=q_lu + q_uu,
-    )
+    return _report_from_gains(mean_gain, geom, p_l, p_u, w_l, w_u)

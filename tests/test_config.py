@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def test_file_roundtrip(tmp_path):
     assert cfg.seed == 7
     # untouched keys keep their defaults
     assert cfg.urs_distance == 20.0
+
+
+def test_readme_ini_example_loads_as_defaults(tmp_path):
+    # the documented example carries an inline "; comment" on most keys
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert ScenarioConfig.from_file(str(path)) == ScenarioConfig.default()
 
 
 def test_unknown_key_rejected(tmp_path):

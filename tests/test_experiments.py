@@ -84,6 +84,22 @@ def test_overlap_ratio_equal_at_one(small_config):
     assert s[0.0]["lrs_power_or_energy"] >= l[0.0]["lrs_power_or_energy"] - 1e-30
 
 
+def test_overlap_ratio_baseline_peak_over_occurring_cases(small_config):
+    # no overlap: the URS sees each pulse alone, never their sum
+    from irsim.experiments import _point_config, _rng_for
+    from irsim.protocol import random_phase_baseline
+
+    rows = rows_of(small_config, "overlap_ratio", (0.0, 1.0))
+    rand = {r["swept_value"]: r for r in rows if r["scheme"] == "random_phase"}
+    for index, value in enumerate((0.0, 1.0)):
+        cfg = _point_config(small_config, "overlap_ratio", value)
+        rep = random_phase_baseline(
+            cfg.geometry(), _rng_for(cfg, index * 8 + 7), cfg.random_phase_draws, cfg.p_l, cfg.p_u
+        )
+        want = max(rep.q_lu, rep.q_uu) if value == 0.0 else rep.q_ou
+        assert rand[value]["urs_power"] == want
+
+
 def test_lrs_distance_includes_reference_scheme(small_config):
     rows = rows_of(small_config, "lrs_distance", (20.0, 40.0))
     schemes = {r["scheme"] for r in rows}
@@ -299,13 +315,23 @@ def test_cli_seed_override(tmp_path):
     assert strip_wall(out1) == strip_wall(out2)
 
 
-def test_cli_entry_point_installed():
+def run_child(*args):
     # the child imports the same package as this process, installed or from src/
     src = os.path.dirname(os.path.dirname(irsim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "irsim.cli", "--help"], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_entry_point_installed():
+    proc = run_child("-m", "irsim.cli", "--help")
     assert proc.returncode == 0
     assert "scan" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test dependency only; a None entry makes any import of it fail
+    proc = run_child("-c", "import sys; sys.modules['scipy'] = None; import irsim, irsim.cli")
+    assert proc.returncode == 0, proc.stderr

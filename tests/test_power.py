@@ -67,6 +67,8 @@ def test_link_power_all_off_is_zero(rng):
     theta = ReflectionVector.off(geom.irs_spec.size)
     for link in ("LL", "LU", "UL", "UU"):
         assert link_power(link, theta, geom, P, P) == 0.0
+    rep = power_report(theta, geom, P, P)
+    assert (rep.q_ll, rep.q_lu, rep.q_ul, rep.q_uu, rep.q_ol, rep.q_ou) == (0.0,) * 6
 
 
 def test_link_power_null_reflection(rng):

@@ -13,6 +13,7 @@ from irsim import (
     TimingPlan,
     default_rcs,
     no_irs_baseline_power,
+    power_report,
     random_phase_baseline,
     run_cpi,
 )
@@ -87,12 +88,6 @@ def test_security_cap_holds(rng):
             cpi = run_cpi(geom, plan, variant, gamma, P, P)
             if cpi.feasible:
                 assert cpi.urs_peak_power <= gamma * (1 + 1e-6)
-
-
-def test_step1_reflected_power_is_zero(rng):
-    geom = small_geometry(rng)
-    cpi = run_cpi(geom, make_plan(), "short_term", 1.0, P, P)
-    assert cpi.step1_reflected_power == 0.0
 
 
 def test_infeasible_cap_shuts_reflector_off(rng):
@@ -200,6 +195,39 @@ def test_random_phase_baseline_statistics(rng):
     # mean reflected gain is N, versus N^2 when aligned
     coherent = rep.q_ls**2 / P * n**2
     assert 0.95 * coherent / n <= rep.q_ll <= 1.05 * coherent / n
+
+
+@pytest.mark.parametrize(
+    "p_l, p_u, zero, kept",
+    [(P, 0.0, ("q_ul", "q_uu"), ("q_ll", "q_lu")), (0.0, P, ("q_ll", "q_lu"), ("q_ul", "q_uu"))],
+    ids=["silent_urs", "silent_lrs"],
+)
+def test_random_phase_baseline_silent_radar(rng, p_l, p_u, zero, kept):
+    # a silent radar zeroes the links it sources and leaves the other two as they were
+    geom = small_geometry(rng)
+    both = random_phase_baseline(geom, np.random.default_rng(3), 200, P, P)
+    rep = random_phase_baseline(geom, np.random.default_rng(3), 200, p_l, p_u)
+    assert all(np.isfinite(getattr(rep, f)) for f in rep.__dataclass_fields__)
+    for name in zero:
+        assert getattr(rep, name) == 0.0
+    for name in kept:
+        assert getattr(rep, name) == getattr(both, name) > 0.0
+
+
+def test_short_term_powers_come_from_their_case_reflections(rng):
+    # q_ll/q_lu from theta_1, q_ul/q_uu from theta_2, q_ol/q_ou from theta_3
+    for trial in range(20):
+        geom = small_geometry(rng)
+        gamma = gamma_for(geom, 0.3, rng)
+        cpi = run_cpi(geom, make_plan(), "short_term", gamma, P, P)
+        if cpi.feasible and len({th.phases.tobytes() for th in cpi.mode.reflections}) == 3:
+            break
+    else:
+        pytest.fail("no feasible CPI with three distinct reflections")
+    r1, r2, r3 = (power_report(th, geom, P, P) for th in cpi.mode.reflections)
+    want = (r1.q_ls, r1.q_us, r1.q_ll, r1.q_lu, r2.q_ul, r2.q_uu, r3.q_ol, r3.q_ou)
+    got = cpi.powers
+    assert (got.q_ls, got.q_us, got.q_ll, got.q_lu, got.q_ul, got.q_uu, got.q_ol, got.q_ou) == want
 
 
 def test_random_phase_baseline_deterministic(rng):
