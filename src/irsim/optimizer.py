@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -243,11 +244,6 @@ def problem_constraint(problem: ProblemData, coeff: np.ndarray) -> float:
 # low-level pieces
 
 
-def _clip_disk(x: np.ndarray) -> np.ndarray:
-    """Radial projection of every entry onto the closed unit disk."""
-    return x / np.maximum(np.abs(x), 1.0)
-
-
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -308,53 +304,79 @@ def _top_sigma_sq(B: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvalsh(gram)))
 
 
+def _real_rows(M: np.ndarray) -> np.ndarray:
+    """The rows of [M, iM] split into real and imaginary parts (2N x 2k, real):
+    x viewed as floats times it is (Re M^H x, Im M^H x), and it times (a, b),
+    viewed as complex, is M (a + ib)."""
+    C = np.concatenate([M, 1j * M], axis=1)
+    return np.stack([C.real, C.imag], axis=1).reshape(-1, C.shape[1])
+
+
 class _CapDual:
     """Per-problem constants of the two rank-<=2 dual solves.
 
     Both disk blocks (the P9 projection and the cap minimizer's block) are
     solved in a dual variable y in C^k, k = B.shape[1] <= 2, handled in the
     real coordinates w = (Re y, Im y) through C = [B, iB], so that B y = C w
-    and Re(C^H x) = (Re B^H x, Im B^H x). Built once per problem and shared
-    by every start; it carries no iterate.
+    and Re(C^H x) = (Re B^H x, Im B^H x); both are real products with the
+    rows ``Cr`` of C. Built once per problem and shared by every start.
+
+    Both Newton matrices need Re(C^H J C) for the Jacobian J of x = clip(z).
+    With G_n = Re(C_n^H C_n) and S_n = C_n^T C_n for the rows C_n of C, an
+    entry inside the disk adds G_n, and a clipped one, where |x_n| = 1, its
+    tangential part (G_n - Re(conj(x_n)^2 S_n)) / (2 r_n), r_n = |z_n|. So
+    the matrix is one product of the per-row weights (1 / max(r_n, 1), v_n,
+    Re(x_n^2) v_n, Im(x_n^2) v_n), v_n = 1/r_n clipped and 0 inside, with
+    the tables of G_n, -G_n / 2, -Re(S_n) / 2 and -Im(S_n) / 2 built here.
     """
 
-    def __init__(self, B: np.ndarray, gamma: float = 0.0, sig2: float | None = None):
-        self.B = B
-        self.Bh = B.conj().T
-        self.k = B.shape[1]
+    def __init__(self, B: np.ndarray, gamma: float = 0.0):
+        self.B, self.Bh, self.k = B, B.conj().T, B.shape[1]
         self.C = np.concatenate([B, 1j * B], axis=1)
-        self.Ch = self.C.conj().T
+        self.Cr = _real_rows(B)
         self.row_norms = np.linalg.norm(B, axis=1)
         self.gamma = gamma
         self.root_gamma = math.sqrt(gamma)
-        self.sig2 = _top_sigma_sq(B) if sig2 is None else sig2
-        self.eye = np.eye(2 * self.k).ravel().tolist()  # flat, as _spd_solve takes it
-        # per-row outer products of the rows C_n = a_n + i b_n, flattened and
-        # stacked as [Re(C_n^H C_n); b b^T; -(a b^T + b a^T); a a^T]
-        a, b = self.C.real, self.C.imag
-        aa, bb, ab = (u[:, :, None] * v[:, None] for u, v in ((a, a), (b, b), (a, b)))
-        tables = np.concatenate([aa + bb, bb, -(ab + ab.transpose(0, 2, 1)), aa])
-        self.tables = tables.reshape(4 * B.shape[0], -1)
+        self.sig2 = _top_sigma_sq(B)
+        n, m = B.shape[0], 2 * self.k
+        self.eye = np.eye(m).ravel().tolist()  # flat and row-major, as _spd_solve takes matrices
+        herm = (self.C.conj()[:, :, None] * self.C[:, None, :]).real.reshape(n, -1)
+        sym = (self.C[:, :, None] * self.C[:, None, :]).reshape(n, 1, -1)
+        # Re and Im rows interleave, as the complex weights x^2 v viewed as floats
+        tangential = -0.5 * np.concatenate([sym.real, sym.imag], axis=1).reshape(2 * n, -1)
+        self.tables = np.concatenate([herm, -0.5 * herm, tangential])
+        self._weights = np.empty(4 * n)  # scratch, laid out as the tables' rows
+        self._u, self._v = self._weights[: 2 * n].reshape(2, n)
+        self._x2v = self._weights[2 * n :].view(complex)
 
     def quad(self, x: np.ndarray) -> float:
         """||B^H x||^2."""
         v = self.Bh @ x
         return float(np.vdot(v, v).real)
 
-    def clip_gram(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Re(C^H J C) for the Jacobian J of x = clip(z), given r = |z| (2k x 2k).
+    def clip_gram(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Re(C^H J C), flat and row-major, for x = clip(z) and m = max(|z|, 1).
 
-        Entries inside the disk contribute Re(C_n^H C_n); clipped ones only
-        their tangential part, (Im conj(x_n) C_n)^T (Im conj(x_n) C_n) / r_n,
-        which with C_n = a + i b is (xr^2 b b^T - xr xi (a b^T + b a^T)
-        + xi^2 a a^T) / r_n. Both come from the row tables built with the
-        dual, so the matrix is one product of per-row weights with them.
+        1/m is exactly 1 inside the disk and below 1 outside, so its
+        fractional part is the weight v.
         """
-        free = r <= 1.0
-        inv = ~free / np.maximum(r, 1.0)
-        xr, xi = x.real, x.imag
-        weights = np.concatenate([free, inv * xr * xr, inv * xr * xi, inv * xi * xi])
-        return (weights @ self.tables).reshape(2 * self.k, 2 * self.k)
+        np.divide(1.0, m, out=self._u)
+        np.fmod(self._u, 1.0, out=self._v)
+        np.multiply(x, x, out=self._x2v)
+        self._x2v *= self._v
+        return self._weights @ self.tables
+
+    def newton_matrix(self, x: np.ndarray, m: np.ndarray, w: np.ndarray, nw: float) -> list[float]:
+        """Negated Hessian of the P9 dual at w, ||w|| = nw, as a flat row-major list:
+        clip_gram + (sqrt(gamma) / nw) (I - u u^T), u = w / nw, plus a 1e-12 trace ridge."""
+        scale, u = self.root_gamma / nw, [v / nw for v in w.tolist()]
+        parts = zip(self.clip_gram(x, m).tolist(), self.eye, product(u, u))
+        hess = [h + scale * (e - a * b) for h, e, (a, b) in parts]
+        diagonal = range(0, len(hess), 2 * self.k + 1)
+        ridge = 1e-12 * sum(hess[i] for i in diagonal)
+        for i in diagonal:
+            hess[i] += ridge
+        return hess
 
 
 def _cap_dual(problem: ProblemData) -> _CapDual | None:
@@ -387,69 +409,68 @@ def _p9_dual(
     with slope in [0, slope(0) / 2]. Both cases are common: a full step
     that lands on the maximizer can show a slope a rounding error below 0,
     and Huber terms outside the disk give g no curvature along their
-    radius, so a full step can be orders of magnitude too long. Newton
-    systems are solved by :func:`_spd_solve`, and by steepest ascent where
-    rounding leaves them indefinite. The first iterate is the warm start
-    ``w0`` (real coordinates of y) when it is nonzero, else a proximal
-    gradient step from y = 0 (step 1 / sig2, sig2 >= ||B||^2), which
-    ascends and keeps the iteration off the kink of ||y|| at 0.
+    radius, so a full step can be orders of magnitude too long. The Newton
+    matrix (:meth:`_CapDual.newton_matrix`) is solved by :func:`_spd_solve`,
+    and replaced by steepest ascent where rounding leaves it indefinite;
+    trial points along a direction d reuse z = b - C w and C d. The first
+    iterate is the warm start ``w0`` (real coordinates of y) when it is
+    nonzero, else a proximal gradient step from y = 0 (step 1 / sig2,
+    sig2 >= ||B||^2), which ascends and keeps off the kink of ||y|| at 0.
 
     Returns x and the real coordinates w of y, with w = None when there is
     no cap (``dual`` is None) or clip(b) already meets it. The returned x
-    never exceeds the cap: a converged point that rounding leaves a hair
-    over it is pulled toward x = 0, which is feasible for any gamma > 0.
-    Raises :class:`ProjectionError` when the iteration stops short of
-    convergence, at the step limit or at the rounding floor, at a point
-    over the cap.
+    never exceeds the cap: a point a hair over it is pulled toward x = 0,
+    which is feasible for any gamma > 0, when the iteration converged or
+    stalled within ``FEAS_RTOL`` of the cap; it stalls so when gamma is
+    within rounding of the least cap of the unit-modulus points, and the
+    maximizer lies far across a plateau of g. Raises
+    :class:`ProjectionError` when it stops short of convergence, at the
+    step limit or at the rounding floor, further over the cap.
     """
-    x = _clip_disk(b)
-    if dual is None or dual.quad(x) <= dual.gamma:
+    r = np.abs(b)
+    x = b / np.maximum(r, 1.0)
+    if dual is None:
         return x, None
-    C, Ch, root_gamma, gamma = dual.C, dual.Ch, dual.root_gamma, dual.gamma
+    Cr, root_gamma, gamma = dual.Cr, dual.root_gamma, dual.gamma
+    p = x.view(float) @ Cr  # Re(C^H x)
+    if p @ p <= gamma:
+        return x, None
 
-    def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """r = |z| for z = b - B y, x(y) = clip(z) and the gradient of g at w."""
-        z = b - C @ w
-        r = np.abs(z)
-        x = z / np.maximum(r, 1.0)
-        return r, x, (Ch @ x).real - (root_gamma / math.sqrt(w @ w)) * w
+    def at(t: float) -> tuple[tuple, float]:
+        """(z, w, m, x, gradient, ||w||) at w + t d, m = max(|z|, 1) and x = clip(z),
+        and the slope of g along d there."""
+        z_t, w_t = (z - Cd, w + d) if t == 1.0 else (z - t * Cd, w + t * d)
+        m_t = np.maximum(np.abs(z_t), 1.0)
+        x_t = z_t / m_t
+        nw_t = math.hypot(*w_t.tolist())
+        grad_t = x_t.view(float) @ Cr - (root_gamma / nw_t) * w_t
+        return (z_t, w_t, m_t, x_t, grad_t, nw_t), float(grad_t @ d)
 
     # relative tolerance, floored above the rounding of B^H x(y): an entry of
     # z = b - B y carries an error of order eps (1 + |b_n|) near the optimum
-    tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + np.abs(b)))
-    if w0 is not None and w0.any():
-        w = w0
-    else:
-        grad0 = (Ch @ x).real
-        w = grad0 * ((1.0 - root_gamma / math.sqrt(grad0 @ grad0)) / dual.sig2)
-    r, x, grad = at(w)
+    tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + r))
+    z, w = b, np.zeros(2 * dual.k)  # the first iterate is a step from y = 0
+    d = w0 if w0 is not None and w0.any() else p * ((1 - root_gamma / math.sqrt(p @ p)) / dual.sig2)
+    Cd = (Cr @ d).view(complex)
+    (z, w, m, x, grad, nw), _ = at(1.0)
     converged = False
     for _ in range(_P9_MAX_STEPS):
-        if math.sqrt(grad @ grad) <= tol:
+        g = grad.tolist()
+        if math.hypot(*g) <= tol:
             converged = True
             break
-        # negated Hessian of g as a flat list: clip_gram plus
-        # (sqrt(gamma) / ||w||) (I - u u^T), u = w / ||w||, plus a 1e-12 trace ridge
-        nw = math.sqrt(w @ w)
-        u, scale = [v / nw for v in w.tolist()], root_gamma / nw
-        parts = zip(dual.clip_gram(x, r).ravel().tolist(), dual.eye, [ui * uj for ui in u for uj in u])
-        hess = [h + scale * (e - o) for h, e, o in parts]
-        ridge = 1e-12 * sum(hess[:: 2 * dual.k + 1])
-        hess = [h + ridge * e for h, e in zip(hess, dual.eye)]
-        d = _spd_solve(hess, grad.tolist())
+        d = _spd_solve(dual.newton_matrix(x, m, w, nw), g)
         d = grad if d is None else np.array(d)
         slope0 = float(grad @ d)
         if not slope0 > 0:  # rounding made the model indefinite: steepest ascent
             d, slope0 = grad, float(grad @ grad)
-        t = 1.0
-        r_t, x_t, grad_t = at(w + d)
-        slope = float(grad_t @ d)
+        Cd = (Cr @ d).view(complex)
+        state, slope = at(1.0)
         if slope < 0:  # overshoot: Illinois regula falsi on the slope
             lo, s_lo, hi, s_hi, side = 0.0, slope0, 1.0, slope, 0
             for _ in range(60):
                 t = lo + (hi - lo) * s_lo / (s_lo - s_hi)
-                r_t, x_t, grad_t = at(w + t * d)
-                slope = float(grad_t @ d)
+                state, slope = at(t)
                 if slope < 0:
                     hi, s_hi = t, slope
                     if side < 0:
@@ -465,25 +486,20 @@ def _p9_dual(
             else:
                 if lo == 0.0:
                     break  # rounding floor: every step along d descends
-                t = lo
-                r_t, x_t, grad_t = at(w + t * d)
-        w_new = w + t * d
-        if (w_new == w).all():
+                state, _ = at(lo)
+        if state[1].tolist() == w.tolist():
             break  # rounding floor: the step no longer moves y
-        w = w_new
-        r, x, grad = r_t, x_t, grad_t
-    cap = dual.quad(x)
+        z, w, m, x, grad, nw = state
+    cap = dual.quad(x)  # as the callers measure it; |Re(C^H x)|^2 rounds apart from it
     margin = 1e-12
-    while converged and cap > gamma and margin < 1e-6:
+    while (converged or cap <= gamma * (1.0 + FEAS_RTOL)) and cap > gamma and margin < 1e-6:
         # the computed cap carries rounding of relative size up to
         # eps ||B|| ||x|| / sqrt(gamma), so the margin grows until it clears it
         x = x * (np.sqrt(gamma / cap) * (1.0 - margin))
         cap = dual.quad(x)
         margin *= 10.0
     if cap > gamma:
-        raise ProjectionError(
-            f"P9 projection stopped at cap {cap:.17g} over gamma {gamma:.17g}"
-        )
+        raise ProjectionError(f"P9 projection stopped at cap {cap:.17g} over gamma {gamma:.17g}")
     return x, w
 
 
@@ -500,48 +516,49 @@ def _quad_dual(
     y solves F(y) = y - B^H x(y) = 0. F is -1/2 the gradient of a smooth,
     strongly concave dual in at most 4 real variables, and is solved by
     semismooth Newton with Newton matrix I + 2 rho Re(C^H J C), J the
-    Jacobian of the clip, by :func:`_spd_solve`; a step is halved until
-    ||F|| decreases. The iteration starts from ``w0`` (real coordinates of
-    y, zero when None) and stops at a relative tolerance or at the rounding
-    floor, where no step along the Newton direction decreases ||F||.
+    Jacobian of the clip (:meth:`_CapDual.clip_gram`), by
+    :func:`_spd_solve`; a step is halved until ||F|| decreases, its trial
+    points reusing z and C d as in :func:`_p9_dual`. The iteration starts
+    from ``w0`` (real coordinates of y, zero when None) and stops at a
+    relative tolerance or at the rounding floor, where no step along the
+    Newton direction decreases ||F||.
 
     Returns x(y) and the real coordinates w of y, the warm start of the
     next call on a nearby c.
     """
-    two_rho = 2.0 * rho
-    C, Ch = dual.C, dual.Ch
+    two_rho, Cr = 2.0 * rho, dual.Cr
 
-    def at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """r = |z| for z = c - 2 rho B y, x(y) = clip(z) and F at w."""
-        z = c - two_rho * (C @ w)
-        r = np.abs(z)
-        x = z / np.maximum(r, 1.0)
-        return r, x, w - (Ch @ x).real
+    def at(t: float) -> tuple:
+        """(z, w, m, x, F, ||F||) at w + t d, m = max(|z|, 1) and x = clip(z)."""
+        z_t, w_t = z - t * Cd, w + t * d
+        m_t = np.maximum(np.abs(z_t), 1.0)
+        x_t = z_t / m_t
+        F_t = w_t - x_t.view(float) @ Cr
+        return z_t, w_t, m_t, x_t, F_t, math.sqrt(F_t @ F_t)
 
-    w = np.zeros(2 * dual.k) if w0 is None else w0
-    r, x, F = at(w)
-    size = math.sqrt(F @ F)
+    z, w = c, np.zeros(2 * dual.k)  # the first iterate is a step from y = 0
+    d = w if w0 is None else w0
+    Cd = two_rho * (Cr @ d).view(complex)
+    z, w, m, x, F, size = at(1.0)
     # above the rounding of B^H x(y), as in _p9_dual
     tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
     for _ in range(_QUAD_MAX_STEPS):
         if size <= tol:
             break
-        newton = [e + two_rho * v for e, v in zip(dual.eye, dual.clip_gram(x, r).ravel().tolist())]
+        newton = [e + two_rho * v for e, v in zip(dual.eye, dual.clip_gram(x, m).tolist())]
         d = _spd_solve(newton, F.tolist())
         if d is None:
             break  # I + 2 rho Re(C^H J C) >= I: only non-finite entries get here
-        d = -np.array(d)
-        t = 1.0
+        d, t = -np.array(d), 1.0
+        Cd = two_rho * (Cr @ d).view(complex)
         for _ in range(40):
-            r_t, x_t, F_t = at(w + t * d)
-            size_t = math.sqrt(F_t @ F_t)
-            if size_t < size:
+            state = at(t)
+            if state[-1] < size:
                 break
             t *= 0.5
         else:
             break  # rounding floor
-        w = w + t * d
-        r, x, F, size = r_t, x_t, F_t, size_t
+        z, w, m, x, F, size = state
     return x, w
 
 
@@ -576,8 +593,7 @@ class _ThetaBlock:
 
     def __init__(self, problem: ProblemData, params: PddParams, dual: _CapDual | None):
         self.params = params
-        self.Q = problem.objective_matrix()
-        self.Qh = self.Q.conj().T
+        self.Qr = _real_rows(problem.objective_matrix())
         self.dual = dual
         self.w: np.ndarray | None = None
 
@@ -596,17 +612,17 @@ class _ThetaBlock:
         non-increasing sequence because each surrogate majorizes the true
         objective at its expansion point.
         """
+        Qr, dual, two_rho = self.Qr, self.dual, 2.0 * rho
 
         def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta."""
-            p, d = self.Qh @ theta, theta - center
-            return float(np.vdot(d, d).real / (2.0 * rho) - np.vdot(p, p).real), p
+            """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta as real pairs."""
+            p, d = theta.view(float) @ Qr, theta - center
+            return float(np.vdot(d, d).real / two_rho - p @ p), p
 
         prev, p = penalized(theta)
         objectives: list[float] = []
         for _ in range(self.params.max_sca):
-            b = center + 2.0 * rho * (self.Q @ p)
-            theta_new, self.w = _p9_dual(b, self.dual, self.w)
+            theta_new, self.w = _p9_dual(center + two_rho * (Qr @ p).view(complex), dual, self.w)
             obj, p_new = penalized(theta_new)
             if obj > prev:
                 objectives.append(prev)
@@ -616,7 +632,7 @@ class _ThetaBlock:
             if prev - obj <= tol * max(1.0, abs(prev)):
                 break
             prev = obj
-        return theta, -float(np.vdot(p, p).real), objectives
+        return theta, -float(p @ p), objectives
 
 
 def _dual_step(
@@ -706,17 +722,19 @@ def _penalty_dual(
         trial, merit, memory = vartheta, math.inf, []
         for _ in range(params.max_inner):
             theta_new, f = block(theta, trial - shift, rho, loop_tol)[:2]
-            vartheta_new = _unit_phases(theta_new + shift)
-            r = theta_new + shift - vartheta_new
+            image = theta_new + shift
+            vartheta_new = _unit_phases(image)
+            r = image - vartheta_new
             merit_new = f + float(np.vdot(r, r).real) / (2.0 * rho)
             if trial is not vartheta and merit_new > merit:
                 trial, memory = vartheta, []  # extrapolation rejected: plain step
                 continue
-            delta = max(np.abs(theta_new - theta).max(), np.abs(vartheta_new - trial).max())
+            residual = vartheta_new - trial
+            delta = max(np.abs(theta_new - theta).max(), np.abs(residual).max())
             theta, vartheta, merit = theta_new, vartheta_new, merit_new
             if delta < loop_tol:
                 break
-            memory = (memory + [(vartheta, vartheta - trial)])[-_ANDERSON_MEMORY - 1 :]
+            memory = (memory + [(vartheta, residual)])[-_ANDERSON_MEMORY - 1 :]
             trial = _anderson(memory) if len(memory) > _ANDERSON_MEMORY else vartheta
         gap = float(np.abs(theta - vartheta).max())
         value = score(vartheta)
@@ -791,17 +809,19 @@ def _minimize_quad_core(
     best, score, _, _ = _penalty_dual(
         theta0, disk_block, lambda x: -dual.quad(x), params, None if stop is None else -stop
     )
-    # polish on the unit-modulus manifold: projected gradient with retraction
+    # polish on the unit-modulus manifold: projected gradient with retraction,
+    # step 1 / (2 sig2) along the gradient 2 B B^H x = 2 C p, p = Re(C^H x)
     x, val = best, -score
-    step = 1.0 / (2.0 * dual.sig2)
-    v = Bh @ x
+    Cr = dual.Cr
+    descent = Cr / dual.sig2
+    p = x.view(float) @ Cr
     for _ in range(400):
-        x_new = _unit_phases(x - step * 2.0 * (B @ v))
-        v_new = Bh @ x_new
-        new_val = float(np.vdot(v_new, v_new).real)
+        x_new = _unit_phases(x - (descent @ p).view(complex))
+        p_new = x_new.view(float) @ Cr
+        new_val = float(p_new @ p_new)
         if new_val >= val:
             break
-        x, v, val = x_new, v_new, new_val
+        x, p, val = x_new, p_new, new_val
     return ReflectionVector.on(np.angle(x)), val
 
 
@@ -860,14 +880,8 @@ def pdd_solve(
     # scale objective and cap to O(1) vectors so rho0 is problem-independent
     sq = float(np.max([np.linalg.norm(problem.q1), np.linalg.norm(problem.q2)]))
     sh = float(np.max([np.linalg.norm(problem.h1), np.linalg.norm(problem.h2)])) or 1.0
-    scaled = replace(
-        problem,
-        q1=problem.q1 / sq,
-        q2=problem.q2 / sq,
-        h1=problem.h1 / sh,
-        h2=problem.h2 / sh,
-        gamma=problem.gamma / sh**2,
-    )
+    scaled = replace(problem, q1=problem.q1 / sq, q2=problem.q2 / sq,
+                     h1=problem.h1 / sh, h2=problem.h2 / sh, gamma=problem.gamma / sh**2)
     dual = _cap_dual(scaled)  # cap constants shared by every start
     gamma = scaled.gamma
     feas_cap = gamma * (1.0 + 0.1 * FEAS_RTOL)
@@ -910,11 +924,7 @@ def pdd_solve(
     best_theta, best_obj, history, converged = single_run(theta0)
     total_outer = len(history)
 
-    cap_binding = (
-        best_theta is not None
-        and dual is not None
-        and dual.quad(best_theta) > 0.5 * gamma
-    )
+    cap_binding = best_theta is not None and dual is not None and dual.quad(best_theta) > gamma / 2
     if (best_theta is None or cap_binding) and params.restarts > 1:
         restart_rng = np.random.default_rng(0x5EED)
         for _ in range(params.restarts - 1):
@@ -931,22 +941,12 @@ def pdd_solve(
         best_obj = problem_objective(scaled, best_theta)
         converged = False
     trace = [
-        PddTracePoint(
-            outer=outer,
-            objective=sq**2 * problem_objective(scaled, theta),
-            constraint=problem_constraint(problem, theta),
-            gap=gap,
-            rho=rho,
-        )
+        PddTracePoint(outer=outer, objective=sq**2 * problem_objective(scaled, theta),
+                      constraint=problem_constraint(problem, theta), gap=gap, rho=rho)
         for outer, (theta, gap, rho) in enumerate(history, 1)
     ]
-    return PddResult(
-        theta=ReflectionVector.on(np.angle(best_theta)),
-        objective=sq**2 * best_obj,
-        trace=trace,
-        converged=converged,
-        outer_iterations=total_outer,
-    )
+    return PddResult(theta=ReflectionVector.on(np.angle(best_theta)), objective=sq**2 * best_obj,
+                     trace=trace, converged=converged, outer_iterations=total_outer)
 
 
 def pdd_solve_with_candidates(

@@ -25,11 +25,16 @@ from irsim import (
     problem_objective,
 )
 from irsim import optimizer
-from irsim.optimizer import _CapDual, _clip_disk, _p9_dual, _top_sigma_sq, _unit_phases
+from irsim.optimizer import _CapDual, _p9_dual, _top_sigma_sq, _unit_phases
 
 from conftest import random_angles
 
 IRS22 = ArraySpec(2, 2, 0.02, 0.2)
+
+
+def _clip_disk(x):
+    """Radial projection of every entry onto the closed unit disk."""
+    return x / np.maximum(np.abs(x), 1.0)
 
 
 def random_problem(rng, n=4, case="P3", gamma_frac=None):
@@ -351,10 +356,10 @@ def test_p9_indefinite_newton_matrix_falls_back_to_steepest_ascent(rng, k, monke
         solves.append(out)
         return out
 
-    def indefinite_first(self, x, r):
+    def indefinite_first(self, x, m):
         # the first three Newton matrices are made negative definite
-        gram = clip_gram(self, x, r)
-        return -gram - 10.0 * np.eye(2 * self.k) if len(solves) < 3 else gram
+        gram = clip_gram(self, x, m)
+        return -gram - 10.0 * np.eye(2 * self.k).ravel() if len(solves) < 3 else gram
 
     monkeypatch.setattr(optimizer, "_spd_solve", recorded_solve)
     monkeypatch.setattr(optimizer._CapDual, "clip_gram", indefinite_first)
@@ -440,7 +445,7 @@ def test_clip_gram_matches_direct_formula(rng, k, mix):
     on_circle = np.array([1.0, -1.0, 1j, -1j])  # |z_n| exactly 1: still inside the disk
     for _ in range(5):
         B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
-        dual = optimizer._CapDual(B)
+        dual = optimizer._CapDual(B, float(rng.uniform(0.01, 1.0)))
         z = np.exp(2j * np.pi * rng.random(n))
         size = {"free": rng.uniform(0.0, 1.0, n), "clipped": rng.uniform(1.0, 1e3, n),
                 "mixed": rng.uniform(0.0, 3.0, n)}[mix]
@@ -452,9 +457,157 @@ def test_clip_gram_matches_direct_formula(rng, k, mix):
         assert mix == "clipped" or np.all(r[:4] == 1.0)
         x = _clip_disk(z)
         want = clip_gram_direct(dual.C, z, x)
-        got = dual.clip_gram(x, r)
-        assert got.shape == (2 * k, 2 * k)
+        got = dual.clip_gram(x, np.maximum(r, 1.0))
+        assert got.shape == (4 * k * k,)  # flat and row-major
+        got = got.reshape(2 * k, 2 * k)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the P9 Newton matrix: the gram, the ||w|| term and the trace ridge
+        w = rng.normal(size=2 * k)
+        nw = np.linalg.norm(w)
+        want_hess = want + (dual.root_gamma / nw) * (np.eye(2 * k) - np.outer(w, w) / nw**2)
+        want_hess += 1e-12 * np.trace(want_hess) * np.eye(2 * k)
+        got_hess = np.array(dual.newton_matrix(x, np.maximum(r, 1.0), w, nw)).reshape(2 * k, 2 * k)
+        assert np.max(np.abs(got_hess - want_hess)) <= 1e-13 * np.max(np.abs(want_hess))
+
+
+def p9_reference(b, dual, w0):
+    """Reference for _p9_dual: the same damped Newton iteration, written out.
+
+    The gram is formed row by row (clip_gram_direct), the ||w|| term and the
+    ridge are added as matrices, the system is solved by numpy, and every
+    trial point is computed afresh from w.
+    """
+    C, Ch, root_gamma, gamma, k = dual.C, dual.C.conj().T, dual.root_gamma, dual.gamma, dual.k
+    x = _clip_disk(b)
+    if dual.quad(x) <= gamma:
+        return x, None
+
+    def at(w):
+        z = b - C @ w
+        x = _clip_disk(z)
+        return z, x, (Ch @ x).real - (root_gamma / np.linalg.norm(w)) * w
+
+    tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + np.abs(b)))
+    if w0 is not None and w0.any():
+        w = w0
+    else:
+        grad0 = (Ch @ x).real
+        w = grad0 * ((1.0 - root_gamma / np.linalg.norm(grad0)) / dual.sig2)
+    z, x, grad = at(w)
+    converged = False
+    for _ in range(100):
+        if np.linalg.norm(grad) <= tol:
+            converged = True
+            break
+        nw = np.linalg.norm(w)
+        hess = clip_gram_direct(C, z, x)
+        hess += (root_gamma / nw) * (np.eye(2 * k) - np.outer(w, w) / nw**2)
+        hess += 1e-12 * np.trace(hess) * np.eye(2 * k)
+        if np.all(np.linalg.eigvalsh(hess) > 0):
+            d = np.linalg.solve(hess, grad)
+        else:
+            d = grad
+        slope0 = float(grad @ d)
+        if not slope0 > 0:
+            d, slope0 = grad, float(grad @ grad)
+        t = 1.0
+        z_t, x_t, grad_t = at(w + d)
+        slope = float(grad_t @ d)
+        if slope < 0:
+            lo, s_lo, hi, s_hi, side = 0.0, slope0, 1.0, slope, 0
+            for _ in range(60):
+                t = lo + (hi - lo) * s_lo / (s_lo - s_hi)
+                z_t, x_t, grad_t = at(w + t * d)
+                slope = float(grad_t @ d)
+                if slope < 0:
+                    hi, s_hi = t, slope
+                    if side < 0:
+                        s_lo *= 0.5
+                    side = -1
+                elif slope > 0.5 * slope0:
+                    lo, s_lo = t, slope
+                    if side > 0:
+                        s_hi *= 0.5
+                    side = 1
+                else:
+                    break
+            else:
+                if lo == 0.0:
+                    break
+                t = lo
+                z_t, x_t, grad_t = at(w + t * d)
+        if (w + t * d == w).all():
+            break
+        w = w + t * d
+        z, x, grad = z_t, x_t, grad_t
+    cap, margin = dual.quad(x), 1e-12
+    while converged and cap > gamma and margin < 1e-6:
+        x = x * (np.sqrt(gamma / cap) * (1.0 - margin))
+        cap, margin = dual.quad(x), margin * 10.0
+    assert cap <= gamma, "the reference stopped over the cap"
+    return x, w
+
+
+def quad_reference(c, dual, rho, w0):
+    """Reference for _quad_dual: the same Newton iteration, written out as p9_reference."""
+    C, Ch, k = dual.C, dual.C.conj().T, dual.k
+
+    def at(w):
+        z = c - 2.0 * rho * (C @ w)
+        x = _clip_disk(z)
+        return z, x, w - (Ch @ x).real
+
+    w = np.zeros(2 * k) if w0 is None else w0
+    z, x, F = at(w)
+    tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
+    for _ in range(50):
+        if np.linalg.norm(F) <= tol:
+            break
+        d = -np.linalg.solve(np.eye(2 * k) + 2.0 * rho * clip_gram_direct(C, z, x), F)
+        t = 1.0
+        for _ in range(40):
+            z_t, x_t, F_t = at(w + t * d)
+            if np.linalg.norm(F_t) < np.linalg.norm(F):
+                break
+            t *= 0.5
+        else:
+            break
+        w = w + t * d
+        z, x, F = z_t, x_t, F_t
+    return x, w
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("frac", [0.3, 1e-5, 0.97])
+def test_p9_matches_reference_loop(rng, k, frac):
+    # the cold solve and a warm start from a nearby projection's dual point
+    for _ in range(5):
+        b, dual = over_cap_projection(rng, k, frac=frac)
+        x_ref, w_ref = p9_reference(b, dual, None)
+        x, w = _p9_dual(b, dual, None)
+        assert dual.quad(x) <= dual.gamma
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9)
+        b2 = b + 0.05 * (rng.normal(size=b.shape) + 1j * rng.normal(size=b.shape))
+        x2_ref, _ = p9_reference(b2, dual, w_ref)
+        x2, _ = _p9_dual(b2, dual, w)
+        np.testing.assert_allclose(x2, x2_ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("c_scale", [1.0, 1e3])
+@pytest.mark.parametrize("rho", [1.0, 1e-4])
+def test_cap_minimizer_block_matches_reference_loop(rng, k, c_scale, rho):
+    n = 8
+    for _ in range(3):
+        B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
+        dual = optimizer._CapDual(B)
+        c = c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        x_ref, w_ref = quad_reference(c, dual, rho, None)
+        x, w = optimizer._quad_dual(c, dual, rho, None)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9)
+        c2 = c + 1e-3 * c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        np.testing.assert_allclose(optimizer._quad_dual(c2, dual, rho, w)[0],
+                                   quad_reference(c2, dual, rho, w_ref)[0], rtol=0, atol=1e-9)
 
 
 def test_unit_phases_zero_convention_and_bits(rng):
@@ -613,7 +766,7 @@ def unit_problem(rng, n=16, frac=0.1):
     return replace(loose, gamma=gamma)
 
 
-def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
+def traced_penalty_dual(monkeypatch, problem, theta0, block=None, params=None):
     """Run the solver's penalty-dual loop once, recording every block call.
 
     Returns the loop's result, the block calls as (theta in, trial, rho,
@@ -621,7 +774,7 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
     the memories handed to _anderson. trial = center + shift is the copy the
     block was called with, shift = rho lambda.
     """
-    params = PddParams()
+    params = params or PddParams()
     inner = block or optimizer._ThetaBlock(problem, params, optimizer._cap_dual(problem)).update
     calls, steps, memories = [], [], []
     state = {"lam": np.zeros(problem.n, complex)}
@@ -691,7 +844,10 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     # the loop must drop it, take the plain step from the same theta, and
     # extrapolate next from images made after the rejection only
     problem = unit_problem(rng)
-    real = optimizer._ThetaBlock(problem, PddParams(), optimizer._cap_dual(problem)).update
+    # a first loop tolerance of 0.03 c^2 = 3e-8 keeps the alternation going
+    # for several images after the rejection, however fast it would settle
+    params = PddParams(inner_tol=1e-15, c=1e-3)
+    real = optimizer._ThetaBlock(problem, params, optimizer._cap_dual(problem)).update
     seen = {"calls": 0, "extrapolated": None}
     anderson = optimizer._anderson
 
@@ -711,7 +867,7 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     monkeypatch.setattr(optimizer, "_anderson", first_extrapolation)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
     (_, _, history, _), calls, steps, memories = traced_penalty_dual(
-        monkeypatch, problem, theta0, block
+        monkeypatch, problem, theta0, block, params
     )
     k = seen["extrapolated"]
     assert k is not None and k + 4 < len(calls)
@@ -738,11 +894,18 @@ def test_penalty_dual_exit_state_is_the_phase_of_theta_plus_shift(monkeypatch, s
     rng = np.random.default_rng(seed)
     problem = unit_problem(rng)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
-    (_, _, history, _), calls, steps, memories = traced_penalty_dual(monkeypatch, problem, theta0)
+    # the copies merge to this outer tolerance only with a gap of exactly 0, so
+    # every outer iteration ends in a dual step, and the loop tolerance 0.03 c^2
+    # = 3e-8 of the first outer iteration keeps its alternation going past the
+    # three images an extrapolation needs
+    params = PddParams(inner_tol=1e-15, c=1e-3, outer_tol=5e-324, max_outer=3)
+    (_, _, history, _), calls, steps, memories = traced_penalty_dual(
+        monkeypatch, problem, theta0, params=params
+    )
     assert memories and steps
     for lam, theta, vartheta, rho in steps:
         np.testing.assert_array_equal(vartheta, _unit_phases(theta + rho * lam))
-    for theta, gap, rho in history:  # the last outer iteration takes no dual step
+    for theta, gap, rho in history:  # the shift each outer iteration's block calls saw
         shift = [call[3] for call in calls if call[2] == rho][-1]
         assert gap == float(np.abs(theta - _unit_phases(theta + shift)).max())
 
@@ -904,6 +1067,40 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
             seen["raised" if raised else "kept"] += 1
             seen["stopped"] += early
     assert min(seen.values()) > 0, seen
+
+
+def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
+    # the 16th problem drawn in the order of the stop-level test above (N = 2,
+    # P3), at caps within 1e-7 of its cap minimizer's value: there the P9 dual
+    # has a plateau that Newton's method crawls over, and a projection stops a
+    # hair over the cap; the solve must still meet the cap within its slack,
+    # or report Infeasible, not raise ProjectionError
+    rng = np.random.default_rng(20240811)
+    for trial in range(16):
+        base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
+    core, calls = optimizer._minimize_quad_core, []
+
+    def spy(dual, params, ref, stop=None):
+        calls.append((dual, params, ref))
+        return core(dual, params, ref, stop)
+
+    monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
+    sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+    with pytest.raises(Infeasible):
+        pdd_solve(replace(base, gamma=1e-12 * sh2))
+    full_val = core(*calls[0])[1] * sh2  # the cap minimizer run to its end, unscaled
+    solved = 0
+    for frac in (1 - 1e-7, 1 + 1e-7):
+        problem = replace(base, gamma=frac * full_val)
+        try:
+            res = pdd_solve(problem)
+        except Infeasible:
+            continue
+        solved += 1
+        coeff = res.theta.coefficients
+        np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+        assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
+    assert solved > 0
 
 
 def test_minimize_quadratic_two_vectors_reaches_null(rng):
