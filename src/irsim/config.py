@@ -160,7 +160,6 @@ class ScenarioConfig:
     error: EstimationError = field(default_factory=EstimationError)
     pdd: PddParams = field(default_factory=PddParams)
     seed: int = 0
-    random_phase_draws: int = 10000
 
     @classmethod
     def default(cls, **overrides) -> "ScenarioConfig":
@@ -223,6 +222,9 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"geometry.{prefix}_elevation_deg", str(exc)) from exc
 
+        # retired (the random-phase rows are exact): checked so old files load, then ignored
+        if get("run", "random_phase_draws", int) < 1:
+            raise ConfigError("run.random_phase_draws", "must be >= 1")
         mode = get("protocol", "mode", str)
         if mode not in ("short_term", "long_term"):
             raise ConfigError("protocol.mode", f"must be short_term or long_term, got {mode!r}")
@@ -274,7 +276,6 @@ class ScenarioConfig:
             error=error,
             pdd=pdd,
             seed=get("run", "seed", int),
-            random_phase_draws=get("run", "random_phase_draws", int),
         )
         cfg.validate()
         return cfg
@@ -329,8 +330,6 @@ class ScenarioConfig:
             )
         if self.echo_ratio <= 0:
             raise ConfigError("protocol.echo_ratio", "must be positive")
-        if self.random_phase_draws < 1:
-            raise ConfigError("run.random_phase_draws", "must be >= 1")
 
     def geometry(self) -> ScenarioGeometry:
         return ScenarioGeometry(

@@ -28,10 +28,10 @@ from .waveform import segment_pri
 from .optimizer import minimize_unit_modulus_quadratic, closed_form_lrs_only, closed_form_urs_null, NoNullAvailable
 from .power import link_power, irs_received_powers
 from .protocol import (
+    _random_phase_expectation,
     _step2_figures,
     default_rcs,
     no_irs_baseline_power,
-    random_phase_baseline,
     run_cpi,
 )
 
@@ -104,10 +104,6 @@ def default_grid(experiment: str, config: ScenarioConfig) -> tuple[str, tuple[fl
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
-def _rng_for(config: ScenarioConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-
-
 def _row(value, scheme, lrs, urs, feasible, iterations, wall) -> dict:
     return {
         "swept_value": float(value),
@@ -134,61 +130,52 @@ def _beam_match_gain(spec, angles, beam) -> float:
 
 def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     geom = config.geometry()
-    rng = _rng_for(config, 0)
-    rcs = default_rcs(config.irs_spec, config.echo_ratio)
-    rows = []
-    if radar == "lrs":
+    p_l, p_u = config.p_l, config.p_u
+    lrs = radar == "lrs"
+    iters = 0
+    t0 = time.perf_counter()
+    if lrs:
         # legitimate radar only: reflect coherently back at it
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
         theta = closed_form_lrs_only(u)
-        spec, angles = config.lrs_spec, geom.angles_l
-        base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)[0]
-        rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
-        q_ls_matched, _ = irs_received_powers(geom, config.p_l, config.p_u)
-        for zeta in grid:
-            t0 = time.perf_counter()
-            beam = _scan_beam(spec, zeta)
-            q_ls_beam, _ = irs_received_powers(geom, config.p_l, config.p_u, w_l=beam)
-            prop = link_power("LL", theta, geom, config.p_l, config.p_u, w_l=beam)
-            wall = time.perf_counter() - t0
-            pattern = _beam_match_gain(spec, angles, beam) / spec.size  # in [0, 1]
-            scale = (q_ls_beam / q_ls_matched) ** 2
-            rows.append(_row(zeta, "proposed", prop, 0.0, True, 0, wall))
-            rows.append(_row(zeta, "random_phase", rand.q_ll * scale, 0.0, True, 0, 0.0))
-            rows.append(_row(zeta, "no_irs", base * pattern**2, 0.0, True, 0, 0.0))
-        return rows
-    # unauthorized radar only: null its echo
-    t0 = time.perf_counter()
-    try:
-        theta = closed_form_urs_null(geom.irs_spec, geom.angles_u, (1, 1))
-        iters = 0
-    except NoNullAvailable:
-        g = composite_vector("G", geom.angles_l, geom.angles_u, geom.irs_spec)
-        theta, _ = minimize_unit_modulus_quadratic([g], config.pdd)
-        iters = config.pdd.max_outer
+    else:
+        # unauthorized radar only: null its echo
+        try:
+            theta = closed_form_urs_null(geom.irs_spec, geom.angles_u, (1, 1))
+        except NoNullAvailable:
+            g = composite_vector("G", geom.angles_l, geom.angles_u, geom.irs_spec)
+            theta, _ = minimize_unit_modulus_quadratic([g], config.pdd)
+            iters = config.pdd.max_outer
     solve_wall = time.perf_counter() - t0
-    spec, angles = config.urs_spec, geom.angles_u
-    base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)[1]
-    rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
-    _, q_us_matched = irs_received_powers(geom, config.p_l, config.p_u)
+    side, link = (0, "LL") if lrs else (1, "UU")
+    spec, angles = (config.lrs_spec, geom.angles_l) if lrs else (config.urs_spec, geom.angles_u)
+    rand = _random_phase_expectation(geom, p_l, p_u)
+    rand_q = rand.q_ll if lrs else rand.q_uu
+    rcs = default_rcs(config.irs_spec, config.echo_ratio)
+    base = no_irs_baseline_power(geom, rcs, p_l, p_u)[side]
+    matched = irs_received_powers(geom, p_l, p_u)[side]
+    rows = []
     for zeta in grid:
         t0 = time.perf_counter()
-        beam = _scan_beam(spec, zeta)
-        _, q_us_beam = irs_received_powers(geom, config.p_l, config.p_u, w_u=beam)
-        prop = link_power("UU", theta, geom, config.p_l, config.p_u, w_u=beam)
-        wall = time.perf_counter() - t0
-        pattern = _beam_match_gain(spec, angles, beam) / spec.size
-        scale = (q_us_beam / q_us_matched) ** 2
-        rows.append(_row(zeta, "proposed", 0.0, prop, True, iters, wall + solve_wall))
+        w = _scan_beam(spec, zeta)
+        beam = {"w_l": w} if lrs else {"w_u": w}
+        q_beam = irs_received_powers(geom, p_l, p_u, **beam)[side]
+        prop = link_power(link, theta, geom, p_l, p_u, **beam)
+        wall = time.perf_counter() - t0 + solve_wall
         solve_wall = 0.0
-        rows.append(_row(zeta, "random_phase", 0.0, rand.q_uu * scale, True, 0, 0.0))
-        rows.append(_row(zeta, "no_irs", 0.0, base * pattern**2, True, 0, 0.0))
+        pattern = _beam_match_gain(spec, angles, w) / spec.size  # in [0, 1]
+        scale = (q_beam / matched) ** 2
+        for scheme, value, it, t in (("proposed", prop, iters, wall),
+                                     ("random_phase", rand_q * scale, 0, 0.0),
+                                     ("no_irs", base * pattern**2, 0, 0.0)):
+            lrs_value, urs_value = (value, 0.0) if lrs else (0.0, value)
+            rows.append(_row(zeta, scheme, lrs_value, urs_value, True, it, t))
     return rows
 
 
 def _cpi_row(config: ScenarioConfig, geom, plan, variant, gamma, value, seed_index, warm=None):
     """One CPI at cap ``gamma`` and its row; returns (CpiResult, row)."""
-    rng = _rng_for(config, seed_index)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_index]))
     t0 = time.perf_counter()
     cpi = run_cpi(
         geom, plan, variant, gamma, config.p_l, config.p_u, config.p_u_min,
@@ -207,20 +194,20 @@ def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=(
         _cpi_row(config, geom, plan, variant, config.gamma, value, index * 8 + k)[1]
         for k, variant in enumerate(schemes)
     ]
-    rand, base, wall = _baselines(config, geom, plan, _rng_for(config, index * 8 + 7))
+    rand, base, wall = _baselines(config, geom, plan)
     rows.append(_row(value, "random_phase", *rand, True, 0, wall))
     rows.append(_row(value, "no_irs", *base, True, 0, 0.0))
     return rows
 
 
-def _baselines(config: ScenarioConfig, geom, plan, rng) -> tuple[tuple, tuple, float]:
+def _baselines(config: ScenarioConfig, geom, plan) -> tuple[tuple, tuple, float]:
     """Step-II (energy, URS peak) of the random-phase and the no-reflector baselines.
 
     Returns both pairs and the wall time of the random-phase baseline alone.
     """
     n_pris = config.pulses_per_cpi - config.step1_pris
     t0 = time.perf_counter()
-    rand = random_phase_baseline(geom, rng, config.random_phase_draws, config.p_l, config.p_u)
+    rand = _random_phase_expectation(geom, config.p_l, config.p_u)
     rand_figures = _step2_figures(rand, segment_pri(plan), n_pris)
     wall = time.perf_counter() - t0
     rcs = default_rcs(config.irs_spec, config.echo_ratio)
@@ -294,7 +281,7 @@ def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
             point_rows.append(row)
         rows_by_point[int(index)] = point_rows
     # cap-independent baselines, once
-    rand, base, _ = _baselines(config, geom, plan, _rng_for(config, 7))
+    rand, base, _ = _baselines(config, geom, plan)
     rows = []
     for index, gamma in enumerate(grid):
         rows.extend(rows_by_point[index])

@@ -843,6 +843,16 @@ def _blend_feasible(theta_obj: np.ndarray, theta_feas: np.ndarray, dual: _CapDua
     return np.exp(1j * (psi0 + lo * dpsi))
 
 
+def _under_cap(problem: ProblemData, theta: np.ndarray) -> ReflectionVector:
+    """The reflection on the phases of ``theta``; raises Infeasible if it is over the cap."""
+    rv = ReflectionVector.on(np.angle(theta))
+    cap = problem_constraint(problem, rv.coefficients)
+    if cap > problem.gamma * (1.0 + FEAS_RTOL):
+        raise Infeasible(f"returned cap value {cap:.6g} exceeds gamma {problem.gamma:.6g} "
+                         f"by {cap / problem.gamma - 1.0:.3g} relative")
+    return rv
+
+
 def pdd_solve(
     problem: ProblemData,
     params: PddParams | None = None,
@@ -868,12 +878,12 @@ def pdd_solve(
     stop level: its penalty loop ends at the first unit-modulus copy under
     gamma, and runs to its end only when it finds none.
 
-    Raises :class:`Infeasible` when the cap minimizer ends above
-    gamma (1 + ``FEAS_RTOL``), i.e. no unit-modulus reflection it can find
-    complies. The stop level cannot change this decision: a stopped run
-    ends under gamma, and the full run from the same start would end lower
-    still. Raises :class:`ProjectionError` when a projection onto the
-    capped disks fails to reach a point under the cap.
+    Raises :class:`Infeasible` when the cap minimizer, or the returned
+    reflection itself, ends above gamma (1 + ``FEAS_RTOL``). The stop level
+    cannot change the first decision: a stopped run ends under gamma, and
+    the full run from the same start would end lower still. Raises
+    :class:`ProjectionError` when a projection onto the capped disks fails
+    to reach a point under the cap.
     """
     params = params or PddParams()
     n = problem.n
@@ -945,7 +955,7 @@ def pdd_solve(
                       constraint=problem_constraint(problem, theta), gap=gap, rho=rho)
         for outer, (theta, gap, rho) in enumerate(history, 1)
     ]
-    return PddResult(theta=ReflectionVector.on(np.angle(best_theta)), objective=sq**2 * best_obj,
+    return PddResult(theta=_under_cap(problem, best_theta), objective=sq**2 * best_obj,
                      trace=trace, converged=converged, outer_iterations=total_outer)
 
 
@@ -971,11 +981,7 @@ def pdd_solve_with_candidates(
     best_cand = max(feasible, key=lambda t: t[0]) if feasible else None
     result = pdd_solve(problem, params, init=None if best_cand is None else best_cand[1])
     if best_cand is not None and best_cand[0] > result.objective:
-        return replace(
-            result,
-            theta=ReflectionVector.on(np.angle(best_cand[1])),
-            objective=best_cand[0],
-        )
+        return replace(result, theta=_under_cap(problem, best_cand[1]), objective=best_cand[0])
     return result
 
 

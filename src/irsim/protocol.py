@@ -260,6 +260,13 @@ def no_irs_baseline_power(
     )
 
 
+def _random_phase_expectation(geom: ScenarioGeometry, p_l: float, p_u: float) -> PowerReport:
+    """Exact mean power report over i.i.d. uniform phases: E|c^H theta|^2 = ||c||^2."""
+    comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
+    gains = {k: np.vdot(c, c).real for k, c in comps.items()}
+    return _report_from_gains(gains, geom, p_l, p_u, None, None)
+
+
 def random_phase_baseline(
     geom: ScenarioGeometry,
     rng: np.random.Generator,

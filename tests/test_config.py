@@ -209,3 +209,27 @@ def test_angles_parsed_in_degrees():
     np.testing.assert_allclose(cfg.angles_l.elevation, np.pi / 2)
     np.testing.assert_allclose(cfg.angles_l.azimuth, 0.0)
     np.testing.assert_allclose(cfg.angles_u.azimuth, np.pi / 6)
+
+
+def test_retired_random_phase_draws_key_loads_and_has_no_effect(tmp_path):
+    # the random-phase rows are exact; a file that still sets the draw count
+    # loads, and its rows equal those of the same file without the key
+    rows = {}
+    for name, run in (("with", "seed = 3\nrandom_phase_draws = 10000\n"), ("without", "seed = 3\n")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(f"[run]\n{run}")
+        assert ScenarioConfig.from_file(str(path)) == ScenarioConfig.default(seed=3)
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["reproduce", "fig6", "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows[name] = [line.rsplit(",", 1)[0] for line in lines]  # wall_time is last
+    assert rows["with"] == rows["without"]
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_retired_random_phase_draws_key_still_checked(tmp_path, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[run]\nrandom_phase_draws = {value}\n")
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == "run.random_phase_draws"

@@ -23,7 +23,6 @@ def small_config():
         lrs_spec=ArraySpec(16, 1, 0.1, 0.2),
         urs_spec=ArraySpec(16, 1, 0.1, 0.2),
         irs_spec=ArraySpec(16, 1, 0.02, 0.2),
-        random_phase_draws=2000,
     )
 
 
@@ -86,16 +85,14 @@ def test_overlap_ratio_equal_at_one(small_config):
 
 def test_overlap_ratio_baseline_peak_over_occurring_cases(small_config):
     # no overlap: the URS sees each pulse alone, never their sum
-    from irsim.experiments import _point_config, _rng_for
-    from irsim.protocol import random_phase_baseline
+    from irsim.experiments import _point_config
+    from irsim.protocol import _random_phase_expectation
 
     rows = rows_of(small_config, "overlap_ratio", (0.0, 1.0))
     rand = {r["swept_value"]: r for r in rows if r["scheme"] == "random_phase"}
-    for index, value in enumerate((0.0, 1.0)):
+    for value in (0.0, 1.0):
         cfg = _point_config(small_config, "overlap_ratio", value)
-        rep = random_phase_baseline(
-            cfg.geometry(), _rng_for(cfg, index * 8 + 7), cfg.random_phase_draws, cfg.p_l, cfg.p_u
-        )
+        rep = _random_phase_expectation(cfg.geometry(), cfg.p_l, cfg.p_u)
         want = max(rep.q_lu, rep.q_uu) if value == 0.0 else rep.q_ou
         assert rand[value]["urs_power"] == want
 
@@ -191,7 +188,7 @@ def test_every_experiment_runs_on_default_config():
     # short grids, full default (64-element) scenario
     from irsim import EXPERIMENT_IDS
 
-    cfg = ScenarioConfig.default().replace(random_phase_draws=500)
+    cfg = ScenarioConfig.default()
     for experiment in EXPERIMENT_IDS:
         param, grid = default_grid(experiment, cfg)
         short = grid[:2] if len(grid) > 2 else grid

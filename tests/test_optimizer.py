@@ -13,6 +13,7 @@ from irsim import (
     PddParams,
     ProblemData,
     ProjectionError,
+    ReflectionVector,
     brute_force_oracle,
     build_problem,
     closed_form_lrs_only,
@@ -1101,6 +1102,63 @@ def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
         np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
         assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
     assert solved > 0
+
+
+def test_pdd_solve_at_cap_rounding_floor_returns_under_cap(rng, monkeypatch):
+    # the 15th problem drawn in the order of the stop-level test above (N = 4,
+    # P4) has a unit-modulus near-null: its cap minimizer ends near the
+    # rounding floor of the cap form, where rebuilding a reflection from its
+    # angles moves the cap value by percents. At each cap fraction of that
+    # test, a solve either returns a reflection under the cap or raises.
+    for trial in range(15):
+        base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
+    core, calls = optimizer._minimize_quad_core, []
+
+    def spy(dual, params, ref, stop=None):
+        calls.append((dual, params, ref))
+        return core(dual, params, ref, stop)
+
+    monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
+    sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+    with pytest.raises(Infeasible):
+        pdd_solve(replace(base, gamma=1e-40 * sh2))
+    full_val = core(*calls[0])[1] * sh2
+    for frac in (0.5, 1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3, 2.0, 8.0):
+        problem = replace(base, gamma=frac * full_val)
+        for solve in (pdd_solve, pdd_solve_with_candidates):
+            try:
+                coeff = solve(problem).theta.coefficients
+            except Infeasible:
+                continue
+            np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+            assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
+
+
+def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
+    # an iterate or a candidate that meets the cap only through its shrunken
+    # magnitude: the unit-modulus reflection rebuilt from its angles is
+    # 1/0.3 times over the cap, and neither solver may return it
+    problem = random_problem(rng, n=8, case="P4", gamma_frac=0.3)
+    aligned = np.exp(1j * np.angle(problem.q1))
+    assert problem_constraint(problem, aligned) > 3 * problem.gamma
+
+    penalty_dual = optimizer._penalty_dual
+
+    def shrunken_run(theta0, update, score, params, *stop):
+        if stop:  # the cap minimizer's own loop runs as before
+            return penalty_dual(theta0, update, score, params, *stop)
+        return 1e-3 * aligned, 1.0, [], True
+
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_penalty_dual", shrunken_run)
+        with pytest.raises(Infeasible, match="exceeds gamma"):
+            pdd_solve(problem)
+
+    weak = optimizer.PddResult(theta=ReflectionVector.off(problem.n), objective=0.0)
+    monkeypatch.setattr(optimizer, "pdd_solve", lambda *args, **kwargs: weak)
+    monkeypatch.setattr(optimizer, "_unit_phases", lambda x: 1e-3 * x / np.abs(x))
+    with pytest.raises(Infeasible, match="exceeds gamma"):
+        pdd_solve_with_candidates(problem, candidates=[aligned])
 
 
 def test_minimize_quadratic_two_vectors_reaches_null(rng):

@@ -77,6 +77,17 @@ def test_link_power_equals_bilinear_guard(seed, link, p_l, p_u, nu_l, nu_u):
     np.testing.assert_allclose(closed, guard, rtol=1e-9, atol=0)
 
 
+@SOLVER_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from("UVRG"))
+def test_composite_norm_is_element_count(seed, kind):
+    # every composite entry has unit modulus, so the exact random-phase gain
+    # E|c^H theta|^2 = ||c||^2 is the element count N
+    geom = random_geometry(np.random.default_rng(seed), max_irs_axis=16)
+    c = composite_vector(kind, geom.angles_l, geom.angles_u, geom.irs_spec)
+    n = geom.irs_spec.size
+    assert abs(np.vdot(c, c).real - n) <= 1e-12 * n
+
+
 def random_cpi(rng, urs_start):
     """A small random scenario, its timing plan and its principal cap value.
 

@@ -5,12 +5,14 @@ from irsim import (
     AnglePair,
     ArraySpec,
     EstimationError,
+    PowerReport,
     ProtocolMode,
     PulseSpec,
     ReflectionVector,
     ScenarioConfig,
     ScenarioGeometry,
     TimingPlan,
+    composite_vector,
     default_rcs,
     no_irs_baseline_power,
     power_report,
@@ -195,6 +197,38 @@ def test_random_phase_baseline_statistics(rng):
     # mean reflected gain is N, versus N^2 when aligned
     coherent = rep.q_ls**2 / P * n**2
     assert 0.95 * coherent / n <= rep.q_ll <= 1.05 * coherent / n
+
+
+@pytest.mark.parametrize("n_axis", [16, 64])
+def test_exact_random_phase_report_within_monte_carlo_error(rng, n_axis):
+    # every figure of the report is affine in the four array gains, so each
+    # figure has a per-draw value; the exact report (gains ||c||^2) lies within
+    # 4 standard errors of the Monte-Carlo mean, with the errors computed from
+    # the estimator's own draws
+    from irsim.power import _report_from_gains
+    from irsim.protocol import _random_phase_expectation
+
+    def report(geom, k):
+        # each figure's offset (k None) or its value at a unit gain k
+        return _report_from_gains({j: float(j == k) for j in "UVRG"}, geom, P, P, None, None)
+
+    draws = 10**4
+    names = list(PowerReport.__dataclass_fields__)
+    for trial in range(3):
+        geom = small_geometry(rng, n_axis=n_axis)
+        seed = 100 + trial
+        mc = random_phase_baseline(geom, np.random.default_rng(seed), draws, P, P)
+        exact = _random_phase_expectation(geom, P, P)
+        thetas = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (draws, n_axis)))
+        comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
+        gains = {k: np.abs(thetas @ np.conj(c)) ** 2 for k, c in comps.items()}
+        zero, unit = report(geom, None), {k: report(geom, k) for k in "UVRG"}
+        for name in names:
+            base = getattr(zero, name)
+            per_draw = base + sum((getattr(unit[k], name) - base) * gains[k] for k in "UVRG")
+            se = np.std(per_draw, ddof=1) / np.sqrt(draws)
+            assert getattr(mc, name) == pytest.approx(np.mean(per_draw), rel=1e-9)
+            assert abs(getattr(exact, name) - getattr(mc, name)) <= 4 * se, name
 
 
 @pytest.mark.parametrize(
