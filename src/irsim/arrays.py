@@ -121,18 +121,13 @@ def steering_irs(spec: ArraySpec, angles: AnglePair, sense: str = "incident") ->
     return np.outer(dx, dy).ravel()
 
 
-def steering_radar(
-    spec: ArraySpec, angles: AnglePair, role: str = "lrs", sense: str = "transmit"
-) -> np.ndarray:
+def steering_radar(spec: ArraySpec, angles: AnglePair, sense: str = "transmit") -> np.ndarray:
     """2D steering vector of a radar UPA (y-z plane), length M = My*Mz.
 
-    Both radars share the same construction; ``role`` only names which
-    station the spec belongs to. ``sense='receive'`` evaluates the echo
-    direction (pi - phi, pi + eta) and equals the conjugate of the
+    Both radars share the same construction. ``sense='receive'`` evaluates
+    the echo direction (pi - phi, pi + eta) and equals the conjugate of the
     transmit-sense vector.
     """
-    if role not in ("lrs", "urs"):
-        raise ValueError(f"role must be 'lrs' or 'urs', got {role!r}")
     if sense == "transmit":
         s = 1.0
     elif sense == "receive":
@@ -207,9 +202,9 @@ def composite_vector_kron(
     return np.outer(dx, dy).ravel()
 
 
-def matched_beamformer(spec: ArraySpec, angles: AnglePair, role: str = "lrs") -> np.ndarray:
+def matched_beamformer(spec: ArraySpec, angles: AnglePair) -> np.ndarray:
     """Unit-norm transmit beamformer matched to the given direction."""
-    b = steering_radar(spec, angles, role, "transmit")
+    b = steering_radar(spec, angles, "transmit")
     return b / np.sqrt(spec.size)
 
 

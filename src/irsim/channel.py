@@ -55,13 +55,10 @@ class ScenarioGeometry:
     lrs_spec: ArraySpec
     urs_spec: ArraySpec
     irs_spec: ArraySpec
-    sensor_count: int = 15  # receive-only sensors on the reflector; not used computationally
 
     def __post_init__(self):
         if self.dist_li <= 0 or self.dist_ui <= 0:
             raise ValueError("distances must be positive")
-        if self.sensor_count < 1:
-            raise ValueError("sensor_count must be >= 1")
         wavelengths = {
             self.lrs_spec.wavelength,
             self.urs_spec.wavelength,
@@ -108,10 +105,10 @@ def build_channels(geom: ScenarioGeometry, gains: tuple[LinkGain, LinkGain]) -> 
     """
     gain_l, gain_u = gains
     al, au = gain_l.value, gain_u.value
-    b_rx = steering_radar(geom.lrs_spec, geom.angles_l, "lrs", "receive")
-    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "lrs", "transmit")
-    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "urs", "receive")
-    c_tx = steering_radar(geom.urs_spec, geom.angles_u, "urs", "transmit")
+    b_rx = steering_radar(geom.lrs_spec, geom.angles_l, "receive")
+    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
+    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
+    c_tx = steering_radar(geom.urs_spec, geom.angles_u, "transmit")
     a_l_in = steering_irs(geom.irs_spec, geom.angles_l, "incident")
     a_l_out = steering_irs(geom.irs_spec, geom.angles_l, "reflected")
     a_u_in = steering_irs(geom.irs_spec, geom.angles_u, "incident")

@@ -54,17 +54,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_sweep(config: ScenarioConfig, experiment: str, args) -> int:
-    if getattr(args, "grid", None):
+    if args.grid:
         try:
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError:
             print(f"config error: cannot parse grid {args.grid!r}", file=sys.stderr)
             return 2
-        parameter = getattr(args, "param", None) or default_grid(experiment, config)[0]
     else:
-        parameter, grid = default_grid(experiment, config)
+        grid = default_grid(experiment, config)
     try:
-        sweep = SweepSpec(parameter=parameter, grid=grid, experiment=experiment)
+        sweep = SweepSpec(grid=grid, experiment=experiment)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -172,7 +171,6 @@ def main(argv=None) -> int:
     p_scan = sub.add_parser("scan", help="beam scan of one radar across its codebook")
     p_scan.add_argument("--radar", choices=("lrs", "urs"), default="lrs")
     p_scan.add_argument("--grid", help="comma-separated beam direction cosines")
-    p_scan.add_argument("--param", help="swept parameter name override")
     _add_common(p_scan)
 
     p_opt = sub.add_parser("optimize", help="solve one reflection design problem")
@@ -182,13 +180,11 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run one experiment family over a grid")
     p_sweep.add_argument("--experiment", choices=EXPERIMENT_IDS, required=True)
     p_sweep.add_argument("--grid", help="comma-separated swept values")
-    p_sweep.add_argument("--param", help="swept parameter name override")
     _add_common(p_sweep)
 
     p_rep = sub.add_parser("reproduce", help="rerun a reference figure's experiment")
     p_rep.add_argument("figure", help="fig6..fig13 or an experiment id")
     p_rep.add_argument("--grid", help="comma-separated swept values")
-    p_rep.add_argument("--param", help="swept parameter name override")
     _add_common(p_rep)
 
     args = parser.parse_args(argv)

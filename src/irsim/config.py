@@ -130,36 +130,38 @@ def _cast(key: str, raw: str, kind):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario: geometry, timing, powers, solver and error model."""
+    """Fully validated scenario: geometry, timing, powers, solver and error model.
 
-    wavelength: float
-    lrs_spec: ArraySpec = field(repr=False, default=None)
-    urs_spec: ArraySpec = field(repr=False, default=None)
-    irs_spec: ArraySpec = field(repr=False, default=None)
-    sensor_count: int = 15
-    angles_l: AnglePair = None
-    angles_u: AnglePair = None
-    lrs_distance: float = 30.0
-    urs_distance: float = 20.0
-    pri: float = 100e-6
-    lrs_duration: float = 25e-6
-    urs_duration: float = 30e-6
-    lrs_start: float = 0.0
-    urs_start: float = 15e-6
-    pulses_per_cpi: int = 10
-    bandwidth: float = 100e6
-    p_l: float = 0.03
-    p_u: float = 0.03
-    p_u_min: float = 0.03
-    gamma: float = 1e-8
-    noise_l: float = 1e-12
-    noise_u: float = 1e-12
-    mode: str = "short_term"
-    step1_pris: int = 1
-    echo_ratio: float = 1.2
-    error: EstimationError = field(default_factory=EstimationError)
-    pdd: PddParams = field(default_factory=PddParams)
-    seed: int = 0
+    Built only by :meth:`from_parser` (through :meth:`default` or
+    :meth:`from_file`) and :meth:`replace`, so ``DEFAULTS`` holds the one
+    copy of the reference values.
+    """
+
+    lrs_spec: ArraySpec = field(repr=False)
+    urs_spec: ArraySpec = field(repr=False)
+    irs_spec: ArraySpec = field(repr=False)
+    angles_l: AnglePair
+    angles_u: AnglePair
+    lrs_distance: float
+    urs_distance: float
+    pri: float
+    lrs_duration: float
+    urs_duration: float
+    lrs_start: float
+    urs_start: float
+    pulses_per_cpi: int
+    bandwidth: float
+    p_l: float
+    p_u: float
+    p_u_min: float
+    gamma: float
+    noise_l: float
+    noise_u: float
+    step1_pris: int
+    echo_ratio: float
+    error: EstimationError
+    pdd: PddParams
+    seed: int
 
     @classmethod
     def default(cls, **overrides) -> "ScenarioConfig":
@@ -222,12 +224,16 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"geometry.{prefix}_elevation_deg", str(exc)) from exc
 
-        # retired (the random-phase rows are exact): checked so old files load, then ignored
+        # retired keys, checked so old files load, then ignored: the random-phase
+        # rows are exact, every experiment runs both reflection schedules, and
+        # the sensors' estimation is abstracted into the error model
         if get("run", "random_phase_draws", int) < 1:
             raise ConfigError("run.random_phase_draws", "must be >= 1")
         mode = get("protocol", "mode", str)
         if mode not in ("short_term", "long_term"):
             raise ConfigError("protocol.mode", f"must be short_term or long_term, got {mode!r}")
+        if get("arrays", "sensor_count", int) < 1:
+            raise ConfigError("arrays.sensor_count", "must be >= 1")
         offset, sigma, rel = (
             get("error", key) for key in ("angle_offset_deg", "angle_sigma_deg", "power_rel_error")
         )
@@ -248,11 +254,9 @@ class ScenarioConfig:
             raise ConfigError("pdd", str(exc)) from exc
 
         cfg = cls(
-            wavelength=wavelength,
             lrs_spec=lrs_spec,
             urs_spec=urs_spec,
             irs_spec=irs_spec,
-            sensor_count=get("arrays", "sensor_count", int),
             angles_l=angles("lrs"),
             angles_u=angles("urs"),
             lrs_distance=get("geometry", "lrs_distance"),
@@ -270,7 +274,6 @@ class ScenarioConfig:
             gamma=get("power", "gamma"),
             noise_l=get("power", "noise_l"),
             noise_u=get("power", "noise_u"),
-            mode=mode,
             step1_pris=get("protocol", "step1_pris", int),
             echo_ratio=get("protocol", "echo_ratio"),
             error=error,
@@ -293,7 +296,6 @@ class ScenarioConfig:
         finite = [
             ("geometry.lrs_azimuth_deg", self.angles_l.azimuth),
             ("geometry.urs_azimuth_deg", self.angles_u.azimuth),
-            ("arrays.wavelength", self.wavelength),
             ("protocol.echo_ratio", self.echo_ratio),
             ("error.angle_offset_deg", self.error.angle_offset),
             ("error.angle_sigma_deg", self.error.angle_sigma),
@@ -330,6 +332,8 @@ class ScenarioConfig:
             )
         if self.echo_ratio <= 0:
             raise ConfigError("protocol.echo_ratio", "must be positive")
+        if self.seed < 0:
+            raise ConfigError("run.seed", "must be >= 0")
 
     def geometry(self) -> ScenarioGeometry:
         return ScenarioGeometry(
@@ -340,7 +344,6 @@ class ScenarioConfig:
             lrs_spec=self.lrs_spec,
             urs_spec=self.urs_spec,
             irs_spec=self.irs_spec,
-            sensor_count=self.sensor_count,
         )
 
     def timing(self) -> TimingPlan:

@@ -15,6 +15,7 @@ sequentially because each point warm-starts from the previous one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,14 +61,11 @@ COLUMNS = (
 
 OPTIMIZING_SCHEMES = ("short_term", "long_term", "proposed", "lrs_only")
 
-_POOLED = ("lrs_distance", "urs_distance", "aoa_difference", "overlap_ratio", "angle_error")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: its name, value grid, and the experiment family."""
+    """A grid of swept values and the experiment family that sweeps it."""
 
-    parameter: str
     grid: tuple[float, ...]
     experiment: str
 
@@ -77,30 +75,32 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("grid must be nonempty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError(f"grid values must be finite, got {grid}")
         diffs = np.diff(grid)
         if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
 
 
-def default_grid(experiment: str, config: ScenarioConfig) -> tuple[str, tuple[float, ...]]:
-    """(parameter name, default grid) for an experiment family."""
+def default_grid(experiment: str, config: ScenarioConfig) -> tuple[float, ...]:
+    """The default grid of an experiment family."""
     if experiment == "beam_scan_lrs":
-        return "beam_zeta", tuple(dft_codebook(config.lrs_spec)[0])
+        return tuple(dft_codebook(config.lrs_spec)[0])
     if experiment == "beam_scan_urs":
-        return "beam_zeta", tuple(dft_codebook(config.urs_spec)[0])
+        return tuple(dft_codebook(config.urs_spec)[0])
     if experiment == "gamma_sweep":
-        return "gamma", tuple(np.logspace(-10, -7, 7))
+        return tuple(np.logspace(-10, -7, 7))
     if experiment == "lrs_distance":
-        return "lrs_distance", tuple(np.geomspace(20.0, 160.0, 7))
+        return tuple(np.geomspace(20.0, 160.0, 7))
     if experiment == "urs_distance":
-        return "urs_distance", tuple(np.geomspace(10.0, 80.0, 7))
+        return tuple(np.geomspace(10.0, 80.0, 7))
     if experiment == "aoa_difference":
-        return "aoa_difference", (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
+        return (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
     if experiment == "overlap_ratio":
-        return "overlap_ratio", tuple(np.linspace(0.0, 1.0, 6))
+        return tuple(np.linspace(0.0, 1.0, 6))
     if experiment == "angle_error":
-        return "angle_offset_deg", (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+        return (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
@@ -173,12 +173,12 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     return rows
 
 
-def _cpi_row(config: ScenarioConfig, geom, plan, variant, gamma, value, seed_index, warm=None):
-    """One CPI at cap ``gamma`` and its row; returns (CpiResult, row)."""
+def _cpi_row(config: ScenarioConfig, geom, plan, variant, value, seed_index, warm=None):
+    """One CPI at the config's cap and its row; returns (CpiResult, row)."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_index]))
     t0 = time.perf_counter()
     cpi = run_cpi(
-        geom, plan, variant, gamma, config.p_l, config.p_u, config.p_u_min,
+        geom, plan, variant, config.gamma, config.p_l, config.p_u, config.p_u_min,
         err=config.error, rng=rng, params=config.pdd, step1_pris=config.step1_pris, warm=warm,
     )
     wall = time.perf_counter() - t0
@@ -191,7 +191,7 @@ def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=(
     geom = config.geometry()
     plan = config.timing()
     rows = [
-        _cpi_row(config, geom, plan, variant, config.gamma, value, index * 8 + k)[1]
+        _cpi_row(config, geom, plan, variant, value, index * 8 + k)[1]
         for k, variant in enumerate(schemes)
     ]
     rand, base, wall = _baselines(config, geom, plan)
@@ -216,7 +216,9 @@ def _baselines(config: ScenarioConfig, geom, plan) -> tuple[tuple, tuple, float]
 
 
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
-    """Specialize the scenario for one grid point of a pooled sweep."""
+    """Specialize the scenario for one grid point of a CPI-based sweep."""
+    if experiment == "gamma_sweep":
+        return config.replace(gamma=float(value))
     if experiment == "lrs_distance":
         return config.replace(lrs_distance=float(value))
     if experiment == "urs_distance":
@@ -240,7 +242,7 @@ def _point_config(config: ScenarioConfig, experiment: str, value: float) -> Scen
         return config.replace(
             error=replace(config.error, angle_offset=float(np.deg2rad(value)))
         )
-    raise ValueError(f"unknown pooled experiment {experiment!r}")
+    raise ValueError(f"unknown CPI-based experiment {experiment!r}")
 
 
 def _pooled_point(args) -> list[dict]:
@@ -271,10 +273,11 @@ def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
     warm = {"short_term": None, "long_term": None}
     rows_by_point: dict[int, list[dict]] = {}
     for index in order:
-        gamma = float(grid[index])
+        gamma = grid[index]
+        point_cfg = _point_config(config, "gamma_sweep", gamma)
         point_rows = []
         for k, variant in enumerate(("short_term", "long_term")):
-            cpi, row = _cpi_row(config, geom, plan, variant, gamma, gamma,
+            cpi, row = _cpi_row(point_cfg, geom, plan, variant, gamma,
                                 int(index) * 8 + k, warm[variant])
             if cpi.feasible:
                 warm[variant] = cpi.mode

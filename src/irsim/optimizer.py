@@ -60,6 +60,9 @@ __all__ = [
 
 FEAS_RTOL = 1e-6  # relative slack accepted on the power-cap constraint
 _LAMBDA_CAP = 1e6
+# starts a binding-cap solve tries in all: binding caps are the regime where
+# the nonconvex landscape splits into distinct basins
+_RESTARTS = 4
 
 
 class Infeasible(Exception):
@@ -138,12 +141,7 @@ class ProblemData:
 
 @dataclass(frozen=True)
 class PddParams:
-    """Penalty-dual solver knobs (defaults are the repo's tuned values).
-
-    ``restarts`` bounds the deterministic extra starts tried when the cap is
-    binding at the first solution; binding caps are the regime where the
-    nonconvex landscape splits into distinct basins.
-    """
+    """Penalty-dual solver knobs (defaults are the repo's tuned values)."""
 
     rho0: float = 1.0
     c: float = 0.7
@@ -152,14 +150,13 @@ class PddParams:
     max_outer: int = 50
     max_inner: int = 100
     max_sca: int = 200
-    restarts: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.inner_tol <= 0 or self.outer_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if min(self.max_outer, self.max_inner, self.max_sca, self.restarts) < 1:
+        if min(self.max_outer, self.max_inner, self.max_sca) < 1:
             raise ValueError("iteration caps must be >= 1")
 
 
@@ -869,7 +866,7 @@ def pdd_solve(
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
     when that start violates the cap. When the cap is binding at the first
-    solution, up to ``params.restarts - 1`` extra deterministic starts are
+    solution, up to ``_RESTARTS - 1`` extra deterministic starts are
     tried and the best feasible result wins, since binding-cap instances
     can have several distinct local optima.
 
@@ -935,9 +932,9 @@ def pdd_solve(
     total_outer = len(history)
 
     cap_binding = best_theta is not None and dual is not None and dual.quad(best_theta) > gamma / 2
-    if (best_theta is None or cap_binding) and params.restarts > 1:
+    if best_theta is None or cap_binding:
         restart_rng = np.random.default_rng(0x5EED)
-        for _ in range(params.restarts - 1):
+        for _ in range(_RESTARTS - 1):
             extra = np.exp(1j * restart_rng.uniform(0.0, 2.0 * np.pi, n))
             theta_k, obj_k, history_k, conv_k = single_run(extra)
             total_outer += len(history_k)

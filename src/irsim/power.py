@@ -112,9 +112,9 @@ class PowerReport:
 
 def _beamformers(geom: ScenarioGeometry, w_l, w_u) -> tuple[np.ndarray, np.ndarray]:
     if w_l is None:
-        w_l = matched_beamformer(geom.lrs_spec, geom.angles_l, "lrs")
+        w_l = matched_beamformer(geom.lrs_spec, geom.angles_l)
     if w_u is None:
-        w_u = matched_beamformer(geom.urs_spec, geom.angles_u, "urs")
+        w_u = matched_beamformer(geom.urs_spec, geom.angles_u)
     return np.asarray(w_l, dtype=complex), np.asarray(w_u, dtype=complex)
 
 
@@ -123,8 +123,8 @@ def _unit_power_gains(geom: ScenarioGeometry, w_l, w_u) -> tuple[float, float]:
     w_l, w_u = _beamformers(geom, w_l, w_u)
     abar_l = path_gain(geom.dist_li, geom.wavelength)
     abar_u = path_gain(geom.dist_ui, geom.wavelength)
-    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "lrs", "transmit")
-    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "urs", "receive")
+    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
+    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
     return (
         float(abs(abar_l * np.vdot(b_tx, w_l)) ** 2),
         float(abs(abar_u * (w_u @ c_rx)) ** 2),
@@ -183,17 +183,12 @@ def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u, w_l, w_u) 
 
 
 def power_report(
-    theta: ReflectionVector,
-    geom: ScenarioGeometry,
-    p_l: float,
-    p_u: float,
-    w_l=None,
-    w_u=None,
+    theta: ReflectionVector, geom: ScenarioGeometry, p_l: float, p_u: float
 ) -> PowerReport:
-    """Evaluate every power figure for one reflection vector."""
+    """Evaluate every power figure for one reflection vector, with matched beamformers."""
     coeff = theta.coefficients
     gains = {kind: _array_gain(kind, geom, coeff) for kind in "UVRG"}
-    return _report_from_gains(gains, geom, p_l, p_u, w_l, w_u)
+    return _report_from_gains(gains, geom, p_l, p_u, None, None)
 
 
 def bilinear_link_power(

@@ -68,10 +68,6 @@ class TimingPlan:
             if pulse.start_offset + pulse.duration > self.pri:
                 raise ValueError(f"{name} pulse must not wrap past the end of the pri")
 
-    @property
-    def cpi(self) -> float:
-        return self.pri * self.pulses_per_cpi
-
 
 @dataclass(frozen=True)
 class CaseSegments:

@@ -68,8 +68,8 @@ def overlap_monte_carlo(geom, theta, p_l, p_u, draws, rng, side="L"):
     """Empirical mean overlapped-case power over the two reference phases."""
     from irsim import matched_beamformer
 
-    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l, "lrs")
-    w_u = matched_beamformer(geom.urs_spec, geom.angles_u, "urs")
+    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l)
+    w_u = matched_beamformer(geom.urs_spec, geom.angles_u)
     a_own, a_cross = overlap_field_amplitudes(geom, theta, w_l, w_u, p_l, p_u, side)
     nu = rng.uniform(0.0, 2.0 * np.pi, size=(draws, 2))
     nu_own = nu[:, 0] if side == "L" else nu[:, 1]

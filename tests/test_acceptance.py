@@ -184,8 +184,8 @@ def test_criterion_security_cap():
     """Every converged cap-sweep run respects the cap; energy grows with it."""
     cfg = ScenarioConfig.default()
     with Timer() as t:
-        param, grid = default_grid("gamma_sweep", cfg)
-        rows = run_experiment(cfg, SweepSpec(param, grid, "gamma_sweep"))
+        grid = default_grid("gamma_sweep", cfg)
+        rows = run_experiment(cfg, SweepSpec(grid, "gamma_sweep"))
         for scheme in ("short_term", "long_term"):
             sub = [r for r in rows if r["scheme"] == scheme]
             for r in sub:

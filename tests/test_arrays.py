@@ -72,30 +72,24 @@ def test_irs_2x2_hand_value():
 
 def test_radar_receive_is_conjugate(rng):
     spec = ArraySpec(4, 2, 0.1, 0.2)
-    for role in ("lrs", "urs"):
-        for _ in range(10):
-            a = random_angles(rng)
-            tx = steering_radar(spec, a, role, "transmit")
-            rx = steering_radar(spec, a, role, "receive")
-            np.testing.assert_allclose(rx, np.conj(tx), atol=1e-12)
+    for _ in range(10):
+        a = random_angles(rng)
+        tx = steering_radar(spec, a, "transmit")
+        rx = steering_radar(spec, a, "receive")
+        np.testing.assert_allclose(rx, np.conj(tx), atol=1e-12)
 
 
 def test_radar_broadside_all_ones():
     spec = ArraySpec(4, 2, 0.1, 0.2)
-    v = steering_radar(spec, AnglePair(np.pi / 2, 0.0), "lrs", "transmit")
+    v = steering_radar(spec, AnglePair(np.pi / 2, 0.0), "transmit")
     np.testing.assert_allclose(v, np.ones(8), atol=1e-12)
 
 
 def test_radar_hand_value():
     # zeta_y = sin(pi/2)sin(pi/6) = 0.5, half-wavelength spacing -> step pi/2
     spec = ArraySpec(2, 1, 0.1, 0.2)
-    v = steering_radar(spec, AnglePair(np.pi / 2, np.pi / 6), "lrs", "transmit")
+    v = steering_radar(spec, AnglePair(np.pi / 2, np.pi / 6), "transmit")
     np.testing.assert_allclose(v, [1.0, 1.0j], atol=1e-12)
-
-
-def test_radar_role_validation():
-    with pytest.raises(ValueError):
-        steering_radar(ArraySpec(2, 1, 0.1, 0.2), AnglePair(0.1, 0.1), "other", "transmit")
 
 
 @pytest.mark.parametrize("counts", [(1, 1), (4, 3), (1, 8), (8, 1), (5, 7), (16, 16)])
@@ -114,7 +108,7 @@ def test_steering_builders_bit_equal_to_kron(rng, counts):
         for sense, s in (("transmit", 1.0), ("receive", -1.0)):
             kron = np.kron(steering_1d(counts[0], 0.02, 0.2, s * zy),
                            steering_1d(counts[1], 0.02, 0.2, s * zz))
-            np.testing.assert_array_equal(steering_radar(spec, a, "lrs", sense), kron)
+            np.testing.assert_array_equal(steering_radar(spec, a, sense), kron)
 
 
 def test_composite_u_broadside_all_ones(rng):

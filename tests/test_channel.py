@@ -80,7 +80,7 @@ def test_channel_matched_product_magnitude(rng):
         ch = build_channels(geom, (LinkGain(abar, 0.0), LinkGain(abar, 0.0)))
         m = geom.lrs_spec.size
         n = geom.irs_spec.size
-        w = steering_radar(geom.lrs_spec, geom.angles_l, "lrs", "transmit") / np.sqrt(m)
+        w = steering_radar(geom.lrs_spec, geom.angles_l, "transmit") / np.sqrt(m)
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
         val = w @ ch.h_li @ np.diag(u) @ ch.h_il @ w
         np.testing.assert_allclose(abs(val), abar**2 * m * n, rtol=1e-10)
@@ -89,7 +89,7 @@ def test_channel_matched_product_magnitude(rng):
 def test_channel_gain_scaling_power_quartic(rng):
     # scaling the amplitude by s scales the two-hop power by s^4
     geom = random_geometry(rng)
-    w = steering_radar(geom.lrs_spec, geom.angles_l, "lrs", "transmit")
+    w = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
     w = w / np.linalg.norm(w)
     u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
 

@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,7 @@ def test_defaults_match_reference_setup():
     cfg = ScenarioConfig.default()
     assert cfg.lrs_spec.size == 64 and cfg.urs_spec.size == 64
     assert cfg.irs_spec.size == 64
-    assert cfg.sensor_count == 15
-    assert cfg.wavelength == 0.2
+    assert cfg.lrs_spec.wavelength == cfg.urs_spec.wavelength == cfg.irs_spec.wavelength == 0.2
     assert cfg.p_l == 0.03 and cfg.p_u == 0.03
     assert cfg.lrs_distance == 30.0 and cfg.urs_distance == 20.0
     assert cfg.pri == 100e-6
@@ -159,7 +159,7 @@ def test_replace_rejects_non_finite_nested_settings():
     cfg = ScenarioConfig.default()
     nan, inf = float("nan"), float("inf")
     cases = [
-        ("arrays.wavelength", {"wavelength": nan}),
+        ("arrays.wavelength", {"lrs_spec": ArraySpec(64, 1, 0.1, nan)}),
         ("arrays.irs_spacing", {"irs_spec": ArraySpec(64, 1, inf, 0.2)}),
         ("arrays.radar_spacing", {"urs_spec": ArraySpec(64, 1, nan, 0.2)}),
         ("protocol.echo_ratio", {"echo_ratio": inf}),
@@ -211,25 +211,54 @@ def test_angles_parsed_in_degrees():
     np.testing.assert_allclose(cfg.angles_u.azimuth, np.pi / 6)
 
 
+# retired keys still load and are range-checked, then ignored; the tests keep
+# the name of the first key retired
+RETIRED_KEYS = [("run", "random_phase_draws", "10000"), ("protocol", "mode", "long_term"),
+                ("arrays", "sensor_count", "3")]
+
+
 def test_retired_random_phase_draws_key_loads_and_has_no_effect(tmp_path):
-    # the random-phase rows are exact; a file that still sets the draw count
-    # loads, and its rows equal those of the same file without the key
-    rows = {}
-    for name, run in (("with", "seed = 3\nrandom_phase_draws = 10000\n"), ("without", "seed = 3\n")):
-        path = tmp_path / f"{name}.ini"
-        path.write_text(f"[run]\n{run}")
-        assert ScenarioConfig.from_file(str(path)) == ScenarioConfig.default(seed=3)
-        out = tmp_path / f"{name}.csv"
-        assert cli_main(["reproduce", "fig6", "--config", str(path), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        rows[name] = [line.rsplit(",", 1)[0] for line in lines]  # wall_time is last
-    assert rows["with"] == rows["without"]
+    # a file that still sets a retired key loads, and its rows equal those of
+    # the same file without the key
+    for section, key, value in RETIRED_KEYS:
+        rows = {}
+        for name, text in (("with", f"[{section}]\n{key} = {value}\n"), ("without", "")):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text)
+            assert ScenarioConfig.from_file(str(path)) == ScenarioConfig.default()
+            out = tmp_path / f"{name}.csv"
+            assert cli_main(["reproduce", "fig6", "--config", str(path), "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            rows[name] = [line.rsplit(",", 1)[0] for line in lines]  # wall_time is last
+        assert rows["with"] == rows["without"], key
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
 def test_retired_random_phase_draws_key_still_checked(tmp_path, value):
+    for section, key, _ in RETIRED_KEYS:
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_file(str(path))
+        assert info.value.key == f"{section}.{key}"
+
+
+def test_perfbench_reference_scenario_loads(tmp_path, monkeypatch):
+    # the benchmark writes every key of the grammar, retired ones included
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    path = workloads.write_scenario(str(tmp_path / "reference.ini"), 5)
+    assert ScenarioConfig.from_file(path) == ScenarioConfig.default(seed=5)
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(f"[run]\nrandom_phase_draws = {value}\n")
+    path.write_text("[run]\nseed = -1\n")
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_file(str(path))
-    assert info.value.key == "run.random_phase_draws"
+    assert info.value.key == "run.seed"
+    out = tmp_path / "fig12.csv"
+    assert cli_main(["reproduce", "fig12", "--seed", "-1", "--out", str(out)]) == 2
+    assert "run.seed" in capsys.readouterr().err
+    assert not out.exists()

@@ -27,18 +27,17 @@ def small_config():
 
 
 def rows_of(cfg, experiment, grid=None):
-    param, default = default_grid(experiment, cfg)
-    sweep = SweepSpec(param, grid or default, experiment)
+    sweep = SweepSpec(grid or default_grid(experiment, cfg), experiment)
     return run_experiment(cfg, sweep)
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec("x", (), "gamma_sweep")
+        SweepSpec((), "gamma_sweep")
     with pytest.raises(ValueError):
-        SweepSpec("x", (1.0, 3.0, 2.0), "gamma_sweep")
+        SweepSpec((1.0, 3.0, 2.0), "gamma_sweep")
     with pytest.raises(ValueError):
-        SweepSpec("x", (1.0, 2.0), "unknown_experiment")
+        SweepSpec((1.0, 2.0), "unknown_experiment")
 
 
 def test_beam_scan_peak_at_target(small_config):
@@ -190,9 +189,9 @@ def test_every_experiment_runs_on_default_config():
 
     cfg = ScenarioConfig.default()
     for experiment in EXPERIMENT_IDS:
-        param, grid = default_grid(experiment, cfg)
+        grid = default_grid(experiment, cfg)
         short = grid[:2] if len(grid) > 2 else grid
-        rows = run_experiment(cfg, SweepSpec(param, short, experiment))
+        rows = run_experiment(cfg, SweepSpec(short, experiment))
         assert rows, experiment
         values = {r["swept_value"] for r in rows}
         assert values == set(float(v) for v in short), experiment
@@ -280,6 +279,30 @@ def test_cli_optimize_never_writes_nan(tmp_path, monkeypatch):
 
 def test_cli_unknown_figure_exits_2(tmp_path):
     assert cli_main(["reproduce", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--grid", "nan"], "finite"),
+    (["scan", "--grid", "0.1,inf"], "finite"),
+    (["sweep", "--experiment", "gamma_sweep", "--grid", "1e-9,inf"], "finite"),
+    (["sweep", "--experiment", "gamma_sweep", "--grid", "0,1e-9"], "power.gamma"),
+    (["sweep", "--experiment", "gamma_sweep", "--grid=-1e-9,1e-9"], "power.gamma"),
+])
+def test_cli_bad_grid_value_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["scan"], ["sweep", "--experiment", "gamma_sweep"],
+                                     ["reproduce", "fig8"]])
+def test_cli_param_option_is_gone(tmp_path, command):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        cli_main(command + ["--param", "gamma", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def test_cli_reproduce_maps_figures(tmp_path):

@@ -114,8 +114,8 @@ def test_overlap_monte_carlo_oracle(rng):
     # reference phases must converge to the analytic two-term value
     geom = random_geometry(rng)
     theta = random_reflection(rng, geom.irs_spec.size)
-    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l, "lrs")
-    w_u = matched_beamformer(geom.urs_spec, geom.angles_u, "urs")
+    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l)
+    w_u = matched_beamformer(geom.urs_spec, geom.angles_u)
     a_own, a_cross = overlap_field_amplitudes(geom, theta, w_l, w_u, P, P)
     nu = rng.uniform(0, 2 * np.pi, size=(10**5, 2))
     field = np.exp(2j * nu[:, 0]) * a_own + np.exp(1j * (nu[:, 0] + nu[:, 1])) * a_cross
@@ -128,8 +128,8 @@ def test_overlap_field_split_matches_full_rebuild(rng):
     # validate the phase factorization itself against per-draw channel rebuilds
     geom = random_geometry(rng)
     theta = random_reflection(rng, geom.irs_spec.size)
-    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l, "lrs")
-    w_u = matched_beamformer(geom.urs_spec, geom.angles_u, "urs")
+    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l)
+    w_u = matched_beamformer(geom.urs_spec, geom.angles_u)
     a_own, a_cross = overlap_field_amplitudes(geom, theta, w_l, w_u, P, P)
     for _ in range(20):
         nu_l, nu_u = rng.uniform(0, 2 * np.pi, 2)
