@@ -46,6 +46,10 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
+# argparse takes "-1,0,1" for an option, so a negative first value needs "="
+_GRID_HELP = "comma-separated {}; write a negative first value as --grid=-1,0,1"
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario INI file (defaults built in)")
     parser.add_argument("--seed", type=int, help="override the config seed")
@@ -161,7 +165,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsim",
         description="Target-mounted reflecting-surface radar simulator and optimizer",
@@ -170,7 +174,7 @@ def main(argv=None) -> int:
 
     p_scan = sub.add_parser("scan", help="beam scan of one radar across its codebook")
     p_scan.add_argument("--radar", choices=("lrs", "urs"), default="lrs")
-    p_scan.add_argument("--grid", help="comma-separated beam direction cosines")
+    p_scan.add_argument("--grid", help=_GRID_HELP.format("beam direction cosines"))
     _add_common(p_scan)
 
     p_opt = sub.add_parser("optimize", help="solve one reflection design problem")
@@ -179,15 +183,18 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run one experiment family over a grid")
     p_sweep.add_argument("--experiment", choices=EXPERIMENT_IDS, required=True)
-    p_sweep.add_argument("--grid", help="comma-separated swept values")
+    p_sweep.add_argument("--grid", help=_GRID_HELP.format("swept values"))
     _add_common(p_sweep)
 
     p_rep = sub.add_parser("reproduce", help="rerun a reference figure's experiment")
     p_rep.add_argument("figure", help="fig6..fig13 or an experiment id")
-    p_rep.add_argument("--grid", help="comma-separated swept values")
+    p_rep.add_argument("--grid", help=_GRID_HELP.format("swept values"))
     _add_common(p_rep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "scan":
             return _cmd_scan(args)

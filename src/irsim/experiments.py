@@ -26,8 +26,8 @@ import numpy as np
 from .arrays import AnglePair, composite_vector, steering_1d, steering_radar, dft_codebook
 from .config import ScenarioConfig
 from .waveform import segment_pri
-from .optimizer import minimize_unit_modulus_quadratic, closed_form_lrs_only, closed_form_urs_null, NoNullAvailable
-from .power import link_power, irs_received_powers
+from .optimizer import closed_form_lrs_only, closed_form_urs_null
+from .power import ReflectionVector, link_power, irs_received_powers
 from .protocol import (
     _random_phase_expectation,
     _step2_figures,
@@ -132,20 +132,19 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     geom = config.geometry()
     p_l, p_u = config.p_l, config.p_u
     lrs = radar == "lrs"
-    iters = 0
+    irs = geom.irs_spec
     t0 = time.perf_counter()
     if lrs:
         # legitimate radar only: reflect coherently back at it
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
         theta = closed_form_lrs_only(u)
+    elif irs.size == 1:
+        # no null exists, and every phase gives the same echo
+        theta = ReflectionVector.on(np.zeros(1))
     else:
-        # unauthorized radar only: null its echo
-        try:
-            theta = closed_form_urs_null(geom.irs_spec, geom.angles_u, (1, 1))
-        except NoNullAvailable:
-            g = composite_vector("G", geom.angles_l, geom.angles_u, geom.irs_spec)
-            theta, _ = minimize_unit_modulus_quadratic([g], config.pdd)
-            iters = config.pdd.max_outer
+        # unauthorized radar only: null its echo along the first axis with
+        # at least two elements
+        theta = closed_form_urs_null(irs, geom.angles_u, (1, 0) if irs.count_a >= 2 else (0, 1))
     solve_wall = time.perf_counter() - t0
     side, link = (0, "LL") if lrs else (1, "UU")
     spec, angles = (config.lrs_spec, geom.angles_l) if lrs else (config.urs_spec, geom.angles_u)
@@ -165,7 +164,7 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         solve_wall = 0.0
         pattern = _beam_match_gain(spec, angles, w) / spec.size  # in [0, 1]
         scale = (q_beam / matched) ** 2
-        for scheme, value, it, t in (("proposed", prop, iters, wall),
+        for scheme, value, it, t in (("proposed", prop, 0, wall),
                                      ("random_phase", rand_q * scale, 0, 0.0),
                                      ("no_irs", base * pattern**2, 0, 0.0)):
             lrs_value, urs_value = (value, 0.0) if lrs else (0.0, value)

@@ -1,10 +1,10 @@
 """Reflection-phase optimization under a destination power cap.
 
-The unified problem: maximize sum_i |q_i^H theta|^2 over unit-modulus theta
-subject to sum_i |h_i^H theta|^2 <= gamma. Solved by a penalty-dual scheme:
-the unit-modulus constraint is split onto an auxiliary copy of the variable,
-the copies are tied by an augmented-Lagrangian penalty, and the inner loop
-alternates between
+The unified problem: maximize ||Q^H theta||^2 over unit-modulus theta
+subject to ||B^H theta||^2 <= gamma, Q and B of at most two columns. Solved
+by a penalty-dual scheme: the unit-modulus constraint is split onto an
+auxiliary copy of the variable, the copies are tied by an
+augmented-Lagrangian penalty, and the inner loop alternates between
 
 * a theta block over the relaxed set {|theta_n| <= 1, power cap}, handled by
   successive convex approximation (the concave part is linearized, and each
@@ -89,54 +89,57 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def _nonzero_columns(name: str, M, rows: int | None) -> np.ndarray | None:
+    """``M`` as a C-contiguous complex array without its all-zero columns,
+    or None when none is left; ``rows`` is the row count it must have."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or (rows is not None and M.shape[0] != rows):
+        raise ValueError(f"{name} must be an N x k array, N shared by Q and B")
+    if M.shape[1] > 2:
+        raise ValueError(f"{name} has {M.shape[1]} columns; the dual solves take at most 2")
+    keep = [j for j in range(M.shape[1]) if np.linalg.norm(M[:, j]) > 0]
+    return np.ascontiguousarray(M[:, keep]) if keep else None
+
+
+def _column_power(M: np.ndarray | None, coeff: np.ndarray) -> float:
+    """sum_j |m_j^H coeff|^2 over the columns m_j of M (0 without columns).
+
+    One np.vdot per contiguous copy of a column: a strided vdot adds in
+    another order, which moves the last bits.
+    """
+    if M is None:
+        return 0.0
+    return float(sum(abs(np.vdot(m, coeff)) ** 2 for m in M.T.copy()))
+
+
 @dataclass(frozen=True)
 class ProblemData:
-    """One instance of the unified cap-constrained maximization.
+    """One instance of the unified cap-constrained maximization:
+    maximize ||Q^H theta||^2 over unit-modulus theta s.t. ||B^H theta||^2 <= gamma.
 
-    q1/q2 are the objective vectors, h1/h2 the cap vectors (any of them may
-    be all-zero, but at least one objective vector must be nonzero);
-    ``gamma`` is the cap level and ``p_u_min`` the assumed minimum
-    transmit power of the unauthorized radar that the cap was scaled with.
+    ``Q`` holds the objective vectors as the columns of an N x k array and
+    ``B`` the cap vectors, or is None without a cap; both have at most two
+    columns. All-zero columns, which a silent radar gives, are dropped, and
+    a cap left without columns becomes None; an objective left without
+    columns is rejected.
     """
 
-    q1: np.ndarray
-    q2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
+    Q: np.ndarray
+    B: np.ndarray | None
     gamma: float
-    p_u_min: float
 
     def __post_init__(self):
-        vecs = {}
-        n = None
-        for name in ("q1", "q2", "h1", "h2"):
-            v = np.ascontiguousarray(getattr(self, name), dtype=complex)
-            if v.ndim != 1:
-                raise ValueError(f"{name} must be a 1D vector")
-            if n is None:
-                n = v.shape[0]
-            elif v.shape[0] != n:
-                raise ValueError("all problem vectors must share one length")
-            vecs[name] = v
-        _check_positive(gamma=self.gamma, p_u_min=self.p_u_min)
-        if np.linalg.norm(vecs["q1"]) == 0 and np.linalg.norm(vecs["q2"]) == 0:
+        _check_positive(gamma=self.gamma)
+        Q = _nonzero_columns("Q", self.Q, None)
+        if Q is None:
             raise ValueError("at least one objective vector must be nonzero")
-        for name, v in vecs.items():
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "Q", Q)
+        if self.B is not None:
+            object.__setattr__(self, "B", _nonzero_columns("B", self.B, Q.shape[0]))
 
     @property
     def n(self) -> int:
-        return self.q1.shape[0]
-
-    def objective_matrix(self) -> np.ndarray:
-        """Nonzero objective vectors as columns (N x kq, kq in {1, 2})."""
-        cols = [q for q in (self.q1, self.q2) if np.linalg.norm(q) > 0]
-        return np.stack(cols, axis=1)
-
-    def cap_matrix(self) -> np.ndarray | None:
-        """Nonzero cap vectors as columns, or None when the cap is vacuous."""
-        cols = [h for h in (self.h1, self.h2) if np.linalg.norm(h) > 0]
-        return np.stack(cols, axis=1) if cols else None
+        return self.Q.shape[0]
 
 
 @dataclass(frozen=True)
@@ -201,40 +204,35 @@ def build_problem(
         raise ValueError("q_us must be finite")
     if q_us < 0:
         raise ValueError("q_us must be >= 0")
-    zero = np.zeros_like(u)
     if case == "P1":
-        q1, q2 = q_ls * u, zero
-        h1, h2 = np.sqrt(q_ls * q_us / p_u_min) * v, zero
+        Q, B = [q_ls * u], [np.sqrt(q_ls * q_us / p_u_min) * v]
     elif case == "P2":
         if q_us <= 0:
             raise ValueError("P2 is degenerate without unauthorized power")
-        q1, q2 = np.sqrt(q_ls * q_us) * r, zero
-        h1, h2 = (q_us / np.sqrt(p_u_min)) * g, zero
+        Q, B = [np.sqrt(q_ls * q_us) * r], [(q_us / np.sqrt(p_u_min)) * g]
     elif case in ("P3", "P4"):
-        q1, q2 = q_ls * u, np.sqrt(q_ls * q_us) * r
-        h1 = (q_us / np.sqrt(p_u_min)) * g
-        h2 = np.sqrt(q_ls * q_us / p_u_min) * v
+        Q = [q_ls * u, np.sqrt(q_ls * q_us) * r]
+        B = [(q_us / np.sqrt(p_u_min)) * g, np.sqrt(q_ls * q_us / p_u_min) * v]
         if case == "P4":
             if durations is None:
                 raise ValueError("P4 requires pulse durations")
             t_l, t_u = durations
             if t_l <= 0 or t_u <= 0:
                 raise ValueError("durations must be positive")
-            q1 = np.sqrt(t_l) * q1
-            q2 = np.sqrt(t_u) * q2
+            Q = [np.sqrt(t_l) * Q[0], np.sqrt(t_u) * Q[1]]
     else:
         raise ValueError(f"case must be P1..P4, got {case!r}")
-    return ProblemData(q1=q1, q2=q2, h1=h1, h2=h2, gamma=gamma, p_u_min=p_u_min)
+    return ProblemData(Q=np.stack(Q, axis=1), B=np.stack(B, axis=1), gamma=gamma)
 
 
 def problem_objective(problem: ProblemData, coeff: np.ndarray) -> float:
-    """sum_i |q_i^H theta|^2 for a complex coefficient vector."""
-    return float(abs(np.vdot(problem.q1, coeff)) ** 2 + abs(np.vdot(problem.q2, coeff)) ** 2)
+    """||Q^H theta||^2 for a complex coefficient vector."""
+    return _column_power(problem.Q, coeff)
 
 
 def problem_constraint(problem: ProblemData, coeff: np.ndarray) -> float:
-    """sum_i |h_i^H theta|^2 for a complex coefficient vector."""
-    return float(abs(np.vdot(problem.h1, coeff)) ** 2 + abs(np.vdot(problem.h2, coeff)) ** 2)
+    """||B^H theta||^2 for a complex coefficient vector (0 without a cap)."""
+    return _column_power(problem.B, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +375,7 @@ class _CapDual:
 
 
 def _cap_dual(problem: ProblemData) -> _CapDual | None:
-    B = problem.cap_matrix()
-    return None if B is None else _CapDual(B, problem.gamma)
+    return None if problem.B is None else _CapDual(problem.B, problem.gamma)
 
 
 _P9_MAX_STEPS = 100
@@ -590,7 +587,7 @@ class _ThetaBlock:
 
     def __init__(self, problem: ProblemData, params: PddParams, dual: _CapDual | None):
         self.params = params
-        self.Qr = _real_rows(problem.objective_matrix())
+        self.Qr = _real_rows(problem.Q)
         self.dual = dual
         self.w: np.ndarray | None = None
 
@@ -747,22 +744,21 @@ def _penalty_dual(
 def minimize_unit_modulus_quadratic(
     vectors,
     params: PddParams | None = None,
-    ref: np.ndarray | None = None,
 ) -> tuple[ReflectionVector, float]:
     """Minimize sum_i |h_i^H theta|^2 over unit-modulus theta.
 
     ``vectors`` is a sequence of the h_i (1D complex arrays). The same
     penalty-dual machinery with the roles swapped: here the quadratic form
     is the (convex) objective of the disk block, so no linearization is
-    needed. Used to detect infeasible cap levels and to build fully
-    suppressing reflections when no closed-form null applies.
+    needed. This is the cap minimizer that :func:`pdd_solve` runs to find a
+    point under the cap, here on the vectors scaled to unit largest norm.
+    All-zero vectors give the zero-phase reflection.
     """
     B = np.stack([np.asarray(v, dtype=complex) for v in vectors], axis=1)
     scale = float(np.max(np.linalg.norm(B, axis=0)))
     if scale == 0:
-        theta = np.ones(B.shape[0], dtype=complex) if ref is None else _unit_phases(ref)
-        return ReflectionVector.on(np.angle(theta)), 0.0
-    theta, val = _minimize_quad_core(_CapDual(B / scale), params or PddParams(), ref)
+        return ReflectionVector.on(np.zeros(B.shape[0])), 0.0
+    theta, val = _minimize_quad_core(_CapDual(B / scale), params or PddParams(), None)
     return theta, val * scale**2
 
 
@@ -885,10 +881,10 @@ def pdd_solve(
     params = params or PddParams()
     n = problem.n
     # scale objective and cap to O(1) vectors so rho0 is problem-independent
-    sq = float(np.max([np.linalg.norm(problem.q1), np.linalg.norm(problem.q2)]))
-    sh = float(np.max([np.linalg.norm(problem.h1), np.linalg.norm(problem.h2)])) or 1.0
-    scaled = replace(problem, q1=problem.q1 / sq, q2=problem.q2 / sq,
-                     h1=problem.h1 / sh, h2=problem.h2 / sh, gamma=problem.gamma / sh**2)
+    Q, B = problem.Q, problem.B
+    sq = float(max(np.linalg.norm(q) for q in Q.T))
+    sh = 1.0 if B is None else float(max(np.linalg.norm(b) for b in B.T))
+    scaled = replace(problem, Q=Q / sq, B=None if B is None else B / sh, gamma=problem.gamma / sh**2)
     dual = _cap_dual(scaled)  # cap constants shared by every start
     gamma = scaled.gamma
     feas_cap = gamma * (1.0 + 0.1 * FEAS_RTOL)
@@ -927,7 +923,7 @@ def pdd_solve(
     if init is not None:
         theta0 = _unit_phases(np.asarray(init, dtype=complex))
     else:
-        theta0 = _principal_phases(scaled.objective_matrix())
+        theta0 = _principal_phases(scaled.Q)
     best_theta, best_obj, history, converged = single_run(theta0)
     total_outer = len(history)
 
@@ -1000,17 +996,18 @@ def closed_form_urs_null(
 ) -> ReflectionVector:
     """Closed-form reflection that exactly nulls the unauthorized echo.
 
-    Steers the reflection along each axis to a shifted grid point
-    (shift lambda/(N_axis d) times the axis index), which zeroes the
-    corresponding axis factor of the echo gain. Valid axis indices are
-    1..count-1; both axes must have at least two elements.
+    The echo gain is the product of one factor per reflector axis. Steering
+    an axis to a shifted grid point (shift lambda/(N_axis d) times its
+    index) zeroes its factor when the index is nonzero, so any index with
+    0 <= ix < count_a and 0 <= iy < count_b except (0, 0) gives a null. A
+    one-element reflector has none: every phase gives it the same echo.
     """
     nx, ny = irs_spec.count_a, irs_spec.count_b
-    if nx < 2 or ny < 2:
-        raise NoNullAvailable("both reflector axes need >= 2 elements for a closed-form null")
+    if irs_spec.size < 2:
+        raise NoNullAvailable("a one-element reflector has no closed-form null")
     ix, iy = index
-    if not (1 <= ix <= nx - 1) or not (1 <= iy <= ny - 1):
-        raise IndexError(f"null index {index} outside range (1..{nx - 1}, 1..{ny - 1})")
+    if not (0 <= ix < nx and 0 <= iy < ny) or ix == iy == 0:
+        raise IndexError(f"null index {index} outside 0..{nx - 1} x 0..{ny - 1} without (0, 0)")
     dzx, dzy = composite_deltas("G", angles_u, angles_u)
     shift = irs_spec.wavelength / irs_spec.spacing
     sx = dzx + shift * ix / nx
@@ -1041,16 +1038,16 @@ def brute_force_oracle(
     best_obj = -np.inf
     best = None
     cap = problem.gamma * (1.0 + 1e-12)
-    q1c, q2c = np.conj(problem.q1), np.conj(problem.q2)
-    h1c, h2c = np.conj(problem.h1), np.conj(problem.h2)
+    objective = [np.conj(q) for q in problem.Q.T]
+    cap_vectors = [] if problem.B is None else [np.conj(b) for b in problem.B.T]
     chunk = 1 << 16
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total))
         digits = (codes[:, None] // place[None, :]) % phase_levels
         thetas = roots[digits]
-        cons = np.abs(thetas @ h1c) ** 2 + np.abs(thetas @ h2c) ** 2
-        objs = np.abs(thetas @ q1c) ** 2 + np.abs(thetas @ q2c) ** 2
-        objs[cons > cap] = -np.inf
+        objs = sum(np.abs(thetas @ q) ** 2 for q in objective)
+        if cap_vectors:
+            objs[sum(np.abs(thetas @ b) ** 2 for b in cap_vectors) > cap] = -np.inf
         k = int(np.argmax(objs))
         if objs[k] > best_obj:
             best_obj = float(objs[k])

@@ -70,16 +70,6 @@ class ReflectionVector:
         """All elements absorbing (step-I state)."""
         return cls(np.zeros(n), np.zeros(n))
 
-    @classmethod
-    def from_coefficients(cls, coeff: np.ndarray) -> "ReflectionVector":
-        """Split complex coefficients into on/off amplitudes and phases."""
-        coeff = np.asarray(coeff, dtype=complex)
-        amp = np.abs(coeff)
-        on = amp > 0.5
-        if not np.allclose(amp[on], 1.0, atol=1e-9) or (np.any(~on) and np.any(amp[~on] > 1e-9)):
-            raise ValueError("coefficients must have modulus 0 or 1")
-        return cls(on.astype(float), np.where(on, np.angle(coeff), 0.0))
-
     @property
     def coefficients(self) -> np.ndarray:
         return self.amplitudes * np.exp(1j * self.phases)
@@ -169,9 +159,9 @@ def link_power(
     return float(factor(k_l, k_u, p_l, p_u) * _array_gain(kind, geom, theta.coefficients))
 
 
-def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u, w_l, w_u) -> PowerReport:
-    """The power report whose array gain for composite kind k is ``gains[k]``."""
-    k_l, k_u = _unit_power_gains(geom, w_l, w_u)
+def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u) -> PowerReport:
+    """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
+    k_l, k_u = _unit_power_gains(geom, None, None)
     q_ll, q_lu, q_ul, q_uu = (
         factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()
     )
@@ -188,7 +178,7 @@ def power_report(
     """Evaluate every power figure for one reflection vector, with matched beamformers."""
     coeff = theta.coefficients
     gains = {kind: _array_gain(kind, geom, coeff) for kind in "UVRG"}
-    return _report_from_gains(gains, geom, p_l, p_u, None, None)
+    return _report_from_gains(gains, geom, p_l, p_u)
 
 
 def bilinear_link_power(

@@ -264,7 +264,7 @@ def _random_phase_expectation(geom: ScenarioGeometry, p_l: float, p_u: float) ->
     """Exact mean power report over i.i.d. uniform phases: E|c^H theta|^2 = ||c||^2."""
     comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
     gains = {k: np.vdot(c, c).real for k, c in comps.items()}
-    return _report_from_gains(gains, geom, p_l, p_u, None, None)
+    return _report_from_gains(gains, geom, p_l, p_u)
 
 
 def random_phase_baseline(
@@ -273,10 +273,8 @@ def random_phase_baseline(
     draws: int,
     p_l: float,
     p_u: float,
-    w_l=None,
-    w_u=None,
 ) -> PowerReport:
-    """Average power report over i.i.d. uniform-phase reflections."""
+    """Average matched-beam power report over i.i.d. uniform-phase reflections."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
     n = geom.irs_spec.size
@@ -284,4 +282,4 @@ def random_phase_baseline(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(draws, n))
     thetas = np.exp(1j * phases)
     mean_gain = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
-    return _report_from_gains(mean_gain, geom, p_l, p_u, w_l, w_u)
+    return _report_from_gains(mean_gain, geom, p_l, p_u)

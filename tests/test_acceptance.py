@@ -65,8 +65,7 @@ def test_criterion_closed_form_optimum():
         gain = abs(np.vdot(u, theta.coefficients)) ** 2
         np.testing.assert_allclose(gain, float(n**2), rtol=1e-9)
         assert n**2 == 4096
-        prob = ProblemData(q1=u, q2=np.zeros(n), h1=np.zeros(n), h2=np.zeros(n),
-                           gamma=1.0, p_u_min=1.0)
+        prob = ProblemData(Q=u[:, None], B=None, gamma=1.0)
         res = pdd_solve(prob, cfg.pdd)
         assert res.objective >= 0.999 * n**2
     report("closed-form optimum: alignment gain N^2 = 4096, solver >= 0.999 N^2", t, 1.0)
@@ -104,7 +103,7 @@ def test_criterion_pdd_vs_oracle():
             q_ls = float(10 ** rng.uniform(-8, -5))
             q_us = float(10 ** rng.uniform(-8, -5))
             loose = build_problem("P3", (q_ls, q_us), comps, None, 1.0, P)
-            cap = problem_constraint(loose, np.exp(1j * np.angle(loose.q1)))
+            cap = problem_constraint(loose, np.exp(1j * np.angle(loose.Q[:, 0])))
             gamma = float(max(cap * rng.uniform(0.05, 0.8), 1e-300))
             prob = build_problem("P3", (q_ls, q_us), comps, None, gamma, P)
             res = pdd_solve(prob)
@@ -150,7 +149,7 @@ def test_criterion_energy_ordering():
     def cap_for(geom, frac):
         comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
         prob = build_problem("P3", irs_received_powers(geom, P, P), comps, None, 1.0, P)
-        return float(max(problem_constraint(prob, np.exp(1j * np.angle(prob.q1))) * frac, 1e-30))
+        return float(max(problem_constraint(prob, np.exp(1j * np.angle(prob.Q[:, 0]))) * frac, 1e-30))
 
     with Timer() as t:
         for trial in range(100):

@@ -57,6 +57,8 @@ def test_beam_scan_row_count_and_schemes(small_config):
     no_irs_peak = max(r["urs_power"] for r in rows if r["scheme"] == "no_irs")
     prop_peak = max(r["urs_power"] for r in rows if r["scheme"] == "proposed")
     assert prop_peak <= 1e-12 * no_irs_peak
+    # the null is closed-form on the ULA reflector too: no solver iterations
+    assert {r["iterations"] for r in rows} == {0}
 
 
 def test_gamma_sweep_monotone_and_capped(small_config):
@@ -210,6 +212,18 @@ def test_all_infeasible_helper():
     assert not all_infeasible([{"scheme": "no_irs", "feasible": True}])
 
 
+@pytest.mark.parametrize("shape", [(1, 16), (4, 4)])
+def test_beam_scan_urs_uses_closed_form_null(small_config, shape):
+    from irsim import ArraySpec
+
+    cfg = small_config.replace(irs_spec=ArraySpec(*shape, 0.02, 0.2))
+    rows = rows_of(cfg, "beam_scan_urs", (-0.5, 0.0, 0.5))
+    prop = [r for r in rows if r["scheme"] == "proposed"]
+    no_irs_peak = max(r["urs_power"] for r in rows if r["scheme"] == "no_irs")
+    assert [r["iterations"] for r in prop] == [0, 0, 0]
+    assert max(r["urs_power"] for r in prop) <= 1e-12 * no_irs_peak
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -221,6 +235,17 @@ def test_cli_scan_writes_csv(tmp_path, monkeypatch):
     assert code == 0
     header = open(out).readline().strip().split(",")
     assert header == list(COLUMNS)
+
+
+def test_cli_scan_urs_single_element_reflector(tmp_path):
+    # one element has no null; the scan reflects with zero phase and succeeds
+    ini = tmp_path / "one.ini"
+    ini.write_text("[arrays]\nirs_count_x = 1\nirs_count_y = 1\n")
+    out = tmp_path / "scan.csv"
+    assert cli_main(["scan", "--radar", "urs", "--config", str(ini), "--out", str(out)]) == 0
+    with open(out) as fh:
+        prop = [r for r in csv.DictReader(fh) if r["scheme"] == "proposed"]
+    assert prop and all(r["iterations"] == "0" and float(r["urs_power"]) > 0 for r in prop)
 
 
 def test_cli_optimize_json(tmp_path):

@@ -50,7 +50,7 @@ def random_problem(rng, n=4, case="P3", gamma_frac=None):
     loose = build_problem(case, (q_ls, q_us), comps, (25e-6, 30e-6), 1.0, 0.03)
     if gamma_frac is None:
         gamma_frac = float(rng.uniform(0.05, 0.8))
-    cap_at_align = problem_constraint(loose, np.exp(1j * np.angle(loose.q1)))
+    cap_at_align = problem_constraint(loose, np.exp(1j * np.angle(loose.Q[:, 0])))
     gamma = max(cap_at_align * gamma_frac, 1e-300)
     return build_problem(case, (q_ls, q_us), comps, (25e-6, 30e-6), gamma, 0.03)
 
@@ -63,9 +63,39 @@ def test_build_problem_p1_unit_mapping(rng):
     comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
     u, v, r, g = comps
     prob = build_problem("P1", (1.0, 1.0), comps, None, gamma=1.0, p_u_min=1.0)
-    np.testing.assert_allclose(prob.q1, u, atol=1e-15)
-    np.testing.assert_allclose(prob.h1, v, atol=1e-15)
-    assert np.all(prob.q2 == 0) and np.all(prob.h2 == 0)
+    np.testing.assert_allclose(prob.Q, u[:, None], atol=1e-15)
+    np.testing.assert_allclose(prob.B, v[:, None], atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["P1", "P2", "P3", "P4"])
+def test_build_problem_columns(rng, case):
+    comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
+    u, v, r, g = comps
+    q_ls, q_us, p_u_min, t_l, t_u = 2.0, 3.0, 0.5, 25e-6, 30e-6
+    prob = build_problem(case, (q_ls, q_us), comps, (t_l, t_u), gamma=1.0, p_u_min=p_u_min)
+    a_l, a_r = q_ls * u, np.sqrt(q_ls * q_us) * r
+    c_g, c_v = q_us / np.sqrt(p_u_min) * g, np.sqrt(q_ls * q_us / p_u_min) * v
+    Q, B = {
+        "P1": ([a_l], [c_v]),
+        "P2": ([a_r], [c_g]),
+        "P3": ([a_l, a_r], [c_g, c_v]),
+        "P4": ([np.sqrt(t_l) * a_l, np.sqrt(t_u) * a_r], [c_g, c_v]),
+    }[case]
+    np.testing.assert_allclose(prob.Q, np.stack(Q, axis=1), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(prob.B, np.stack(B, axis=1), rtol=1e-15, atol=0)
+    assert prob.gamma == 1.0 and prob.n == 4
+
+
+def test_build_problem_silent_urs_drops_columns(rng):
+    # q_us = 0: the cap of P1 and the second objective column of P3/P4 vanish
+    comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
+    u = comps[0]
+    assert build_problem("P1", (2.0, 0.0), comps, None, gamma=1.0, p_u_min=1.0).B is None
+    p3 = build_problem("P3", (2.0, 0.0), comps, None, gamma=1.0, p_u_min=1.0)
+    p4 = build_problem("P4", (2.0, 0.0), comps, (25e-6, 30e-6), gamma=1.0, p_u_min=1.0)
+    np.testing.assert_allclose(p3.Q, 2.0 * u[:, None], rtol=1e-15)
+    np.testing.assert_allclose(p4.Q, np.sqrt(25e-6) * 2.0 * u[:, None], rtol=1e-15)
+    assert p3.B is None and p4.B is None
 
 
 def test_build_problem_p4_scales_p3(rng):
@@ -96,20 +126,42 @@ def test_build_problem_rejects_degenerate(rng):
 
 
 def test_problem_data_invariants():
-    z = np.zeros(3, dtype=complex)
-    with pytest.raises(ValueError):
-        ProblemData(q1=z, q2=z, h1=z, h2=z, gamma=1.0, p_u_min=1.0)
-    with pytest.raises(ValueError):
-        ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=-1.0, p_u_min=1.0)
+    z = np.zeros((3, 2), dtype=complex)
+    with pytest.raises(ValueError, match="objective vector must be nonzero"):
+        ProblemData(Q=z, B=None, gamma=1.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ProblemData(Q=np.ones((3, 1)), B=None, gamma=-1.0)
+    with pytest.raises(ValueError, match="at most 2"):
+        ProblemData(Q=np.ones((3, 3)), B=None, gamma=1.0)
+    with pytest.raises(ValueError, match="at most 2"):
+        ProblemData(Q=np.ones((3, 1)), B=np.ones((3, 3)), gamma=1.0)
+    with pytest.raises(ValueError, match="N shared by Q and B"):
+        ProblemData(Q=np.ones((3, 1)), B=np.ones((4, 1)), gamma=1.0)
+    with pytest.raises(ValueError, match="N x k array"):
+        ProblemData(Q=np.ones(3), B=None, gamma=1.0)
+
+
+def test_problem_data_drops_zero_columns():
+    q, b = np.array([1.0, 2.0j, -1.0]), np.array([0.5, 0.0, 1.0j])
+    z = np.zeros(3)
+    prob = ProblemData(Q=np.stack([z, q], axis=1), B=np.stack([z, z], axis=1), gamma=2.0)
+    assert prob.Q.shape == (3, 1) and prob.B is None
+    np.testing.assert_array_equal(prob.Q[:, 0], q)
+    capped = ProblemData(Q=q[:, None], B=np.stack([b, z], axis=1), gamma=2.0)
+    np.testing.assert_array_equal(capped.B, b[:, None])
+    # replace re-runs the checks and keeps the layout
+    looser = replace(capped, gamma=5.0)
+    assert looser.gamma == 5.0
+    np.testing.assert_array_equal(looser.Q, capped.Q)
+    np.testing.assert_array_equal(looser.B, capped.B)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        replace(capped, gamma=np.inf)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_problem_data_rejects_non_finite(bad):
-    z = np.zeros(3, dtype=complex)
     with pytest.raises(ValueError, match="gamma must be finite"):
-        ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=bad, p_u_min=1.0)
-    with pytest.raises(ValueError, match="p_u_min must be finite"):
-        ProblemData(q1=np.ones(3), q2=z, h1=z, h2=z, gamma=1.0, p_u_min=bad)
+        ProblemData(Q=np.ones((3, 1)), B=None, gamma=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -184,8 +236,9 @@ def kkt_residual(problem, theta):
     with mu >= 0 fitted by least squares: 0 at a KKT point of the maximization
     of ||Q^H theta||^2 over the torus under ||B^H theta||^2 <= gamma.
     """
-    grad = problem.q1 * np.vdot(problem.q1, theta) + problem.q2 * np.vdot(problem.q2, theta)
-    cap = problem.h1 * np.vdot(problem.h1, theta) + problem.h2 * np.vdot(problem.h2, theta)
+    Q, B = problem.Q, problem.B
+    grad = Q @ (Q.conj().T @ theta)
+    cap = np.zeros_like(theta) if B is None else B @ (B.conj().T @ theta)
     a, b = (np.conj(theta) * grad).imag, (np.conj(theta) * cap).imag
     mu = max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
     return float(np.linalg.norm(a - mu * b) / np.linalg.norm(grad))
@@ -683,8 +736,7 @@ def test_theta_update_unconstrained_closed_form(rng):
     # clipped penalty center
     n = 4
     q1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    prob = ProblemData(q1=q1, q2=np.zeros(n), h1=np.zeros(n), h2=np.zeros(n),
-                       gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=q1[:, None], B=None, gamma=1.0)
     # start orthogonal to q1 so the linearization term vanishes
     theta0 = np.zeros(n, dtype=complex)
     theta0[0], theta0[1] = np.conj(q1[1]), -np.conj(q1[0])
@@ -710,8 +762,7 @@ def test_theta_update_fixed_point(rng):
     # an unconstrained optimum with matching copies stays put
     n = 4
     q1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    prob = ProblemData(q1=q1, q2=np.zeros(n), h1=np.zeros(n), h2=np.zeros(n),
-                       gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=q1[:, None], B=None, gamma=1.0)
     res = pdd_solve(prob)
     theta_star = res.theta.coefficients
     theta, _ = theta_update(prob, theta_star, theta_star, np.zeros(n, complex), 1e-6)
@@ -762,7 +813,7 @@ def test_dual_step_clamps_lambda_keeping_its_phase(rng):
 def unit_problem(rng, n=16, frac=0.1):
     """O(1) random P3-shaped problem whose cap binds at the aligned reflection."""
     q1, q2, h1, h2 = ((rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(n) for _ in range(4))
-    loose = ProblemData(q1=q1, q2=q2, h1=h1, h2=h2, gamma=1.0, p_u_min=1.0)
+    loose = ProblemData(Q=np.stack([q1, q2], axis=1), B=np.stack([h1, h2], axis=1), gamma=1.0)
     gamma = frac * problem_constraint(loose, np.exp(1j * np.angle(q1)))
     return replace(loose, gamma=gamma)
 
@@ -918,8 +969,7 @@ def test_pdd_uncapped_rank_one_reaches_closed_form(rng, shape):
     spec = ArraySpec(*shape, 0.02, 0.2)
     u = composite_vector("U", random_angles(rng), random_angles(rng), spec)
     n = spec.size
-    z = np.zeros(n)
-    prob = ProblemData(q1=u, q2=z, h1=z, h2=z, gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=u[:, None], B=None, gamma=1.0)
     best = abs(np.vdot(u, closed_form_lrs_only(u).coefficients)) ** 2
     np.testing.assert_allclose(best, n**2, rtol=1e-12)
     for init in [None] + [np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in range(3)]:
@@ -935,23 +985,18 @@ def test_pdd_uncapped_rank_one_reaches_closed_form(rng, shape):
 def test_pdd_unconstrained_alignment_n64():
     spec = ArraySpec(64, 1, 0.02, 0.2)
     u = composite_vector("U", AnglePair(np.pi / 2, 0.0), AnglePair(np.pi / 2, 0.5), spec)
-    prob = ProblemData(q1=u, q2=np.zeros(64), h1=np.zeros(64), h2=np.zeros(64),
-                       gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=u[:, None], B=None, gamma=1.0)
     res = pdd_solve(prob)
     assert res.converged
     np.testing.assert_allclose(res.objective, 64.0**2, rtol=1e-4)
 
 
 def test_pdd_n1_problem():
-    prob = ProblemData(q1=np.array([2.0 + 1.0j]), q2=np.array([0.5j]),
-                       h1=np.array([0.1 + 0.0j]), h2=np.zeros(1),
-                       gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=np.array([[2.0 + 1.0j, 0.5j]]), B=np.array([[0.1 + 0.0j]]), gamma=1.0)
     res = pdd_solve(prob)
     np.testing.assert_allclose(res.objective, abs(2 + 1j) ** 2 + 0.25, rtol=1e-9)
     with pytest.raises(Infeasible):
-        pdd_solve(ProblemData(q1=np.array([1.0 + 0j]), q2=np.zeros(1),
-                              h1=np.array([1.0 + 0j]), h2=np.zeros(1),
-                              gamma=0.5, p_u_min=1.0))
+        pdd_solve(ProblemData(Q=np.ones((1, 1)), B=np.ones((1, 1)), gamma=0.5))
 
 
 def test_pdd_feasibility_and_convergence(rng):
@@ -1046,7 +1091,7 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
         n = 2 + trial % 3  # two cap vectors: no unit-modulus null at N = 2, 3
         case = "P3" if trial % 2 else "P4"
         base = random_problem(rng, n=n, case=case)
-        sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+        sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
         # probe with a cap far below the first start, to get its cap minimizer
         solve(replace(base, gamma=1e-12 * sh2))
         dual, params, ref, _ = calls[0]
@@ -1086,7 +1131,7 @@ def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
         return core(dual, params, ref, stop)
 
     monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
-    sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+    sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
     with pytest.raises(Infeasible):
         pdd_solve(replace(base, gamma=1e-12 * sh2))
     full_val = core(*calls[0])[1] * sh2  # the cap minimizer run to its end, unscaled
@@ -1119,7 +1164,7 @@ def test_pdd_solve_at_cap_rounding_floor_returns_under_cap(rng, monkeypatch):
         return core(dual, params, ref, stop)
 
     monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
-    sh2 = max(np.linalg.norm(base.h1), np.linalg.norm(base.h2)) ** 2
+    sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
     with pytest.raises(Infeasible):
         pdd_solve(replace(base, gamma=1e-40 * sh2))
     full_val = core(*calls[0])[1] * sh2
@@ -1139,7 +1184,7 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     # magnitude: the unit-modulus reflection rebuilt from its angles is
     # 1/0.3 times over the cap, and neither solver may return it
     problem = random_problem(rng, n=8, case="P4", gamma_frac=0.3)
-    aligned = np.exp(1j * np.angle(problem.q1))
+    aligned = np.exp(1j * np.angle(problem.Q[:, 0]))
     assert problem_constraint(problem, aligned) > 3 * problem.gamma
 
     penalty_dual = optimizer._penalty_dual
@@ -1199,29 +1244,38 @@ def test_closed_form_alignment_dominates(rng):
 
 
 def test_urs_null_all_indices(rng):
-    spec = ArraySpec(8, 8, 0.02, 0.2)
-    for _ in range(5):
-        au = random_angles(rng)
-        g = composite_vector("G", au, au, spec)
-        for ix in (1, 3, 7):
-            for iy in (1, 4, 7):
-                theta = closed_form_urs_null(spec, au, (ix, iy))
-                assert abs(np.vdot(g, theta.coefficients)) ** 2 <= 1e-18 * 64.0**2
+    # a nonzero index on either axis zeroes that axis factor of the echo gain,
+    # so ULAs have nulls too
+    for shape in ((8, 8), (8, 1), (1, 8)):
+        spec = ArraySpec(*shape, 0.02, 0.2)
+        for _ in range(5):
+            au = random_angles(rng)
+            g = composite_vector("G", au, au, spec)
+            for ix in range(shape[0]):
+                for iy in range(shape[1]):
+                    if ix == iy == 0:
+                        continue
+                    theta = closed_form_urs_null(spec, au, (ix, iy))
+                    assert abs(np.vdot(g, theta.coefficients)) ** 2 <= 1e-18 * spec.size**2
 
 
-def test_urs_null_unavailable_on_ula():
+def test_urs_null_unavailable_on_single_element():
     with pytest.raises(NoNullAvailable):
-        closed_form_urs_null(ArraySpec(1, 8, 0.02, 0.2), AnglePair(0.5, 0.5), (1, 1))
-    with pytest.raises(NoNullAvailable):
-        closed_form_urs_null(ArraySpec(8, 1, 0.02, 0.2), AnglePair(0.5, 0.5), (1, 1))
+        closed_form_urs_null(ArraySpec(1, 1, 0.02, 0.2), AnglePair(0.5, 0.5), (0, 0))
 
 
 def test_urs_null_index_range():
-    spec = ArraySpec(4, 4, 0.02, 0.2)
-    with pytest.raises(IndexError):
-        closed_form_urs_null(spec, AnglePair(0.5, 0.5), (0, 1))
-    with pytest.raises(IndexError):
-        closed_form_urs_null(spec, AnglePair(0.5, 0.5), (1, 4))
+    au = AnglePair(0.5, 0.5)
+    for shape, bad in (((4, 4), [(0, 0), (4, 1), (1, 4), (-1, 1)]),
+                       ((8, 1), [(0, 0), (1, 1), (8, 0)]),
+                       ((1, 8), [(0, 0), (1, 1), (0, 8)])):
+        spec = ArraySpec(*shape, 0.02, 0.2)
+        for index in bad:
+            with pytest.raises(IndexError):
+                closed_form_urs_null(spec, au, index)
+    # the axis index may be 0 when the other one is not
+    closed_form_urs_null(ArraySpec(4, 4, 0.02, 0.2), au, (0, 1))
+    closed_form_urs_null(ArraySpec(4, 4, 0.02, 0.2), au, (3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1229,8 +1283,7 @@ def test_urs_null_index_range():
 
 
 def test_oracle_n1_enumerates_roots():
-    prob = ProblemData(q1=np.array([1.0 + 1.0j]), q2=np.zeros(1),
-                       h1=np.zeros(1), h2=np.zeros(1), gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=np.array([[1.0 + 1.0j]]), B=None, gamma=1.0)
     theta, best = brute_force_oracle(prob, 4)
     roots = np.exp(2j * np.pi * np.arange(4) / 4)
     np.testing.assert_allclose(best, max(abs(np.conj(1 + 1j) * r) ** 2 for r in roots), rtol=1e-12)
@@ -1238,22 +1291,19 @@ def test_oracle_n1_enumerates_roots():
 
 def test_oracle_alignment_within_quantization(rng):
     u = composite_vector("U", random_angles(rng), random_angles(rng), IRS22)
-    prob = ProblemData(q1=u, q2=np.zeros(4), h1=np.zeros(4), h2=np.zeros(4),
-                       gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=u[:, None], B=None, gamma=1.0)
     _, best = brute_force_oracle(prob, 16)
     assert best >= 0.96 * 16.0
 
 
 def test_oracle_reports_infeasible(rng):
     h = np.array([1.0, 0.3 + 0.2j, -0.5j, 0.8])
-    prob = ProblemData(q1=np.ones(4), q2=np.zeros(4), h1=h, h2=np.zeros(4),
-                       gamma=1e-30, p_u_min=1.0)
+    prob = ProblemData(Q=np.ones((4, 1)), B=h[:, None], gamma=1e-30)
     with pytest.raises(Infeasible):
         brute_force_oracle(prob, 3)
 
 
 def test_oracle_budget():
-    prob = ProblemData(q1=np.ones(16), q2=np.zeros(16), h1=np.zeros(16),
-                       h2=np.zeros(16), gamma=1.0, p_u_min=1.0)
+    prob = ProblemData(Q=np.ones((16, 1)), B=None, gamma=1.0)
     with pytest.raises(BudgetExceeded):
         brute_force_oracle(prob, 16)

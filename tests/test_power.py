@@ -204,10 +204,6 @@ def test_reflection_vector_validation():
         ReflectionVector(np.array([0.5, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         ReflectionVector(np.ones(3), np.zeros(2))
-    rv = ReflectionVector.from_coefficients(np.array([1.0, -1.0j, 0.0]))
-    np.testing.assert_array_equal(rv.amplitudes, [1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        ReflectionVector.from_coefficients(np.array([0.7 + 0.0j]))
 
 
 def test_pulse_scaling_consistency():

@@ -102,7 +102,7 @@ def random_cpi(rng, urs_start):
     )
     comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
     prob = build_problem("P3", irs_received_powers(geom, P, P), comps, None, 1.0, P)
-    return geom, plan, problem_constraint(prob, np.exp(1j * np.angle(prob.q1)))
+    return geom, plan, problem_constraint(prob, np.exp(1j * np.angle(prob.Q[:, 0])))
 
 
 @SOLVER_SETTINGS

@@ -53,7 +53,7 @@ def gamma_for(geom, frac, rng):
     comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
     q = irs_received_powers(geom, P, P)
     prob = build_problem("P3", q, comps, None, 1.0, P)
-    cap = problem_constraint(prob, np.exp(1j * np.angle(prob.q1)))
+    cap = problem_constraint(prob, np.exp(1j * np.angle(prob.Q[:, 0])))
     return float(max(cap * frac, 1e-30))
 
 
@@ -210,7 +210,7 @@ def test_exact_random_phase_report_within_monte_carlo_error(rng, n_axis):
 
     def report(geom, k):
         # each figure's offset (k None) or its value at a unit gain k
-        return _report_from_gains({j: float(j == k) for j in "UVRG"}, geom, P, P, None, None)
+        return _report_from_gains({j: float(j == k) for j in "UVRG"}, geom, P, P)
 
     draws = 10**4
     names = list(PowerReport.__dataclass_fields__)
