@@ -57,6 +57,6 @@ from .protocol import (
     random_phase_baseline,
     run_cpi,
 )
-from .waveform import CaseSegments, PulseSpec, TimingPlan, pulse_sample, segment_pri
+from .waveform import PulseSpec, TimingPlan, pulse_sample, segment_pri
 
 __version__ = "0.1.0"

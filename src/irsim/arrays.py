@@ -8,6 +8,7 @@ varies slowest in the stacked element index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class ArraySpec:
     def __post_init__(self):
         if self.count_a < 1 or self.count_b < 1:
             raise ValueError("element counts must be >= 1")
+        if not (math.isfinite(self.spacing) and math.isfinite(self.wavelength)):
+            raise ValueError("spacing and wavelength must be finite")
         if self.spacing <= 0 or self.wavelength <= 0:
             raise ValueError("spacing and wavelength must be positive")
 
@@ -74,6 +77,8 @@ class AnglePair:
     def __post_init__(self):
         if not 0.0 <= self.elevation <= np.pi:
             raise ValueError(f"elevation {self.elevation} outside [0, pi]")
+        if not math.isfinite(self.azimuth):
+            raise ValueError("azimuth must be finite")
         object.__setattr__(self, "azimuth", _wrap_angle(self.azimuth))
 
     def specular(self) -> "AnglePair":

@@ -9,6 +9,7 @@ range equation instead (see :mod:`irsim.protocol`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class ScenarioGeometry:
     irs_spec: ArraySpec
 
     def __post_init__(self):
+        if not (math.isfinite(self.dist_li) and math.isfinite(self.dist_ui)):
+            raise ValueError("distances must be finite")
         if self.dist_li <= 0 or self.dist_ui <= 0:
             raise ValueError("distances must be positive")
         wavelengths = {

@@ -109,10 +109,11 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config = _load_config(args)
-    geom = config.geometry()
+    geom, plan = config.geometry, config.timing
+    p_l, p_u = plan.lrs.power, plan.urs.power
     comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
-    q_ls, q_us = irs_received_powers(geom, config.p_l, config.p_u)
-    durations = (config.lrs_duration, config.urs_duration)
+    q_ls, q_us = irs_received_powers(geom, p_l, p_u)
+    durations = (plan.lrs.duration, plan.urs.duration)
     case = args.problem.upper()
     try:
         problem = build_problem(
@@ -133,7 +134,7 @@ def _cmd_optimize(args) -> int:
         f"{case}: objective {result.objective:.6g} W, cap {constraint:.6g} of {config.gamma:.6g} W, "
         f"converged {result.converged}, {result.outer_iterations} outer iterations, {wall:.3f} s"
     )
-    rep = power_report(result.theta, geom, config.p_l, config.p_u)
+    rep = power_report(result.theta, geom, p_l, p_u)
     snr_l = 10 * np.log10(rep.q_ol / config.noise_l) if rep.q_ol > 0 else float("-inf")
     snr_u = 10 * np.log10(rep.q_ou / config.noise_u) if rep.q_ou > 0 else float("-inf")
     print(f"echo SNR with this reflection: {snr_l:.1f} dB at LRS, {snr_u:.1f} dB at URS")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +97,11 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-# float keys that must be finite, besides the azimuths; an INI value is
-# checked as it is read, before any constructor range-checks it
+# float keys that must be finite; an INI value is checked as it is read,
+# before any constructor range-checks it
 _FINITE_KEYS = {
     "arrays": ("wavelength", "radar_spacing", "irs_spacing"),
-    "geometry": ("lrs_distance", "urs_distance"),
+    "geometry": ("lrs_azimuth_deg", "urs_azimuth_deg", "lrs_distance", "urs_distance"),
     "timing": ("pri", "lrs_duration", "urs_duration", "lrs_start", "urs_start", "bandwidth"),
     "power": ("p_l", "p_u", "p_u_min", "gamma", "noise_l", "noise_u"),
     "protocol": ("echo_ratio",),
@@ -134,25 +134,13 @@ class ScenarioConfig:
 
     Built only by :meth:`from_parser` (through :meth:`default` or
     :meth:`from_file`) and :meth:`replace`, so ``DEFAULTS`` holds the one
-    copy of the reference values.
+    copy of the reference values. The nested objects check their own
+    values; :meth:`validate` checks the rest. The transmit powers are
+    ``timing.lrs.power`` and ``timing.urs.power``.
     """
 
-    lrs_spec: ArraySpec = field(repr=False)
-    urs_spec: ArraySpec = field(repr=False)
-    irs_spec: ArraySpec = field(repr=False)
-    angles_l: AnglePair
-    angles_u: AnglePair
-    lrs_distance: float
-    urs_distance: float
-    pri: float
-    lrs_duration: float
-    urs_duration: float
-    lrs_start: float
-    urs_start: float
-    pulses_per_cpi: int
-    bandwidth: float
-    p_l: float
-    p_u: float
+    geometry: ScenarioGeometry
+    timing: TimingPlan
     p_u_min: float
     gamma: float
     noise_l: float
@@ -203,26 +191,53 @@ class ScenarioConfig:
         radar_spacing = get("arrays", "radar_spacing")
         irs_spacing = get("arrays", "irs_spacing")
 
-        def spec(key_a, key_b, spacing, context):
+        # every value is read before the constructor that range-checks it, so
+        # a value that does not parse names its own key
+        def spec(key_a, key_b, spacing):
+            count_a, count_b = get("arrays", key_a, int), get("arrays", key_b, int)
             try:
-                return ArraySpec(
-                    get("arrays", key_a, int), get("arrays", key_b, int), spacing, wavelength
-                )
+                return ArraySpec(count_a, count_b, spacing, wavelength)
             except ValueError as exc:
-                raise ConfigError(f"arrays.{context}", str(exc)) from exc
+                raise ConfigError(f"arrays.{key_a}", str(exc)) from exc
 
-        lrs_spec = spec("lrs_count_y", "lrs_count_z", radar_spacing, "lrs_count_y")
-        urs_spec = spec("urs_count_y", "urs_count_z", radar_spacing, "urs_count_y")
-        irs_spec = spec("irs_count_x", "irs_count_y", irs_spacing, "irs_count_x")
+        lrs_spec = spec("lrs_count_y", "lrs_count_z", radar_spacing)
+        urs_spec = spec("urs_count_y", "urs_count_z", radar_spacing)
+        irs_spec = spec("irs_count_x", "irs_count_y", irs_spacing)
 
         def angles(prefix):
+            elevation, azimuth = (
+                float(np.deg2rad(get("geometry", f"{prefix}_{axis}_deg")))
+                for axis in ("elevation", "azimuth")
+            )
             try:
-                return AnglePair(
-                    float(np.deg2rad(get("geometry", f"{prefix}_elevation_deg"))),
-                    float(np.deg2rad(get("geometry", f"{prefix}_azimuth_deg"))),
-                )
+                return AnglePair(elevation, azimuth)
             except ValueError as exc:
                 raise ConfigError(f"geometry.{prefix}_elevation_deg", str(exc)) from exc
+
+        angles_l, angles_u = angles("lrs"), angles("urs")
+        dist_li, dist_ui = get("geometry", "lrs_distance"), get("geometry", "urs_distance")
+        try:
+            geometry = ScenarioGeometry(
+                angles_l, angles_u, dist_li, dist_ui, lrs_spec, urs_spec, irs_spec
+            )
+        except ValueError as exc:
+            raise ConfigError("geometry", str(exc)) from exc
+
+        bandwidth = get("timing", "bandwidth")
+
+        def pulse(radar, power_key):
+            power = get("power", power_key)
+            if power <= 0:
+                raise ConfigError(f"power.{power_key}", "must be positive")
+            duration, start = get("timing", f"{radar}_duration"), get("timing", f"{radar}_start")
+            return power, duration, bandwidth, start
+
+        lrs, urs = pulse("lrs", "p_l"), pulse("urs", "p_u")
+        pri, pulses_per_cpi = get("timing", "pri"), get("timing", "pulses_per_cpi", int)
+        try:
+            timing = TimingPlan(pri, pulses_per_cpi, PulseSpec(*lrs), PulseSpec(*urs))
+        except ValueError as exc:
+            raise ConfigError("timing", str(exc)) from exc
 
         # retired keys, checked so old files load, then ignored: the random-phase
         # rows are exact, every experiment runs both reflection schedules, and
@@ -254,22 +269,8 @@ class ScenarioConfig:
             raise ConfigError("pdd", str(exc)) from exc
 
         cfg = cls(
-            lrs_spec=lrs_spec,
-            urs_spec=urs_spec,
-            irs_spec=irs_spec,
-            angles_l=angles("lrs"),
-            angles_u=angles("urs"),
-            lrs_distance=get("geometry", "lrs_distance"),
-            urs_distance=get("geometry", "urs_distance"),
-            pri=get("timing", "pri"),
-            lrs_duration=get("timing", "lrs_duration"),
-            urs_duration=get("timing", "urs_duration"),
-            lrs_start=get("timing", "lrs_start"),
-            urs_start=get("timing", "urs_start"),
-            pulses_per_cpi=get("timing", "pulses_per_cpi", int),
-            bandwidth=get("timing", "bandwidth"),
-            p_l=get("power", "p_l"),
-            p_u=get("power", "p_u"),
+            geometry=geometry,
+            timing=timing,
             p_u_min=get("power", "p_u_min"),
             gamma=get("power", "gamma"),
             noise_l=get("power", "noise_l"),
@@ -291,42 +292,23 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
-        """Re-check every module precondition; raises ConfigError with context."""
-        # AnglePair range-checks the elevation; a non-finite azimuth wraps to nan
-        finite = [
-            ("geometry.lrs_azimuth_deg", self.angles_l.azimuth),
-            ("geometry.urs_azimuth_deg", self.angles_u.azimuth),
-            ("protocol.echo_ratio", self.echo_ratio),
-            ("error.angle_offset_deg", self.error.angle_offset),
-            ("error.angle_sigma_deg", self.error.angle_sigma),
-            ("error.power_rel_error", self.error.power_rel_error),
-            ("pdd.rho0", self.pdd.rho0),
-            ("pdd.inner_tol", self.pdd.inner_tol),
-            ("pdd.outer_tol", self.pdd.outer_tol),
-        ]
-        for spec, key in ((self.lrs_spec, "radar_spacing"), (self.urs_spec, "radar_spacing"),
-                          (self.irs_spec, "irs_spacing")):
-            finite += [("arrays.wavelength", spec.wavelength), (f"arrays.{key}", spec.spacing)]
-        for section in ("geometry", "timing", "power"):
-            finite += [(f"{section}.{key}", getattr(self, key)) for key in _FINITE_KEYS[section]]
-        for key, value in finite:
+        """Check the values held here; raises ConfigError with context.
+
+        The geometry, timing, error model and solver settings check their
+        own values when they are built.
+        """
+        for key, value in (("power.p_u_min", self.p_u_min), ("power.gamma", self.gamma),
+                           ("power.noise_l", self.noise_l), ("power.noise_u", self.noise_u),
+                           ("protocol.echo_ratio", self.echo_ratio)):
             if not math.isfinite(value):
                 raise ConfigError(key, "must be finite")
-        try:
-            self.geometry()
-        except ValueError as exc:
-            raise ConfigError("geometry", str(exc)) from exc
-        try:
-            self.timing()
-        except ValueError as exc:
-            raise ConfigError("timing", str(exc)) from exc
-        for key in ("p_l", "p_u", "p_u_min", "gamma"):
+        for key in ("p_u_min", "gamma"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"power.{key}", "must be positive")
         for key in ("noise_l", "noise_u"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"power.{key}", "must be >= 0")
-        if not 1 <= self.step1_pris < self.pulses_per_cpi:
+        if not 1 <= self.step1_pris < self.timing.pulses_per_cpi:
             raise ConfigError(
                 "protocol.step1_pris", "must leave at least one step-II PRI"
             )
@@ -334,22 +316,3 @@ class ScenarioConfig:
             raise ConfigError("protocol.echo_ratio", "must be positive")
         if self.seed < 0:
             raise ConfigError("run.seed", "must be >= 0")
-
-    def geometry(self) -> ScenarioGeometry:
-        return ScenarioGeometry(
-            angles_l=self.angles_l,
-            angles_u=self.angles_u,
-            dist_li=self.lrs_distance,
-            dist_ui=self.urs_distance,
-            lrs_spec=self.lrs_spec,
-            urs_spec=self.urs_spec,
-            irs_spec=self.irs_spec,
-        )
-
-    def timing(self) -> TimingPlan:
-        return TimingPlan(
-            pri=self.pri,
-            pulses_per_cpi=self.pulses_per_cpi,
-            lrs=PulseSpec(self.p_l, self.lrs_duration, self.bandwidth, self.lrs_start),
-            urs=PulseSpec(self.p_u, self.urs_duration, self.bandwidth, self.urs_start),
-        )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import AnglePair, composite_vector, steering_1d, steering_radar, dft_codebook
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig, _cast
 from .waveform import segment_pri
 from .optimizer import closed_form_lrs_only, closed_form_urs_null
 from .power import ReflectionVector, link_power, irs_received_powers
@@ -86,9 +86,9 @@ class SweepSpec:
 def default_grid(experiment: str, config: ScenarioConfig) -> tuple[float, ...]:
     """The default grid of an experiment family."""
     if experiment == "beam_scan_lrs":
-        return tuple(dft_codebook(config.lrs_spec)[0])
+        return tuple(dft_codebook(config.geometry.lrs_spec)[0])
     if experiment == "beam_scan_urs":
-        return tuple(dft_codebook(config.urs_spec)[0])
+        return tuple(dft_codebook(config.geometry.urs_spec)[0])
     if experiment == "gamma_sweep":
         return tuple(np.logspace(-10, -7, 7))
     if experiment == "lrs_distance":
@@ -129,8 +129,8 @@ def _beam_match_gain(spec, angles, beam) -> float:
 
 
 def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
-    geom = config.geometry()
-    p_l, p_u = config.p_l, config.p_u
+    geom = config.geometry
+    p_l, p_u = config.timing.lrs.power, config.timing.urs.power
     lrs = radar == "lrs"
     irs = geom.irs_spec
     t0 = time.perf_counter()
@@ -147,10 +147,10 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         theta = closed_form_urs_null(irs, geom.angles_u, (1, 0) if irs.count_a >= 2 else (0, 1))
     solve_wall = time.perf_counter() - t0
     side, link = (0, "LL") if lrs else (1, "UU")
-    spec, angles = (config.lrs_spec, geom.angles_l) if lrs else (config.urs_spec, geom.angles_u)
+    spec, angles = (geom.lrs_spec, geom.angles_l) if lrs else (geom.urs_spec, geom.angles_u)
     rand = _random_phase_expectation(geom, p_l, p_u)
     rand_q = rand.q_ll if lrs else rand.q_uu
-    rcs = default_rcs(config.irs_spec, config.echo_ratio)
+    rcs = default_rcs(irs, config.echo_ratio)
     base = no_irs_baseline_power(geom, rcs, p_l, p_u)[side]
     matched = irs_received_powers(geom, p_l, p_u)[side]
     rows = []
@@ -172,13 +172,15 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     return rows
 
 
-def _cpi_row(config: ScenarioConfig, geom, plan, variant, value, seed_index, warm=None):
+def _cpi_row(config: ScenarioConfig, variant, value, seed_index, warm=None):
     """One CPI at the config's cap and its row; returns (CpiResult, row)."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_index]))
+    plan = config.timing
     t0 = time.perf_counter()
     cpi = run_cpi(
-        geom, plan, variant, config.gamma, config.p_l, config.p_u, config.p_u_min,
-        err=config.error, rng=rng, params=config.pdd, step1_pris=config.step1_pris, warm=warm,
+        config.geometry, plan, variant, config.gamma, plan.lrs.power, plan.urs.power,
+        config.p_u_min, err=config.error, rng=rng, params=config.pdd,
+        step1_pris=config.step1_pris, warm=warm,
     )
     wall = time.perf_counter() - t0
     return cpi, _row(value, variant, cpi.lrs_energy, cpi.urs_peak_power,
@@ -187,56 +189,66 @@ def _cpi_row(config: ScenarioConfig, geom, plan, variant, value, seed_index, war
 
 def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=("short_term",)) -> list[dict]:
     """Rows for one grid point of a CPI-based sweep (baselines included)."""
-    geom = config.geometry()
-    plan = config.timing()
     rows = [
-        _cpi_row(config, geom, plan, variant, value, index * 8 + k)[1]
-        for k, variant in enumerate(schemes)
+        _cpi_row(config, variant, value, index * 8 + k)[1] for k, variant in enumerate(schemes)
     ]
-    rand, base, wall = _baselines(config, geom, plan)
+    rand, base, wall = _baselines(config)
     rows.append(_row(value, "random_phase", *rand, True, 0, wall))
     rows.append(_row(value, "no_irs", *base, True, 0, 0.0))
     return rows
 
 
-def _baselines(config: ScenarioConfig, geom, plan) -> tuple[tuple, tuple, float]:
+def _baselines(config: ScenarioConfig) -> tuple[tuple, tuple, float]:
     """Step-II (energy, URS peak) of the random-phase and the no-reflector baselines.
 
     Returns both pairs and the wall time of the random-phase baseline alone.
     """
-    n_pris = config.pulses_per_cpi - config.step1_pris
+    geom, plan = config.geometry, config.timing
+    p_l, p_u = plan.lrs.power, plan.urs.power
+    n_pris = plan.pulses_per_cpi - config.step1_pris
     t0 = time.perf_counter()
-    rand = _random_phase_expectation(geom, config.p_l, config.p_u)
+    rand = _random_phase_expectation(geom, p_l, p_u)
     rand_figures = _step2_figures(rand, segment_pri(plan), n_pris)
     wall = time.perf_counter() - t0
-    rcs = default_rcs(config.irs_spec, config.echo_ratio)
-    p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, config.p_l, config.p_u)
+    rcs = default_rcs(geom.irs_spec, config.echo_ratio)
+    p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, p_l, p_u)
     return rand_figures, (n_pris * plan.lrs.duration * p_l_base, p_u_base), wall
+
+
+def _rebuilt(key: str, obj, **changes):
+    """``dataclasses.replace`` whose ValueError is a ConfigError on ``key``."""
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
 
 
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
     """Specialize the scenario for one grid point of a CPI-based sweep."""
+    geom, plan = config.geometry, config.timing
     if experiment == "gamma_sweep":
         return config.replace(gamma=float(value))
     if experiment == "lrs_distance":
-        return config.replace(lrs_distance=float(value))
+        return config.replace(geometry=_rebuilt("geometry", geom, dist_li=float(value)))
     if experiment == "urs_distance":
-        return config.replace(urs_distance=float(value))
+        return config.replace(geometry=_rebuilt("geometry", geom, dist_ui=float(value)))
     if experiment == "aoa_difference":
         # sweep around broadside of the reflector axis, where the direction
         # cosine responds linearly to azimuth
         base = np.pi / 2
-        return config.replace(
+        return config.replace(geometry=replace(
+            geom,
             angles_l=AnglePair(np.pi / 2, base),
             angles_u=AnglePair(np.pi / 2, base + float(value)),
-        )
+        ))
     if experiment == "overlap_ratio":
         # equal pulse lengths; slide the second pulse to set the overlap
         t = 30e-6
-        return config.replace(
-            lrs_duration=t, urs_duration=t, lrs_start=0.0,
-            urs_start=float((1.0 - value) * t),
-        )
+        return config.replace(timing=_rebuilt(
+            "timing", plan,
+            lrs=_rebuilt("timing", plan.lrs, duration=t, start_offset=0.0),
+            urs=_rebuilt("timing", plan.urs, duration=t, start_offset=float((1.0 - value) * t)),
+        ))
     if experiment == "angle_error":
         return config.replace(
             error=replace(config.error, angle_offset=float(np.deg2rad(value)))
@@ -254,20 +266,18 @@ def _pooled_point(args) -> list[dict]:
     rows = _cpi_energy_rows(point_cfg, value, index, schemes)
     if experiment == "lrs_distance":
         # reference: same optimized reflection with the unauthorized radar absent
-        geom = point_cfg.geometry()
+        geom, plan = point_cfg.geometry, point_cfg.timing
         t0 = time.perf_counter()
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
         theta = closed_form_lrs_only(u)
-        q_ll = link_power("LL", theta, geom, point_cfg.p_l, point_cfg.p_u)
-        e = (point_cfg.pulses_per_cpi - point_cfg.step1_pris) * point_cfg.lrs_duration * q_ll
+        q_ll = link_power("LL", theta, geom, plan.lrs.power, plan.urs.power)
+        e = (plan.pulses_per_cpi - point_cfg.step1_pris) * plan.lrs.duration * q_ll
         wall = time.perf_counter() - t0
         rows.insert(1, _row(value, "lrs_only", e, 0.0, True, 0, wall))
     return rows
 
 
 def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
-    geom = config.geometry()
-    plan = config.timing()
     order = np.argsort(grid)  # ascending caps so warm starts stay feasible
     warm = {"short_term": None, "long_term": None}
     rows_by_point: dict[int, list[dict]] = {}
@@ -276,14 +286,13 @@ def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
         point_cfg = _point_config(config, "gamma_sweep", gamma)
         point_rows = []
         for k, variant in enumerate(("short_term", "long_term")):
-            cpi, row = _cpi_row(point_cfg, geom, plan, variant, gamma,
-                                int(index) * 8 + k, warm[variant])
+            cpi, row = _cpi_row(point_cfg, variant, gamma, int(index) * 8 + k, warm[variant])
             if cpi.feasible:
                 warm[variant] = cpi.mode
             point_rows.append(row)
         rows_by_point[int(index)] = point_rows
     # cap-independent baselines, once
-    rand, base, _ = _baselines(config, geom, plan)
+    rand, base, _ = _baselines(config)
     rows = []
     for index, gamma in enumerate(grid):
         rows.extend(rows_by_point[index])
@@ -302,7 +311,7 @@ def run_experiment(config: ScenarioConfig, sweep: SweepSpec) -> list[dict]:
     if sweep.experiment == "gamma_sweep":
         return _run_gamma_sweep(config, grid)
     args = [(config, sweep.experiment, value, index) for index, value in enumerate(grid)]
-    workers = int(os.environ.get("IRSIM_WORKERS", "1"))
+    workers = _cast("IRSIM_WORKERS", os.environ.get("IRSIM_WORKERS", "1"), int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_pooled_point, args))

@@ -157,8 +157,7 @@ class PddParams:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        _check_positive(rho0=self.rho0, inner_tol=self.inner_tol, outer_tol=self.outer_tol)
         if min(self.max_outer, self.max_inner, self.max_sca) < 1:
             raise ValueError("iteration caps must be >= 1")
 

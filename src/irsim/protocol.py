@@ -13,7 +13,8 @@ turns a report into the step-II energy and URS peak, for CPIs and baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .optimizer import (
     build_problem,
     pdd_solve_with_candidates,
 )
-from .waveform import CaseSegments, TimingPlan, segment_pri
+from .waveform import TimingPlan, segment_pri
 
 __all__ = [
     "ProtocolMode",
@@ -77,6 +78,9 @@ class EstimationError:
     power_rel_error: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.angle_sigma < 0:
             raise ValueError("angle_sigma must be >= 0")
         if abs(self.power_rel_error) >= 1:
@@ -148,8 +152,7 @@ def run_cpi(
         p_u_min = p_u if p_u > 0 else 1.0
     rng = rng or np.random.default_rng(0)
     params = params or PddParams()
-    segments = segment_pri(plan)
-    t1, t2, t3 = segments.t_case1, segments.t_case2, segments.t_overlap
+    t1, t2, t3 = segment_pri(plan)
     n_pris = plan.pulses_per_cpi - step1_pris
 
     # step I: measurements (perturbed), reflectors absorbing
@@ -210,7 +213,7 @@ def run_cpi(
     reports = {key: power_report(th, geom, p_l, p_u) for key, th in distinct.items()}
     r1, r2, r3 = (reports[id(th)] for th in cases)
     report = replace(r1, q_ul=r2.q_ul, q_uu=r2.q_uu, q_ol=r3.q_ol, q_ou=r3.q_ou)
-    lrs_energy, urs_peak = _step2_figures(report, segments, n_pris)
+    lrs_energy, urs_peak = _step2_figures(report, (t1, t2, t3), n_pris)
     return CpiResult(
         lrs_energy=lrs_energy,
         urs_peak_power=urs_peak,
@@ -221,9 +224,11 @@ def run_cpi(
     )
 
 
-def _step2_figures(report: PowerReport, seg: CaseSegments, n_pris: int) -> tuple[float, float]:
+def _step2_figures(
+    report: PowerReport, case_durations: tuple[float, float, float], n_pris: int
+) -> tuple[float, float]:
     """(LRS energy, URS peak) of step II; a case of zero duration sets no peak."""
-    t1, t2, t3 = seg.t_case1, seg.t_case2, seg.t_overlap
+    t1, t2, t3 = case_durations
     energy = n_pris * (t1 * report.q_ll + t2 * report.q_ul + t3 * report.q_ol)
     peaks = [q for t, q in ((t1, report.q_lu), (t2, report.q_uu), (t3, report.q_ou)) if t > 0]
     return float(energy), float(max(peaks, default=0.0))

@@ -9,11 +9,12 @@ form, so waveforms are evaluated analytically; no sample grid exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["PulseSpec", "TimingPlan", "CaseSegments", "pulse_sample", "segment_pri"]
+__all__ = ["PulseSpec", "TimingPlan", "pulse_sample", "segment_pri"]
 
 Interval = tuple[float, float]
 
@@ -28,6 +29,9 @@ class PulseSpec:
     start_offset: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.power <= 0:
             raise ValueError("power must be positive")
         if self.duration <= 0:
@@ -56,6 +60,8 @@ class TimingPlan:
     urs: PulseSpec
 
     def __post_init__(self):
+        if not math.isfinite(self.pri):
+            raise ValueError("pri must be finite")
         if self.pri <= 0:
             raise ValueError("pri must be positive")
         if self.pulses_per_cpi < 1:
@@ -67,28 +73,6 @@ class TimingPlan:
                 raise ValueError(f"{name} start_offset must be < pri")
             if pulse.start_offset + pulse.duration > self.pri:
                 raise ValueError(f"{name} pulse must not wrap past the end of the pri")
-
-
-@dataclass(frozen=True)
-class CaseSegments:
-    """Disjoint time intervals of the three reflection cases within one PRI."""
-
-    case1: list[Interval] = field(default_factory=list)  # legitimate only
-    case2: list[Interval] = field(default_factory=list)  # unauthorized only
-    case3: list[Interval] = field(default_factory=list)  # overlapped
-    t_overlap: float = 0.0
-
-    @staticmethod
-    def _measure(intervals: list[Interval]) -> float:
-        return float(sum(b - a for a, b in intervals))
-
-    @property
-    def t_case1(self) -> float:
-        return self._measure(self.case1)
-
-    @property
-    def t_case2(self) -> float:
-        return self._measure(self.case2)
 
 
 def pulse_sample(spec: PulseSpec, t):
@@ -105,36 +89,15 @@ def pulse_sample(spec: PulseSpec, t):
     return out[()] if out.ndim == 0 else out
 
 
-def _intersect(a: Interval, b: Interval) -> Interval | None:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if hi > lo else None
+def segment_pri(plan: TimingPlan) -> tuple[float, float, float]:
+    """Durations (t_case1, t_case2, t_overlap) of the three reflection cases.
 
-
-def _subtract(a: Interval, b: Interval) -> list[Interval]:
-    """a \\ b as up to two intervals."""
-    cut = _intersect(a, b)
-    if cut is None:
-        return [a]
-    parts = []
-    if cut[0] > a[0]:
-        parts.append((a[0], cut[0]))
-    if a[1] > cut[1]:
-        parts.append((cut[1], a[1]))
-    return parts
-
-
-def segment_pri(plan: TimingPlan) -> CaseSegments:
-    """Split the two pulse supports into the three reflection cases.
-
-    case3 is the intersection of the supports (t_overlap = its measure,
-    possibly 0), case1/case2 are the respective set differences.
+    The overlap is the intersection of the two pulse supports (possibly
+    empty); case 1 and case 2 are the rest of the legitimate and of the
+    unauthorized pulse.
     """
-    lrs_sup, urs_sup = plan.lrs.support, plan.urs.support
-    overlap = _intersect(lrs_sup, urs_sup)
-    case3 = [overlap] if overlap else []
-    return CaseSegments(
-        case1=_subtract(lrs_sup, urs_sup),
-        case2=_subtract(urs_sup, lrs_sup),
-        case3=case3,
-        t_overlap=(overlap[1] - overlap[0]) if overlap else 0.0,
-    )
+    (a0, a1), (b0, b1) = plan.lrs.support, plan.urs.support
+    lo, hi = max(a0, b0), min(a1, b1)
+    if hi <= lo:
+        return a1 - a0, b1 - b0, 0.0
+    return max(lo - a0, 0.0) + max(a1 - hi, 0.0), max(lo - b0, 0.0) + max(b1 - hi, 0.0), hi - lo

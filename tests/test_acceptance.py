@@ -57,7 +57,7 @@ def report(name, timer, budget):
 def test_criterion_closed_form_optimum():
     """Coherent alignment reaches the exact N^2 gain; the solver matches it."""
     cfg = ScenarioConfig.default()
-    geom = cfg.geometry()
+    geom = cfg.geometry
     n = geom.irs_spec.size
     with Timer() as t:
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
@@ -198,7 +198,8 @@ def test_criterion_security_cap():
 def test_criterion_random_phase_expectation():
     """Random phases average to gain N; optimization is worth the full N^2."""
     cfg = ScenarioConfig.default()
-    geom = cfg.geometry()
+    geom = cfg.geometry
+    p_l, p_u = cfg.timing.lrs.power, cfg.timing.urs.power
     n = geom.irs_spec.size
     rng = np.random.default_rng(19)
     with Timer() as t:
@@ -212,8 +213,8 @@ def test_criterion_random_phase_expectation():
         assert abs(ratio_db - target_db) <= 1.0
         # optimized vs bare target: >= 10 dB under the repo's gain conventions
         theta = closed_form_lrs_only(u)
-        q_opt = link_power("LL", theta, geom, cfg.p_l, cfg.p_u)
-        q_base, _ = no_irs_baseline_power(geom, default_rcs(geom.irs_spec), cfg.p_l, cfg.p_u)
+        q_opt = link_power("LL", theta, geom, p_l, p_u)
+        q_base, _ = no_irs_baseline_power(geom, default_rcs(geom.irs_spec), p_l, p_u)
         gain_db = 10 * np.log10(q_opt / q_base)
         assert gain_db >= 10.0
     report(
@@ -227,13 +228,13 @@ def test_criterion_random_phase_expectation():
 def test_criterion_angle_error_robustness():
     """A 1-degree estimation offset costs <= 5% energy, cap stays <= 2 gamma."""
     cfg = ScenarioConfig.default()
-    geom = cfg.geometry()
-    plan = cfg.timing()
+    geom, plan = cfg.geometry, cfg.timing
+    p_l, p_u = plan.lrs.power, plan.urs.power
     with Timer() as t:
-        clean = run_cpi(geom, plan, "short_term", cfg.gamma, cfg.p_l, cfg.p_u, cfg.p_u_min,
+        clean = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min,
                         params=cfg.pdd)
         err = EstimationError(angle_offset=float(np.deg2rad(1.0)))
-        noisy = run_cpi(geom, plan, "short_term", cfg.gamma, cfg.p_l, cfg.p_u, cfg.p_u_min,
+        noisy = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min,
                         err=err, params=cfg.pdd)
         assert clean.feasible and noisy.feasible
         loss = 1.0 - noisy.lrs_energy / clean.lrs_energy
@@ -250,20 +251,21 @@ def test_criterion_aoa_separation():
     own-echo term and no cap.
     """
     cfg = ScenarioConfig.default().replace(gamma=1e-9)
-    n = cfg.irs_spec.size
+    base = cfg.geometry
+    n = base.irs_spec.size
     with Timer() as t:
         for delta, regime in ((0.1, "wide"), (0.2, "wide"), (0.005, "narrow"), (0.01, "narrow")):
             geom = ScenarioGeometry(
                 angles_l=AnglePair(np.pi / 2, np.pi / 2),
                 angles_u=AnglePair(np.pi / 2, np.pi / 2 + delta),
-                dist_li=cfg.lrs_distance,
-                dist_ui=cfg.urs_distance,
-                lrs_spec=cfg.lrs_spec,
-                urs_spec=cfg.urs_spec,
-                irs_spec=cfg.irs_spec,
+                dist_li=base.dist_li,
+                dist_ui=base.dist_ui,
+                lrs_spec=base.lrs_spec,
+                urs_spec=base.urs_spec,
+                irs_spec=base.irs_spec,
             )
             comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
-            q_ls, q_us = irs_received_powers(geom, cfg.p_l, cfg.p_u)
+            q_ls, q_us = irs_received_powers(geom, cfg.timing.lrs.power, cfg.timing.urs.power)
             alignment_bound = q_ls**2 * n**2
             prob = build_problem("P3", (q_ls, q_us), comps, None, cfg.gamma, cfg.p_u_min)
             try:

@@ -1,36 +1,39 @@
+import dataclasses
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irsim import AnglePair, ArraySpec, ConfigError, EstimationError, PddParams, ScenarioConfig
+from irsim import ConfigError, ScenarioConfig
 from irsim.cli import main as cli_main
 
 
 def test_defaults_match_reference_setup():
     cfg = ScenarioConfig.default()
-    assert cfg.lrs_spec.size == 64 and cfg.urs_spec.size == 64
-    assert cfg.irs_spec.size == 64
-    assert cfg.lrs_spec.wavelength == cfg.urs_spec.wavelength == cfg.irs_spec.wavelength == 0.2
-    assert cfg.p_l == 0.03 and cfg.p_u == 0.03
-    assert cfg.lrs_distance == 30.0 and cfg.urs_distance == 20.0
-    assert cfg.pri == 100e-6
-    assert cfg.lrs_duration == 25e-6 and cfg.urs_duration == 30e-6
-    assert cfg.irs_spec.spacing == pytest.approx(0.02)
-    assert cfg.bandwidth == 100e6
+    geom, plan = cfg.geometry, cfg.timing
+    assert geom.lrs_spec.size == 64 and geom.urs_spec.size == 64
+    assert geom.irs_spec.size == 64
+    assert geom.lrs_spec.wavelength == geom.urs_spec.wavelength == geom.irs_spec.wavelength == 0.2
+    assert plan.lrs.power == 0.03 and plan.urs.power == 0.03
+    assert geom.dist_li == 30.0 and geom.dist_ui == 20.0
+    assert plan.pri == 100e-6
+    assert plan.lrs.duration == 25e-6 and plan.urs.duration == 30e-6
+    assert geom.irs_spec.spacing == pytest.approx(0.02)
+    assert plan.lrs.bandwidth == plan.urs.bandwidth == 100e6
     # default offsets give a 10 us overlap
     from irsim import segment_pri
 
-    seg = segment_pri(cfg.timing())
-    np.testing.assert_allclose(seg.t_overlap, 10e-6)
+    _, _, t_overlap = segment_pri(plan)
+    np.testing.assert_allclose(t_overlap, 10e-6)
 
 
 def test_default_validates():
     cfg = ScenarioConfig.default()
     cfg.validate()
-    assert cfg.geometry().irs_spec.count_a == 64
-    assert cfg.timing().pulses_per_cpi == 10
+    assert cfg.geometry.irs_spec.count_a == 64
+    assert cfg.timing.pulses_per_cpi == 10
 
 
 def test_file_roundtrip(tmp_path):
@@ -39,11 +42,11 @@ def test_file_roundtrip(tmp_path):
         "[geometry]\nlrs_distance = 45\n\n[power]\ngamma = 2e-9\n\n[run]\nseed = 7\n"
     )
     cfg = ScenarioConfig.from_file(str(path))
-    assert cfg.lrs_distance == 45.0
+    assert cfg.geometry.dist_li == 45.0
     assert cfg.gamma == 2e-9
     assert cfg.seed == 7
     # untouched keys keep their defaults
-    assert cfg.urs_distance == 20.0
+    assert cfg.geometry.dist_ui == 20.0
 
 
 def test_readme_ini_example_loads_as_defaults(tmp_path):
@@ -146,31 +149,50 @@ def test_non_finite_other_sections_rejected(tmp_path, section, key, value):
         ScenarioConfig.from_file(str(path))
 
 
-def test_cli_non_finite_solver_setting_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("value,message", [
+    ("nan", "pdd.rho0: must be finite"),
+    ("0", "pdd: rho0 must be positive"),
+    ("-1", "pdd: rho0 must be positive"),
+], ids=["nan", "0", "-1"])
+def test_cli_non_finite_solver_setting_exits_2(tmp_path, capsys, value, message):
+    # a rho0 <= 0 would divide by zero or never end the penalty loop
     out = tmp_path / "sol.json"
     bad = tmp_path / "bad.ini"
-    bad.write_text("[pdd]\nrho0 = nan\n")
+    bad.write_text(f"[pdd]\nrho0 = {value}\n")
     assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
-    assert "pdd.rho0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_replace_rejects_non_finite_nested_settings():
+def _scenario_objects():
+    """A valid instance of each scenario object, from the default config."""
     cfg = ScenarioConfig.default()
-    nan, inf = float("nan"), float("inf")
-    cases = [
-        ("arrays.wavelength", {"lrs_spec": ArraySpec(64, 1, 0.1, nan)}),
-        ("arrays.irs_spacing", {"irs_spec": ArraySpec(64, 1, inf, 0.2)}),
-        ("arrays.radar_spacing", {"urs_spec": ArraySpec(64, 1, nan, 0.2)}),
-        ("protocol.echo_ratio", {"echo_ratio": inf}),
-        ("error.angle_offset_deg", {"error": EstimationError(angle_offset=nan)}),
-        ("error.power_rel_error", {"error": EstimationError(power_rel_error=nan)}),
-        ("pdd.rho0", {"pdd": PddParams(rho0=inf)}),
-        ("pdd.outer_tol", {"pdd": PddParams(outer_tol=inf)}),
-    ]
-    for key, change in cases:
-        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
-            cfg.replace(**change)
+    geom, plan = cfg.geometry, cfg.timing
+    return {
+        "ArraySpec": geom.irs_spec, "AnglePair": geom.angles_u, "ScenarioGeometry": geom,
+        "PulseSpec": plan.urs, "TimingPlan": plan, "EstimationError": cfg.error,
+        "PddParams": cfg.pdd,
+    }
+
+
+FINITE_FIELDS = [
+    ("ArraySpec", "spacing"), ("ArraySpec", "wavelength"), ("AnglePair", "azimuth"),
+    ("ScenarioGeometry", "dist_li"), ("ScenarioGeometry", "dist_ui"),
+    ("PulseSpec", "power"), ("PulseSpec", "duration"), ("PulseSpec", "bandwidth"),
+    ("PulseSpec", "start_offset"), ("TimingPlan", "pri"),
+    ("EstimationError", "angle_offset"), ("EstimationError", "angle_sigma"),
+    ("EstimationError", "power_rel_error"),
+    ("PddParams", "rho0"), ("PddParams", "inner_tol"), ("PddParams", "outer_tol"),
+]
+
+
+@pytest.mark.parametrize("cls,name", FINITE_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite(cls, name, value):
+    # each scenario object checks its own values, however it is built
+    obj = _scenario_objects()[cls]
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(obj, **{name: value})
 
 
 def test_replace_rejects_non_finite():
@@ -179,10 +201,30 @@ def test_replace_rejects_non_finite():
         cfg.replace(gamma=float("nan"))
     with pytest.raises(ConfigError, match="power.p_u_min"):
         cfg.replace(p_u_min=float("inf"))
-    with pytest.raises(ConfigError, match="timing.urs_start"):
-        cfg.replace(urs_start=float("-inf"))
-    with pytest.raises(ConfigError, match="geometry.urs_azimuth_deg"):
-        cfg.replace(angles_u=AnglePair(0.5, float("nan")))
+    with pytest.raises(ConfigError, match="^protocol.echo_ratio: must be finite"):
+        cfg.replace(echo_ratio=float("inf"))
+
+
+@pytest.mark.parametrize("section,key", [
+    ("arrays", "lrs_count_z"), ("arrays", "irs_count_y"),
+    ("geometry", "lrs_azimuth_deg"), ("geometry", "urs_elevation_deg"),
+])
+def test_unparsable_value_names_its_key(tmp_path, section, key):
+    # each value is read before the object built from it is checked
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = abc\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key}: cannot parse 'abc'") as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == f"{section}.{key}"
+
+
+@pytest.mark.parametrize("key", ["p_l", "p_u"])
+def test_non_positive_transmit_power_names_its_key(tmp_path, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[power]\n{key} = 0\n")
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == f"power.{key}"
 
 
 def test_mode_validation(tmp_path):
@@ -206,9 +248,9 @@ def test_replace_revalidates():
 
 def test_angles_parsed_in_degrees():
     cfg = ScenarioConfig.default()
-    np.testing.assert_allclose(cfg.angles_l.elevation, np.pi / 2)
-    np.testing.assert_allclose(cfg.angles_l.azimuth, 0.0)
-    np.testing.assert_allclose(cfg.angles_u.azimuth, np.pi / 6)
+    np.testing.assert_allclose(cfg.geometry.angles_l.elevation, np.pi / 2)
+    np.testing.assert_allclose(cfg.geometry.angles_l.azimuth, 0.0)
+    np.testing.assert_allclose(cfg.geometry.angles_u.azimuth, np.pi / 6)
 
 
 # retired keys still load and are range-checked, then ignored; the tests keep

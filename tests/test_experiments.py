@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,11 +20,12 @@ def small_config():
     cfg = ScenarioConfig.default()
     from irsim import ArraySpec
 
-    return cfg.replace(
+    return cfg.replace(geometry=dataclasses.replace(
+        cfg.geometry,
         lrs_spec=ArraySpec(16, 1, 0.1, 0.2),
         urs_spec=ArraySpec(16, 1, 0.1, 0.2),
         irs_spec=ArraySpec(16, 1, 0.02, 0.2),
-    )
+    ))
 
 
 def rows_of(cfg, experiment, grid=None):
@@ -93,7 +95,7 @@ def test_overlap_ratio_baseline_peak_over_occurring_cases(small_config):
     rand = {r["swept_value"]: r for r in rows if r["scheme"] == "random_phase"}
     for value in (0.0, 1.0):
         cfg = _point_config(small_config, "overlap_ratio", value)
-        rep = _random_phase_expectation(cfg.geometry(), cfg.p_l, cfg.p_u)
+        rep = _random_phase_expectation(cfg.geometry, cfg.timing.lrs.power, cfg.timing.urs.power)
         want = max(rep.q_lu, rep.q_uu) if value == 0.0 else rep.q_ou
         assert rand[value]["urs_power"] == want
 
@@ -170,6 +172,15 @@ def test_deterministic_output(tmp_path, small_config):
     assert strip_wall(a) == strip_wall(b)
 
 
+def test_unparsable_worker_count_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IRSIM_WORKERS", "abc")
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--experiment", "lrs_distance", "--grid", "20,40", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "IRSIM_WORKERS: cannot parse 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_worker_pool_matches_serial(tmp_path, small_config):
     grid = (0.0, 1.0)
     serial = rows_of(small_config, "angle_error", grid)
@@ -216,7 +227,8 @@ def test_all_infeasible_helper():
 def test_beam_scan_urs_uses_closed_form_null(small_config, shape):
     from irsim import ArraySpec
 
-    cfg = small_config.replace(irs_spec=ArraySpec(*shape, 0.02, 0.2))
+    geometry = dataclasses.replace(small_config.geometry, irs_spec=ArraySpec(*shape, 0.02, 0.2))
+    cfg = small_config.replace(geometry=geometry)
     rows = rows_of(cfg, "beam_scan_urs", (-0.5, 0.0, 0.5))
     prop = [r for r in rows if r["scheme"] == "proposed"]
     no_irs_peak = max(r["urs_power"] for r in rows if r["scheme"] == "no_irs")
@@ -287,8 +299,6 @@ def test_cli_optimize_json_is_strict(tmp_path):
 def test_cli_optimize_never_writes_nan(tmp_path, monkeypatch):
     # a non-finite figure that got past validation fails the run instead of
     # landing in the file as a bare NaN, which is not JSON
-    import dataclasses
-
     import irsim.cli
 
     solve = irsim.cli.pdd_solve
@@ -312,6 +322,8 @@ def test_cli_unknown_figure_exits_2(tmp_path):
     (["sweep", "--experiment", "gamma_sweep", "--grid", "1e-9,inf"], "finite"),
     (["sweep", "--experiment", "gamma_sweep", "--grid", "0,1e-9"], "power.gamma"),
     (["sweep", "--experiment", "gamma_sweep", "--grid=-1e-9,1e-9"], "power.gamma"),
+    (["sweep", "--experiment", "lrs_distance", "--grid=-5,10"], "geometry"),
+    (["sweep", "--experiment", "overlap_ratio", "--grid", "0.5,1.5"], "timing"),
 ])
 def test_cli_bad_grid_value_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

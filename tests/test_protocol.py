@@ -185,9 +185,9 @@ def test_default_rcs_reference_value():
 
 def test_baseline_zero_rcs():
     cfg = ScenarioConfig.default()
-    assert no_irs_baseline_power(cfg.geometry(), 0.0, P, P) == (0.0, 0.0)
+    assert no_irs_baseline_power(cfg.geometry, 0.0, P, P) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        no_irs_baseline_power(cfg.geometry(), -1.0, P, P)
+        no_irs_baseline_power(cfg.geometry, -1.0, P, P)
 
 
 def test_random_phase_baseline_statistics(rng):

@@ -46,33 +46,27 @@ def test_chirp_unit_average_power(bandwidth, duration):
 
 
 def test_segments_adjacent_pulses():
-    p = plan(urs_start=25 * US)
-    seg = segment_pri(p)
-    assert seg.t_overlap == 0.0
-    assert seg.case1 == [(0.0, 25 * US)]
-    assert seg.case2 == [(25 * US, 55 * US)]
-    assert seg.case3 == []
+    t1, t2, t3 = segment_pri(plan(urs_start=25 * US))
+    assert t3 == 0.0
+    np.testing.assert_allclose((t1, t2), (25 * US, 30 * US), rtol=0, atol=1e-18)
 
 
 def test_segments_common_start():
-    seg = segment_pri(plan())
-    np.testing.assert_allclose(seg.t_overlap, 25 * US)
-    assert seg.case1 == []
+    t1, t2, t3 = segment_pri(plan())
+    assert t1 == 0.0
+    np.testing.assert_allclose((t2, t3), (5 * US, 25 * US), rtol=0, atol=1e-18)
 
 
 def test_segments_partial_overlap():
-    seg = segment_pri(plan(urs_start=10 * US))
-    np.testing.assert_allclose(seg.t_overlap, 15 * US)
-    assert seg.case1 == [(0.0, 10 * US)]
-    assert seg.case3 == [(10 * US, 25 * US)]
-    assert seg.case2 == [(25 * US, 40 * US)]
+    durations = segment_pri(plan(urs_start=10 * US))
+    np.testing.assert_allclose(durations, (10 * US, 15 * US, 15 * US), rtol=0, atol=1e-18)
 
 
 def test_segments_urs_inside_lrs():
-    # the longer pulse is split into two single-source intervals
-    seg = segment_pri(plan(t_l=30 * US, t_u=10 * US, urs_start=10 * US))
-    assert seg.case1 == [(0.0, 10 * US), (20 * US, 30 * US)]
-    np.testing.assert_allclose(seg.t_overlap, 10 * US)
+    # the longer pulse runs alone before and after the shorter one
+    t1, t2, t3 = segment_pri(plan(t_l=30 * US, t_u=10 * US, urs_start=10 * US))
+    assert t2 == 0.0
+    np.testing.assert_allclose((t1, t3), (20 * US, 10 * US), rtol=0, atol=1e-18)
 
 
 def test_segment_measure_conservation(rng):
@@ -82,10 +76,10 @@ def test_segment_measure_conservation(rng):
         t_u = float(rng.uniform(1, 40)) * US
         s_l = float(rng.uniform(0, (100 - 41))) * US
         s_u = float(rng.uniform(0, (100 - 41))) * US
-        seg = segment_pri(plan(t_l=t_l, t_u=t_u, lrs_start=s_l, urs_start=s_u, pri=pri))
-        np.testing.assert_allclose(seg.t_case1 + seg.t_overlap, t_l, atol=1e-18)
-        np.testing.assert_allclose(seg.t_case2 + seg.t_overlap, t_u, atol=1e-18)
-        assert 0 <= seg.t_overlap <= min(t_l, t_u) + 1e-18
+        t1, t2, t3 = segment_pri(plan(t_l=t_l, t_u=t_u, lrs_start=s_l, urs_start=s_u, pri=pri))
+        np.testing.assert_allclose(t1 + t3, t_l, atol=1e-18)
+        np.testing.assert_allclose(t2 + t3, t_u, atol=1e-18)
+        assert 0 <= t3 <= min(t_l, t_u) + 1e-18
 
 
 def test_plan_rejects_duration_at_pri():
