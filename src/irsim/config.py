@@ -128,6 +128,25 @@ def _cast(key: str, raw: str, kind):
         raise ConfigError(key, f"cannot parse {raw!r} as {kind.__name__}") from exc
 
 
+# the [timing] key of each field that a PulseSpec or TimingPlan error names;
+# {} stands for the radar, lrs or urs
+_TIMING_FIELD_KEYS = {"pri": "pri", "pulses_per_cpi": "pulses_per_cpi", "bandwidth": "bandwidth",
+                      "duration": "{}_duration", "start_offset": "{}_start"}
+
+
+def _timing_error(exc: ValueError, radar: str | None = None) -> ConfigError:
+    """A PulseSpec or TimingPlan error, "[radar] field rule", as a ConfigError
+    on the [timing] key of that field; ``radar`` names the pulse when the
+    message does not."""
+    field, _, rule = str(exc).partition(" ")
+    if field in ("lrs", "urs"):
+        radar, (field, _, rule) = field, rule.partition(" ")
+    key = _TIMING_FIELD_KEYS.get(field)
+    if key is None:
+        return ConfigError("timing", str(exc))
+    return ConfigError(f"timing.{key.format(radar)}", rule)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated scenario: geometry, timing, powers, solver and error model.
@@ -187,22 +206,23 @@ class ScenarioConfig:
                 "timing.urs_pri",
                 "unequal PRIs are not supported; both radars share timing.pri",
             )
-        wavelength = get("arrays", "wavelength")
-        radar_spacing = get("arrays", "radar_spacing")
-        irs_spacing = get("arrays", "irs_spacing")
-
         # every value is read before the constructor that range-checks it, so
         # a value that does not parse names its own key
-        def spec(key_a, key_b, spacing):
-            count_a, count_b = get("arrays", key_a, int), get("arrays", key_b, int)
+        def spec(key_a, key_b, spacing_key):
+            values = {key: get("arrays", key, int) for key in (key_a, key_b)}
+            values[spacing_key] = get("arrays", spacing_key)
+            values["wavelength"] = get("arrays", "wavelength")
             try:
-                return ArraySpec(count_a, count_b, spacing, wavelength)
+                return ArraySpec(*values.values())
             except ValueError as exc:
-                raise ConfigError(f"arrays.{key_a}", str(exc)) from exc
+                # ArraySpec rejects counts below 1 and, once they pass, a spacing
+                # or wavelength <= 0 (both are finite here): the first value <= 0
+                bad = next(key for key, value in values.items() if value <= 0)
+                raise ConfigError(f"arrays.{bad}", str(exc)) from exc
 
-        lrs_spec = spec("lrs_count_y", "lrs_count_z", radar_spacing)
-        urs_spec = spec("urs_count_y", "urs_count_z", radar_spacing)
-        irs_spec = spec("irs_count_x", "irs_count_y", irs_spacing)
+        lrs_spec = spec("lrs_count_y", "lrs_count_z", "radar_spacing")
+        urs_spec = spec("urs_count_y", "urs_count_z", "radar_spacing")
+        irs_spec = spec("irs_count_x", "irs_count_y", "irs_spacing")
 
         def angles(prefix):
             elevation, azimuth = (
@@ -230,14 +250,17 @@ class ScenarioConfig:
             if power <= 0:
                 raise ConfigError(f"power.{power_key}", "must be positive")
             duration, start = get("timing", f"{radar}_duration"), get("timing", f"{radar}_start")
-            return power, duration, bandwidth, start
+            try:
+                return PulseSpec(power, duration, bandwidth, start)
+            except ValueError as exc:
+                raise _timing_error(exc, radar) from exc
 
         lrs, urs = pulse("lrs", "p_l"), pulse("urs", "p_u")
         pri, pulses_per_cpi = get("timing", "pri"), get("timing", "pulses_per_cpi", int)
         try:
-            timing = TimingPlan(pri, pulses_per_cpi, PulseSpec(*lrs), PulseSpec(*urs))
+            timing = TimingPlan(pri, pulses_per_cpi, lrs, urs)
         except ValueError as exc:
-            raise ConfigError("timing", str(exc)) from exc
+            raise _timing_error(exc) from exc
 
         # retired keys, checked so old files load, then ignored: the random-phase
         # rows are exact, every experiment runs both reflection schedules, and

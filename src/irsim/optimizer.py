@@ -22,8 +22,15 @@ blended toward a cap minimizer, found by the same penalty-dual loop with the
 roles swapped: its disk block, min ||B^H x||^2 + ||x - c||^2 / (2 rho), is
 convex and is also solved exactly by Newton's method in a dual variable with
 at most 4 real entries. Both dual solves share the cap constants, built once
-per problem. Closed-form solutions exist for the two single-radar special
-cases, and a phase-grid exhaustive search serves as a small-size oracle.
+per problem.
+
+The first start is finished by one more alternation to the tight loop
+tolerance. The random restarts of a binding-cap solve are first screened by
+the unit-modulus fixed-point map of the Lagrangian (Soltanalian & Stoica,
+IEEE TSP 2014), and only those whose screened point beats the finished one
+run the penalty-dual loop. Closed-form solutions exist for the two
+single-radar special cases, and a phase-grid exhaustive search serves as a
+small-size oracle.
 """
 
 from __future__ import annotations
@@ -671,6 +678,8 @@ def _penalty_dual(
     score: Callable[[np.ndarray], float | None],
     params: PddParams,
     stop: float | None = None,
+    *,
+    loop_tol: float | None = None,
 ) -> tuple[np.ndarray | None, float, list[tuple[np.ndarray, float, float]], bool]:
     """The penalty-dual loop, shared by the solver and the cap minimizer.
 
@@ -687,8 +696,8 @@ def _penalty_dual(
     alternation never raises; else the plain step follows and the memory
     is cleared. Every block call counts toward ``max_inner``. The
     alternation stops once an image moves less than a loop tolerance that
-    shrinks with the outer index to ``inner_tol``, and leaves
-    vartheta = phase(theta + rho lambda).
+    shrinks with the outer index to ``inner_tol`` (or the fixed ``loop_tol``
+    when given), and leaves vartheta = phase(theta + rho lambda).
 
     ``score`` rates a unit-modulus copy, higher being better, or returns
     None for a copy that may not be returned; the best-rated copy seen,
@@ -710,11 +719,11 @@ def _penalty_dual(
         if stop is not None and best_score >= stop:
             break
         # solve the inner problem inexactly at first, tightly once rho is small
-        loop_tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer))
+        tol = max(params.inner_tol, 0.03 * params.c ** (2 * outer)) if loop_tol is None else loop_tol
         shift = rho * lam
         trial, merit, memory = vartheta, math.inf, []
         for _ in range(params.max_inner):
-            theta_new, f = block(theta, trial - shift, rho, loop_tol)[:2]
+            theta_new, f = block(theta, trial - shift, rho, tol)[:2]
             image = theta_new + shift
             vartheta_new = _unit_phases(image)
             r = image - vartheta_new
@@ -725,7 +734,7 @@ def _penalty_dual(
             residual = vartheta_new - trial
             delta = max(np.abs(theta_new - theta).max(), np.abs(residual).max())
             theta, vartheta, merit = theta_new, vartheta_new, merit_new
-            if delta < loop_tol:
+            if delta < tol:
                 break
             memory = (memory + [(vartheta, residual)])[-_ANDERSON_MEMORY - 1 :]
             trial = _anderson(memory) if len(memory) > _ANDERSON_MEMORY else vartheta
@@ -845,6 +854,43 @@ def _under_cap(problem: ProblemData, theta: np.ndarray) -> ReflectionVector:
     return rv
 
 
+_SCREEN_STEPS = 50  # fixed-point steps of the restart screen at most
+_SCREEN_MOVE_TOL = 1e-6  # the screen stops once no entry moves this much
+_SCREEN_RTOL = 1e-9  # a screened start runs in full only if it beats the reference by this
+
+
+def _screen_starts(Q: np.ndarray, dual: _CapDual, theta_ref: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Which columns of ``starts`` may reach a better basin than ``theta_ref``.
+
+    Fits the cap multiplier mu >= 0 at ``theta_ref`` by least squares, so
+    that Im(conj(theta) (Q Q^H theta - mu B B^H theta)) is smallest, and
+    ascends L(theta) = ||Q^H theta||^2 - mu ||B^H theta||^2 from every column
+    at once by the unit-modulus fixed-point map theta <- phase(M theta),
+    M = Q Q^H - mu B B^H + kappa I with kappa = mu sig2, for which M is
+    positive semidefinite, so that no step lowers L (Soltanalian & Stoica,
+    IEEE TSP 2014). It takes ``_SCREEN_STEPS`` steps at most and stops once
+    no entry moves ``_SCREEN_MOVE_TOL``. A column is kept when its L beats
+    L(theta_ref) by more than ``_SCREEN_RTOL`` relative.
+    """
+    B, Qh, Bh = dual.B, Q.conj().T, dual.Bh
+    grad, cap = Q @ (Qh @ theta_ref), B @ (Bh @ theta_ref)
+    a, b = (np.conj(theta_ref) * grad).imag, (np.conj(theta_ref) * cap).imag
+    mu = max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
+
+    def lagrangian(T: np.ndarray) -> np.ndarray:
+        return (np.abs(Qh @ T) ** 2).sum(axis=0) - mu * (np.abs(Bh @ T) ** 2).sum(axis=0)
+
+    M = Q @ Qh - mu * (B @ Bh)
+    M[np.diag_indices_from(M)] += mu * dual.sig2
+    T = starts
+    for _ in range(_SCREEN_STEPS):
+        T, prev = _unit_phases(M @ T), T
+        if np.abs(T - prev).max() < _SCREEN_MOVE_TOL:
+            break
+    ref = float(lagrangian(theta_ref[:, None])[0])
+    return lagrangian(T) > ref + _SCREEN_RTOL * abs(ref)
+
+
 def pdd_solve(
     problem: ProblemData,
     params: PddParams | None = None,
@@ -860,10 +906,23 @@ def pdd_solve(
 
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
-    when that start violates the cap. When the cap is binding at the first
-    solution, up to ``_RESTARTS - 1`` extra deterministic starts are
-    tried and the best feasible result wins, since binding-cap instances
-    can have several distinct local optima.
+    when that start violates the cap. Its single outer iteration usually
+    stops at a loose loop tolerance, so the finish runs one more
+    alternation from its kept copy (lambda = 0, rho = ``rho0``, loop
+    tolerance ``inner_tol``, at most ``max_inner`` block calls) and keeps
+    the result only if it scores higher.
+
+    When the cap is binding at the finished point, ``_RESTARTS - 1``
+    deterministic random starts guard the other basins that binding-cap
+    instances can have. They are screened first (:func:`_screen_starts`,
+    all at once), and the penalty-dual loop runs only from those whose
+    screened point beats the finished one; without a kept first copy every
+    restart runs. The best feasible result wins.
+
+    ``outer_iterations`` counts the outer iterations of every run: the
+    first start's, the finish's one and those of each restart that runs; a
+    screened-out restart adds nothing. ``trace`` follows the winning run,
+    the first start with its finish when the finish won.
 
     A start over the cap is blended toward the point of the cap minimizer
     (:func:`_minimize_quad_core`), run once per solve with gamma as its
@@ -925,12 +984,24 @@ def pdd_solve(
         theta0 = _principal_phases(scaled.Q)
     best_theta, best_obj, history, converged = single_run(theta0)
     total_outer = len(history)
+    if best_theta is not None:
+        # the finish: one more alternation from the kept copy, to the tight loop
+        # tolerance; the loop keeps that copy unless the finish scores higher
+        theta_f, obj_f, history_f, conv_f = _penalty_dual(
+            best_theta, block.update, score, replace(params, max_outer=1), loop_tol=params.inner_tol
+        )
+        total_outer += len(history_f)
+        if obj_f > best_obj:
+            best_theta, best_obj, history, converged = theta_f, obj_f, history + history_f, conv_f
 
     cap_binding = best_theta is not None and dual is not None and dual.quad(best_theta) > gamma / 2
     if best_theta is None or cap_binding:
-        restart_rng = np.random.default_rng(0x5EED)
-        for _ in range(_RESTARTS - 1):
-            extra = np.exp(1j * restart_rng.uniform(0.0, 2.0 * np.pi, n))
+        starts = np.exp(1j * np.random.default_rng(0x5EED).uniform(0.0, 2.0 * np.pi, (_RESTARTS - 1, n)))
+        if best_theta is None:
+            keep = np.ones(len(starts), dtype=bool)
+        else:
+            keep = _screen_starts(scaled.Q, dual, best_theta, starts.T)
+        for extra in starts[keep]:
             theta_k, obj_k, history_k, conv_k = single_run(extra)
             total_outer += len(history_k)
             if theta_k is not None and obj_k > best_obj:

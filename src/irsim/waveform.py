@@ -29,6 +29,8 @@ class PulseSpec:
     start_offset: float = 0.0
 
     def __post_init__(self):
+        # every message reads "field rule": the configuration maps the field
+        # to the INI key it came from
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
@@ -60,6 +62,7 @@ class TimingPlan:
     urs: PulseSpec
 
     def __post_init__(self):
+        # every message reads "[radar] field rule", as PulseSpec's do
         if not math.isfinite(self.pri):
             raise ValueError("pri must be finite")
         if self.pri <= 0:
@@ -68,11 +71,9 @@ class TimingPlan:
             raise ValueError("pulses_per_cpi must be >= 1")
         for name, pulse in (("lrs", self.lrs), ("urs", self.urs)):
             if pulse.duration >= self.pri:
-                raise ValueError(f"{name} pulse duration must be < pri")
-            if pulse.start_offset >= self.pri:
-                raise ValueError(f"{name} start_offset must be < pri")
+                raise ValueError(f"{name} duration must be < pri")
             if pulse.start_offset + pulse.duration > self.pri:
-                raise ValueError(f"{name} pulse must not wrap past the end of the pri")
+                raise ValueError(f"{name} start_offset must be <= pri - duration")
 
 
 def pulse_sample(spec: PulseSpec, t):

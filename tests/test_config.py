@@ -218,6 +218,31 @@ def test_unparsable_value_names_its_key(tmp_path, section, key):
     assert info.value.key == f"{section}.{key}"
 
 
+@pytest.mark.parametrize("section,key,value,rule", [
+    ("arrays", "lrs_count_y", "0", "element counts must be >= 1"),
+    ("arrays", "lrs_count_z", "0", "element counts must be >= 1"),
+    ("arrays", "urs_count_z", "-3", "element counts must be >= 1"),
+    ("arrays", "irs_count_y", "0", "element counts must be >= 1"),
+    ("arrays", "radar_spacing", "-0.1", "spacing and wavelength must be positive"),
+    ("arrays", "irs_spacing", "0", "spacing and wavelength must be positive"),
+    ("arrays", "wavelength", "0", "spacing and wavelength must be positive"),
+    ("timing", "lrs_start", "-1", "must be >= 0"),
+    ("timing", "urs_start", "90e-6", "must be <= pri - duration"),
+    ("timing", "lrs_duration", "0", "must be positive"),
+    ("timing", "urs_duration", "100e-6", "must be < pri"),
+    ("timing", "bandwidth", "-1", "must be >= 0"),
+    ("timing", "pri", "0", "must be positive"),
+    ("timing", "pulses_per_cpi", "0", "must be >= 1"),
+])
+def test_out_of_range_value_names_its_key(tmp_path, section, key, value, rule):
+    # the key that was set, not another key of the object built from it
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{section}.{key}: {rule}$") as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == f"{section}.{key}"
+
+
 @pytest.mark.parametrize("key", ["p_l", "p_u"])
 def test_non_positive_transmit_power_names_its_key(tmp_path, key):
     path = tmp_path / "bad.ini"

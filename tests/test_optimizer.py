@@ -1044,14 +1044,143 @@ def test_pdd_with_candidates_keeps_best(rng):
 
 
 def test_pdd_repeat_solves_identical_on_binding_cap(rng):
-    # a binding cap runs the cap minimizer and the extra starts, which share
-    # the problem's cap constants: no state may carry from one solve to the next
-    prob = random_problem(rng, n=16, gamma_frac=0.05)
-    r1 = pdd_solve(prob)
-    r2 = pdd_solve(prob)
-    assert r1.outer_iterations > len(r1.trace)  # more than one start ran
-    assert r1.objective == r2.objective
-    np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
+    # a binding cap runs the cap minimizer, the finish, the restart screen and
+    # the restarts it keeps, which share the problem's cap constants: no state
+    # may carry from one solve to the next. The screen keeps no restart of the
+    # first problem; oracle instance 23 runs them.
+    for prob, restarts in ((random_problem(rng, n=16, gamma_frac=0.05), False),
+                           (oracle_instance(23), True)):
+        r1 = pdd_solve(prob)
+        r2 = pdd_solve(prob)
+        if restarts:
+            assert r1.outer_iterations > len(r1.trace)  # more than one start ran
+        assert r1.objective == r2.objective
+        np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
+
+
+def oracle_instance(index):
+    """The problem of that index in the draw order of the acceptance
+    criterion test_criterion_pdd_vs_oracle (N = 4, P3)."""
+    rng = np.random.default_rng(42)
+    for _ in range(index + 1):
+        comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
+        q_ls = float(10 ** rng.uniform(-8, -5))
+        q_us = float(10 ** rng.uniform(-8, -5))
+        loose = build_problem("P3", (q_ls, q_us), comps, None, 1.0, 0.03)
+        cap = problem_constraint(loose, np.exp(1j * np.angle(loose.Q[:, 0])))
+        gamma = float(max(cap * rng.uniform(0.05, 0.8), 1e-300))
+    return build_problem("P3", (q_ls, q_us), comps, None, gamma, 0.03)
+
+
+def spy_solver_runs(monkeypatch):
+    """Record (theta0, result) of every penalty-dual run of pdd_solve's own
+    starts, in order: the first start, its finish, then each restart that
+    runs. The cap minimizer's runs, which take a stop level, are left out."""
+    runs = []
+    penalty_dual = optimizer._penalty_dual
+
+    def spy(theta0, block, score, params, stop=None, **kwargs):
+        out = penalty_dual(theta0, block, score, params, stop, **kwargs)
+        if stop is None:
+            runs.append((theta0, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "_penalty_dual", spy)
+    return runs
+
+
+# the ratio to the 16-level grid optimum that oracle instance 23 reached before
+# the restart screen, rounded down: 1.06311888265999
+ORACLE_23_RATIO = 1.0631188826
+
+
+def test_screen_runs_the_restarts_of_oracle_instance_23(monkeypatch):
+    # the finished first start ends near 0.79 of the grid optimum; only a
+    # restart reaches the better basin, so the screen must let one run
+    prob = oracle_instance(23)
+    runs = spy_solver_runs(monkeypatch)
+    res = pdd_solve(prob)
+    _, best = brute_force_oracle(prob, 16)
+    sq2 = max(np.linalg.norm(q) for q in prob.Q.T) ** 2  # pdd_solve scores on Q / sq
+    finished = sq2 * runs[1][1][1]
+    assert finished < 0.8 * best
+    assert len(runs) > 2  # a restart ran
+    assert res.objective / best >= ORACLE_23_RATIO
+
+
+def screened(Q, B, theta_ref, starts):
+    """Reference of the restart screen, one column at a time: the least-squares
+    multiplier mu >= 0 at theta_ref, the ascent theta <- phase((Q Q^H - mu B B^H
+    + mu sig2 I) theta) of every column until no entry moves 1e-6 (at most 50
+    steps), and L = ||Q^H theta||^2 - mu ||B^H theta||^2 at the reference and
+    at each screened column."""
+    grad, cap = Q @ (Q.conj().T @ theta_ref), B @ (B.conj().T @ theta_ref)
+    a, b = (np.conj(theta_ref) * grad).imag, (np.conj(theta_ref) * cap).imag
+    mu = max(0.0, float(a @ b) / float(b @ b))
+    kappa = mu * np.linalg.norm(B, 2) ** 2
+
+    def L(theta):
+        return np.linalg.norm(Q.conj().T @ theta) ** 2 - mu * np.linalg.norm(B.conj().T @ theta) ** 2
+
+    columns = list(starts.T)
+    for _ in range(50):
+        new = [np.exp(1j * np.angle(Q @ (Q.conj().T @ t) - mu * (B @ (B.conj().T @ t)) + kappa * t))
+               for t in columns]
+        moved = max(np.abs(n - t).max() for n, t in zip(new, columns))
+        ascent = [L(n) - L(t) for n, t in zip(new, columns)]
+        assert min(ascent) >= -1e-12 * abs(L(theta_ref))  # no step lowers L
+        columns = new
+        if moved < 1e-6:
+            break
+    return L(theta_ref), [L(t) for t in columns]
+
+
+def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatch):
+    screen = optimizer._screen_starts
+    screens = []
+
+    def screen_spy(Q, dual, theta_ref, starts):
+        keep = screen(Q, dual, theta_ref, starts)
+        screens.append((Q, dual.B, theta_ref, starts, keep))
+        return keep
+
+    monkeypatch.setattr(optimizer, "_screen_starts", screen_spy)
+    runs = spy_solver_runs(monkeypatch)
+    counts = {"kept": 0, "skipped": 0}
+    problems = [random_problem(rng, n=(4, 8, 16)[i % 3], case=("P3", "P4")[i % 2], gamma_frac=0.1)
+                for i in range(12)] + [oracle_instance(23)]
+    for prob in problems:
+        screens.clear()
+        runs.clear()
+        pdd_solve(prob)
+        if not screens:
+            continue  # the cap does not bind at the finished first start
+        Q, B, theta_ref, starts, keep = screens[0]
+        ref, values = screened(Q, B, theta_ref, starts)
+        for value, kept in zip(values, keep):
+            margin = value - ref - 1e-9 * abs(ref)
+            assert kept == (margin > 0) or abs(margin) < 1e-9 * abs(ref)
+        # the first start and its finish, then one run per kept restart
+        assert len(runs) == 2 + int(np.sum(keep))
+        for start in starts.T[~keep]:
+            assert not any(np.array_equal(theta0, start) for theta0, _ in runs)
+        counts["kept"] += int(np.sum(keep))
+        counts["skipped"] += int(np.sum(~keep))
+    assert min(counts.values()) > 0, counts
+
+
+def test_finish_never_lowers_the_first_start(rng, monkeypatch):
+    runs = spy_solver_runs(monkeypatch)
+    problems = [random_problem(rng, n=(4, 8, 16)[i % 3], case=("P3", "P4")[i % 2]) for i in range(12)]
+    problems.append(ProblemData(Q=problems[0].Q, B=None, gamma=1.0))
+    for prob in problems:
+        runs.clear()
+        res = pdd_solve(prob)
+        (_, first), (finish_start, finish) = runs[:2]
+        assert finish_start is first[0]  # the finish starts at the first start's kept copy
+        assert finish[1] >= first[1]
+        sq2 = max(np.linalg.norm(q) for q in prob.Q.T) ** 2
+        assert res.objective >= sq2 * first[1]
 
 
 def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
@@ -1189,10 +1318,10 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
 
     penalty_dual = optimizer._penalty_dual
 
-    def shrunken_run(theta0, update, score, params, *stop):
+    def shrunken_run(theta0, update, score, params, *stop, **loop_tol):
         if stop:  # the cap minimizer's own loop runs as before
             return penalty_dual(theta0, update, score, params, *stop)
-        return 1e-3 * aligned, 1.0, [], True
+        return 1e-3 * aligned, 1.0, [], True  # the first start and its finish
 
     with monkeypatch.context() as m:
         m.setattr(optimizer, "_penalty_dual", shrunken_run)
