@@ -26,7 +26,6 @@ from .optimizer import (
     BudgetExceeded,
     Infeasible,
     NoNullAvailable,
-    PddParams,
     PddResult,
     ProblemData,
     ProjectionError,

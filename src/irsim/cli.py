@@ -124,7 +124,7 @@ def _cmd_optimize(args) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        result = pdd_solve(problem, config.pdd)
+        result = pdd_solve(problem)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

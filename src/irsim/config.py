@@ -18,7 +18,7 @@ import numpy as np
 
 from .arrays import AnglePair, ArraySpec
 from .channel import ScenarioGeometry
-from .optimizer import PddParams
+from .optimizer import _C, _INNER_TOL, _MAX_INNER, _MAX_OUTER, _MAX_SCA, _OUTER_TOL, _RHO0
 from .protocol import EstimationError
 from .waveform import PulseSpec, TimingPlan
 
@@ -32,6 +32,11 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
         self.key = key
 
+
+# the retired [pdd] keys: the solver's settings are constants, and a file
+# may still set each one, to the constant's value only
+_PDD_FIXED = {"rho0": _RHO0, "c": _C, "inner_tol": _INNER_TOL, "outer_tol": _OUTER_TOL,
+              "max_outer": _MAX_OUTER, "max_inner": _MAX_INNER, "max_sca": _MAX_SCA}
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "arrays": {
@@ -81,15 +86,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "angle_sigma_deg": "0",
         "power_rel_error": "0",
     },
-    "pdd": {
-        "rho0": "1.0",
-        "c": "0.7",
-        "inner_tol": "1e-7",
-        "outer_tol": "1e-6",
-        "max_outer": "50",
-        "max_inner": "100",
-        "max_sca": "200",
-    },
+    "pdd": {key: str(value) for key, value in _PDD_FIXED.items()},
     "run": {
         "seed": "0",
         "random_phase_draws": "10000",
@@ -149,7 +146,7 @@ def _timing_error(exc: ValueError, radar: str | None = None) -> ConfigError:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario: geometry, timing, powers, solver and error model.
+    """Fully validated scenario: geometry, timing, powers and error model.
 
     Built only by :meth:`from_parser` (through :meth:`default` or
     :meth:`from_file`) and :meth:`replace`, so ``DEFAULTS`` holds the one
@@ -167,7 +164,6 @@ class ScenarioConfig:
     step1_pris: int
     echo_ratio: float
     error: EstimationError
-    pdd: PddParams
     seed: int
 
     @classmethod
@@ -263,8 +259,9 @@ class ScenarioConfig:
             raise _timing_error(exc) from exc
 
         # retired keys, checked so old files load, then ignored: the random-phase
-        # rows are exact, every experiment runs both reflection schedules, and
-        # the sensors' estimation is abstracted into the error model
+        # rows are exact, every experiment runs both reflection schedules, the
+        # sensors' estimation is abstracted into the error model, and the
+        # solver's settings are constants
         if get("run", "random_phase_draws", int) < 1:
             raise ConfigError("run.random_phase_draws", "must be >= 1")
         mode = get("protocol", "mode", str)
@@ -272,6 +269,9 @@ class ScenarioConfig:
             raise ConfigError("protocol.mode", f"must be short_term or long_term, got {mode!r}")
         if get("arrays", "sensor_count", int) < 1:
             raise ConfigError("arrays.sensor_count", "must be >= 1")
+        for key, fixed in _PDD_FIXED.items():
+            if get("pdd", key, type(fixed)) != fixed:
+                raise ConfigError(f"pdd.{key}", f"retired; only the solver's fixed value {fixed} is accepted")
         offset, sigma, rel = (
             get("error", key) for key in ("angle_offset_deg", "angle_sigma_deg", "power_rel_error")
         )
@@ -283,13 +283,6 @@ class ScenarioConfig:
             )
         except ValueError as exc:
             raise ConfigError("error", str(exc)) from exc
-        solver = {
-            key: get("pdd", key, int if key.startswith("max_") else float) for key in DEFAULTS["pdd"]
-        }
-        try:
-            pdd = PddParams(**solver)
-        except ValueError as exc:
-            raise ConfigError("pdd", str(exc)) from exc
 
         cfg = cls(
             geometry=geometry,
@@ -301,7 +294,6 @@ class ScenarioConfig:
             step1_pris=get("protocol", "step1_pris", int),
             echo_ratio=get("protocol", "echo_ratio"),
             error=error,
-            pdd=pdd,
             seed=get("run", "seed", int),
         )
         cfg.validate()
@@ -317,8 +309,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Check the values held here; raises ConfigError with context.
 
-        The geometry, timing, error model and solver settings check their
-        own values when they are built.
+        The geometry, timing and error model check their own values when
+        they are built.
         """
         for key, value in (("power.p_u_min", self.p_u_min), ("power.gamma", self.gamma),
                            ("power.noise_l", self.noise_l), ("power.noise_u", self.noise_u),

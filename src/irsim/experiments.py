@@ -179,8 +179,7 @@ def _cpi_row(config: ScenarioConfig, variant, value, seed_index, warm=None):
     t0 = time.perf_counter()
     cpi = run_cpi(
         config.geometry, plan, variant, config.gamma, plan.lrs.power, plan.urs.power,
-        config.p_u_min, err=config.error, rng=rng, params=config.pdd,
-        step1_pris=config.step1_pris, warm=warm,
+        config.p_u_min, err=config.error, rng=rng, step1_pris=config.step1_pris, warm=warm,
     )
     wall = time.perf_counter() - t0
     return cpi, _row(value, variant, cpi.lrs_energy, cpi.urs_peak_power,
@@ -224,41 +223,47 @@ def _rebuilt(key: str, obj, **changes):
 
 
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
-    """Specialize the scenario for one grid point of a CPI-based sweep."""
+    """Specialize the scenario for one grid point of a CPI-based sweep.
+
+    A grid value that the scenario rejects is a ConfigError on the
+    experiment that names the value.
+    """
     geom, plan = config.geometry, config.timing
-    if experiment == "gamma_sweep":
-        return config.replace(gamma=float(value))
-    if experiment == "lrs_distance":
-        return config.replace(geometry=_rebuilt("geometry", geom, dist_li=float(value)))
-    if experiment == "urs_distance":
-        return config.replace(geometry=_rebuilt("geometry", geom, dist_ui=float(value)))
-    if experiment == "aoa_difference":
-        # sweep around broadside of the reflector axis, where the direction
-        # cosine responds linearly to azimuth
-        base = np.pi / 2
-        return config.replace(geometry=replace(
-            geom,
-            angles_l=AnglePair(np.pi / 2, base),
-            angles_u=AnglePair(np.pi / 2, base + float(value)),
-        ))
-    if experiment == "overlap_ratio":
-        # equal pulse lengths; slide the second pulse to set the overlap
-        t = 30e-6
-        return config.replace(timing=_rebuilt(
-            "timing", plan,
-            lrs=_rebuilt("timing", plan.lrs, duration=t, start_offset=0.0),
-            urs=_rebuilt("timing", plan.urs, duration=t, start_offset=float((1.0 - value) * t)),
-        ))
-    if experiment == "angle_error":
-        return config.replace(
-            error=replace(config.error, angle_offset=float(np.deg2rad(value)))
-        )
+    try:
+        if experiment == "gamma_sweep":
+            return config.replace(gamma=float(value))
+        if experiment == "lrs_distance":
+            return config.replace(geometry=_rebuilt("geometry", geom, dist_li=float(value)))
+        if experiment == "urs_distance":
+            return config.replace(geometry=_rebuilt("geometry", geom, dist_ui=float(value)))
+        if experiment == "aoa_difference":
+            # sweep around broadside of the reflector axis, where the direction
+            # cosine responds linearly to azimuth
+            base = np.pi / 2
+            return config.replace(geometry=replace(
+                geom,
+                angles_l=AnglePair(np.pi / 2, base),
+                angles_u=AnglePair(np.pi / 2, base + float(value)),
+            ))
+        if experiment == "overlap_ratio":
+            # equal pulse lengths; slide the second pulse to set the overlap
+            t = 30e-6
+            return config.replace(timing=_rebuilt(
+                "timing", plan,
+                lrs=_rebuilt("timing", plan.lrs, duration=t, start_offset=0.0),
+                urs=_rebuilt("timing", plan.urs, duration=t, start_offset=float((1.0 - value) * t)),
+            ))
+        if experiment == "angle_error":
+            return config.replace(
+                error=replace(config.error, angle_offset=float(np.deg2rad(value)))
+            )
+    except ConfigError as exc:
+        raise ConfigError(experiment, f"grid value {_fmt(value)} rejected: {exc}") from exc
     raise ValueError(f"unknown CPI-based experiment {experiment!r}")
 
 
 def _pooled_point(args) -> list[dict]:
-    config, experiment, value, index = args
-    point_cfg = _point_config(config, experiment, value)
+    point_cfg, experiment, value, index = args
     if experiment in ("overlap_ratio", "angle_error"):
         schemes = ("short_term", "long_term")
     else:
@@ -310,7 +315,10 @@ def run_experiment(config: ScenarioConfig, sweep: SweepSpec) -> list[dict]:
         return _run_beam_scan(config, grid, "urs")
     if sweep.experiment == "gamma_sweep":
         return _run_gamma_sweep(config, grid)
-    args = [(config, sweep.experiment, value, index) for index, value in enumerate(grid)]
+    # every grid point is checked here, before any is solved, so a rejected
+    # value is reported the same way with and without workers
+    args = [(_point_config(config, sweep.experiment, value), sweep.experiment, value, index)
+            for index, value in enumerate(grid)]
     workers = _cast("IRSIM_WORKERS", os.environ.get("IRSIM_WORKERS", "1"), int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -25,7 +25,6 @@ from .power import (
 )
 from .optimizer import (
     Infeasible,
-    PddParams,
     build_problem,
     pdd_solve_with_candidates,
 )
@@ -121,7 +120,6 @@ def run_cpi(
     p_u_min: float | None = None,
     err: EstimationError = EstimationError(),
     rng: np.random.Generator | None = None,
-    params: PddParams | None = None,
     step1_pris: int = 1,
     warm: ProtocolMode | None = None,
 ) -> CpiResult:
@@ -151,7 +149,6 @@ def run_cpi(
         # vectors are all-zero then and the scale never enters
         p_u_min = p_u if p_u > 0 else 1.0
     rng = rng or np.random.default_rng(0)
-    params = params or PddParams()
     t1, t2, t3 = segment_pri(plan)
     n_pris = plan.pulses_per_cpi - step1_pris
 
@@ -173,7 +170,7 @@ def run_cpi(
     off = ReflectionVector.off(geom.irs_spec.size)
     try:
         p4 = build_problem("P4", (q_ls_est, q_us_est), comps_est, durations, gamma, p_u_min)
-        res4 = pdd_solve_with_candidates(p4, params, candidates=warm_coeff)
+        res4 = pdd_solve_with_candidates(p4, candidates=warm_coeff)
         iterations += res4.outer_iterations
         theta0 = res4.theta
         if variant == "long_term":
@@ -184,7 +181,7 @@ def run_cpi(
                 if warm is not None and warm.variant == "short_term":
                     cand.append(warm_coeff[warm_idx])
                 prob = build_problem(case, (q_ls_est, q_us_est), comps_est, durations, gamma, p_u_min)
-                res = pdd_solve_with_candidates(prob, params, candidates=cand)
+                res = pdd_solve_with_candidates(prob, candidates=cand)
                 return res.theta, res.outer_iterations
 
             # design only the cases that actually occur; a zero-duration case

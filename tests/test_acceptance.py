@@ -66,7 +66,7 @@ def test_criterion_closed_form_optimum():
         np.testing.assert_allclose(gain, float(n**2), rtol=1e-9)
         assert n**2 == 4096
         prob = ProblemData(Q=u[:, None], B=None, gamma=1.0)
-        res = pdd_solve(prob, cfg.pdd)
+        res = pdd_solve(prob)
         assert res.objective >= 0.999 * n**2
     report("closed-form optimum: alignment gain N^2 = 4096, solver >= 0.999 N^2", t, 1.0)
 
@@ -231,11 +231,9 @@ def test_criterion_angle_error_robustness():
     geom, plan = cfg.geometry, cfg.timing
     p_l, p_u = plan.lrs.power, plan.urs.power
     with Timer() as t:
-        clean = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min,
-                        params=cfg.pdd)
+        clean = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min)
         err = EstimationError(angle_offset=float(np.deg2rad(1.0)))
-        noisy = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min,
-                        err=err, params=cfg.pdd)
+        noisy = run_cpi(geom, plan, "short_term", cfg.gamma, p_l, p_u, cfg.p_u_min, err=err)
         assert clean.feasible and noisy.feasible
         loss = 1.0 - noisy.lrs_energy / clean.lrs_energy
         assert loss <= 0.05
@@ -269,7 +267,7 @@ def test_criterion_aoa_separation():
             alignment_bound = q_ls**2 * n**2
             prob = build_problem("P3", (q_ls, q_us), comps, None, cfg.gamma, cfg.p_u_min)
             try:
-                res = pdd_solve(prob, cfg.pdd)
+                res = pdd_solve(prob)
             except Infeasible:
                 assert regime == "narrow"
                 continue

@@ -14,7 +14,7 @@ import inspect
 import irsim
 from irsim import cli
 
-SETTABLE_VALUES = 214  # 191 over the public names of irsim, 23 in the CLI
+SETTABLE_VALUES = 202  # 179 over the public names of irsim, 23 in the CLI
 
 
 def _parameters(fn, bound: bool) -> int:

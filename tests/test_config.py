@@ -151,15 +151,35 @@ def test_non_finite_other_sections_rejected(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("value,message", [
     ("nan", "pdd.rho0: must be finite"),
-    ("0", "pdd: rho0 must be positive"),
-    ("-1", "pdd: rho0 must be positive"),
+    ("0", "pdd.rho0: retired; only the solver's fixed value 1.0 is accepted"),
+    ("-1", "pdd.rho0: retired; only the solver's fixed value 1.0 is accepted"),
 ], ids=["nan", "0", "-1"])
 def test_cli_non_finite_solver_setting_exits_2(tmp_path, capsys, value, message):
-    # a rho0 <= 0 would divide by zero or never end the penalty loop
+    # the solver's settings are constants: a retired [pdd] key is still read
+    # and finite-checked, and any value but the constant's names its key
     out = tmp_path / "sol.json"
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[pdd]\nrho0 = {value}\n")
     assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,fixed", [
+    ("rho0", "1.0"), ("c", "0.7"), ("inner_tol", "1e-07"), ("outer_tol", "1e-06"),
+    ("max_outer", "50"), ("max_inner", "100"), ("max_sca", "200"),
+])
+def test_retired_solver_key_loads_only_at_its_fixed_value(tmp_path, capsys, key, fixed):
+    path = tmp_path / "pdd.ini"
+    path.write_text(f"[pdd]\n{key} = {fixed}\n")
+    assert ScenarioConfig.from_file(str(path)) == ScenarioConfig.default()
+    path.write_text(f"[pdd]\n{key} = 5\n")
+    message = f"pdd.{key}: retired; only the solver's fixed value {fixed} is accepted"
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == f"pdd.{key}" and str(info.value) == message
+    out = tmp_path / "sol.json"
+    assert cli_main(["optimize", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -171,7 +191,6 @@ def _scenario_objects():
     return {
         "ArraySpec": geom.irs_spec, "AnglePair": geom.angles_u, "ScenarioGeometry": geom,
         "PulseSpec": plan.urs, "TimingPlan": plan, "EstimationError": cfg.error,
-        "PddParams": cfg.pdd,
     }
 
 
@@ -182,7 +201,6 @@ FINITE_FIELDS = [
     ("PulseSpec", "start_offset"), ("TimingPlan", "pri"),
     ("EstimationError", "angle_offset"), ("EstimationError", "angle_sigma"),
     ("EstimationError", "power_rel_error"),
-    ("PddParams", "rho0"), ("PddParams", "inner_tol"), ("PddParams", "outer_tol"),
 ]
 
 

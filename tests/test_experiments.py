@@ -332,6 +332,24 @@ def test_cli_bad_grid_value_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_rejected_grid_value_names_experiment_and_value(tmp_path, capsys, monkeypatch, workers):
+    # every grid point is checked before any is solved, also with a worker pool
+    monkeypatch.setenv("IRSIM_WORKERS", workers)
+    out = tmp_path / "x.csv"
+    for argv, message in (
+        (["--experiment", "overlap_ratio", "--grid", "0.5,1.5"],
+         "overlap_ratio: grid value 1.5 rejected: timing: start_offset must be >= 0"),
+        (["--experiment", "lrs_distance", "--grid=-5,10"],
+         "lrs_distance: grid value -5 rejected: geometry: "),
+        (["--experiment", "gamma_sweep", "--grid", "0,1e-9"],
+         "gamma_sweep: grid value 0 rejected: power.gamma: must be positive"),
+    ):
+        assert cli_main(["sweep", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["scan"], ["sweep", "--experiment", "gamma_sweep"],
                                      ["reproduce", "fig8"]])
 def test_cli_param_option_is_gone(tmp_path, command):

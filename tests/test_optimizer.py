@@ -1,3 +1,5 @@
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,6 @@ from irsim import (
     BudgetExceeded,
     Infeasible,
     NoNullAvailable,
-    PddParams,
     ProblemData,
     ProjectionError,
     ReflectionVector,
@@ -723,15 +724,14 @@ def test_vartheta_update_zero_argument_convention():
     np.testing.assert_array_equal(_unit_phases(np.array([0.0 + 0j])), [1.0 + 0j])
 
 
-def theta_update(prob, theta, vartheta, lam, rho, params=None):
+def theta_update(prob, theta, vartheta, lam, rho):
     """One disk-block update of a fresh _ThetaBlock at the full inner tolerance."""
-    params = params or PddParams()
-    block = optimizer._ThetaBlock(prob, params, optimizer._cap_dual(prob))
-    theta, _, objectives = block.update(theta, vartheta - rho * lam, rho, params.inner_tol)
+    block = optimizer._ThetaBlock(prob, optimizer._cap_dual(prob))
+    theta, _, objectives = block.update(theta, vartheta - rho * lam, rho, optimizer._INNER_TOL)
     return theta, objectives
 
 
-def test_theta_update_unconstrained_closed_form(rng):
+def test_theta_update_unconstrained_closed_form(rng, monkeypatch):
     # with a vanishing objective gradient the first surrogate step is the
     # clipped penalty center
     n = 4
@@ -744,7 +744,8 @@ def test_theta_update_unconstrained_closed_form(rng):
     assert abs(np.vdot(q1, theta0)) < 1e-12
     vartheta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     lam = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    theta, objs = theta_update(prob, theta0, vartheta, lam, 0.8, PddParams(max_sca=1))
+    monkeypatch.setattr(optimizer, "_MAX_SCA", 1)
+    theta, objs = theta_update(prob, theta0, vartheta, lam, 0.8)
     np.testing.assert_allclose(theta, _clip_disk(vartheta - 0.8 * lam), atol=1e-12)
 
 
@@ -818,7 +819,7 @@ def unit_problem(rng, n=16, frac=0.1):
     return replace(loose, gamma=gamma)
 
 
-def traced_penalty_dual(monkeypatch, problem, theta0, block=None, params=None):
+def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
     """Run the solver's penalty-dual loop once, recording every block call.
 
     Returns the loop's result, the block calls as (theta in, trial, rho,
@@ -826,8 +827,7 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None, params=None):
     the memories handed to _anderson. trial = center + shift is the copy the
     block was called with, shift = rho lambda.
     """
-    params = params or PddParams()
-    inner = block or optimizer._ThetaBlock(problem, params, optimizer._cap_dual(problem)).update
+    inner = block or optimizer._ThetaBlock(problem, optimizer._cap_dual(problem)).update
     calls, steps, memories = [], [], []
     state = {"lam": np.zeros(problem.n, complex)}
     dual_step, anderson = optimizer._dual_step, optimizer._anderson
@@ -854,7 +854,7 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None, params=None):
         feasible = problem_constraint(problem, theta) <= problem.gamma
         return problem_objective(problem, theta) if feasible else None
 
-    out = optimizer._penalty_dual(theta0, spy_block, score, params)
+    out = optimizer._penalty_dual(theta0, spy_block, score)
     return out, calls, steps, memories
 
 
@@ -898,8 +898,9 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     problem = unit_problem(rng)
     # a first loop tolerance of 0.03 c^2 = 3e-8 keeps the alternation going
     # for several images after the rejection, however fast it would settle
-    params = PddParams(inner_tol=1e-15, c=1e-3)
-    real = optimizer._ThetaBlock(problem, params, optimizer._cap_dual(problem)).update
+    monkeypatch.setattr(optimizer, "_INNER_TOL", 1e-15)
+    monkeypatch.setattr(optimizer, "_C", 1e-3)
+    real = optimizer._ThetaBlock(problem, optimizer._cap_dual(problem)).update
     seen = {"calls": 0, "extrapolated": None}
     anderson = optimizer._anderson
 
@@ -919,7 +920,7 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     monkeypatch.setattr(optimizer, "_anderson", first_extrapolation)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
     (_, _, history, _), calls, steps, memories = traced_penalty_dual(
-        monkeypatch, problem, theta0, block, params
+        monkeypatch, problem, theta0, block
     )
     k = seen["extrapolated"]
     assert k is not None and k + 4 < len(calls)
@@ -950,10 +951,9 @@ def test_penalty_dual_exit_state_is_the_phase_of_theta_plus_shift(monkeypatch, s
     # every outer iteration ends in a dual step, and the loop tolerance 0.03 c^2
     # = 3e-8 of the first outer iteration keeps its alternation going past the
     # three images an extrapolation needs
-    params = PddParams(inner_tol=1e-15, c=1e-3, outer_tol=5e-324, max_outer=3)
-    (_, _, history, _), calls, steps, memories = traced_penalty_dual(
-        monkeypatch, problem, theta0, params=params
-    )
+    for name, value in (("_INNER_TOL", 1e-15), ("_C", 1e-3), ("_OUTER_TOL", 5e-324), ("_MAX_OUTER", 3)):
+        monkeypatch.setattr(optimizer, name, value)
+    (_, _, history, _), calls, steps, memories = traced_penalty_dual(monkeypatch, problem, theta0)
     assert memories and steps
     for lam, theta, vartheta, rho in steps:
         np.testing.assert_array_equal(vartheta, _unit_phases(theta + rho * lam))
@@ -1007,7 +1007,7 @@ def test_pdd_feasibility_and_convergence(rng):
         np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
         assert problem_constraint(prob, coeff) <= prob.gamma * (1 + 1e-6)
         if res.converged:
-            assert res.trace[-1].gap < PddParams().outer_tol
+            assert res.trace[-1].gap < optimizer._OUTER_TOL
 
 
 def test_pdd_beats_grid_oracle(rng):
@@ -1079,8 +1079,8 @@ def spy_solver_runs(monkeypatch):
     runs = []
     penalty_dual = optimizer._penalty_dual
 
-    def spy(theta0, block, score, params, stop=None, **kwargs):
-        out = penalty_dual(theta0, block, score, params, stop, **kwargs)
+    def spy(theta0, block, score, stop=None, **kwargs):
+        out = penalty_dual(theta0, block, score, stop, **kwargs)
         if stop is None:
             runs.append((theta0, out))
         return out
@@ -1191,9 +1191,9 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
     core = optimizer._minimize_quad_core
     calls = []
 
-    def spy(dual, params, ref, stop=None):
-        out = core(dual, params, ref, stop)
-        calls.append((dual, params, ref, out))
+    def spy(dual, ref, stop=None):
+        out = core(dual, ref, stop)
+        calls.append((dual, ref, out))
         return out
 
     class Decided(Exception):
@@ -1223,8 +1223,8 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
         sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
         # probe with a cap far below the first start, to get its cap minimizer
         solve(replace(base, gamma=1e-12 * sh2))
-        dual, params, ref, _ = calls[0]
-        full_val = core(dual, params, ref)[1]
+        dual, ref, _ = calls[0]
+        full_val = core(dual, ref)[1]
         if full_val <= 1e-10:
             continue  # N = 4 can have a unit-modulus null
         for frac in (0.5, 1 - 1e-3, 1 - 1e-7, 1 + 1e-7, 1 + 1e-3, 2.0, 8.0):
@@ -1233,8 +1233,8 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
             if not calls:  # the first start was under the cap
                 assert not raised
                 continue
-            dual, params, ref, (theta, val) = calls[0]
-            full_theta, full_val_k = core(dual, params, ref)
+            dual, ref, (theta, val) = calls[0]
+            full_theta, full_val_k = core(dual, ref)
             assert raised == (full_val_k > dual.gamma * (1 + 1e-6))
             early = val != full_val_k or not np.array_equal(theta.phases, full_theta.phases)
             if early:
@@ -1255,9 +1255,9 @@ def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
         base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
     core, calls = optimizer._minimize_quad_core, []
 
-    def spy(dual, params, ref, stop=None):
-        calls.append((dual, params, ref))
-        return core(dual, params, ref, stop)
+    def spy(dual, ref, stop=None):
+        calls.append((dual, ref))
+        return core(dual, ref, stop)
 
     monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
     sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
@@ -1288,9 +1288,9 @@ def test_pdd_solve_at_cap_rounding_floor_returns_under_cap(rng, monkeypatch):
         base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
     core, calls = optimizer._minimize_quad_core, []
 
-    def spy(dual, params, ref, stop=None):
-        calls.append((dual, params, ref))
-        return core(dual, params, ref, stop)
+    def spy(dual, ref, stop=None):
+        calls.append((dual, ref))
+        return core(dual, ref, stop)
 
     monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
     sh2 = max(np.linalg.norm(b) for b in base.B.T) ** 2
@@ -1318,9 +1318,9 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
 
     penalty_dual = optimizer._penalty_dual
 
-    def shrunken_run(theta0, update, score, params, *stop, **loop_tol):
+    def shrunken_run(theta0, update, score, *stop, **finish):
         if stop:  # the cap minimizer's own loop runs as before
-            return penalty_dual(theta0, update, score, params, *stop)
+            return penalty_dual(theta0, update, score, *stop)
         return 1e-3 * aligned, 1.0, [], True  # the first start and its finish
 
     with monkeypatch.context() as m:
@@ -1333,6 +1333,55 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     monkeypatch.setattr(optimizer, "_unit_phases", lambda x: 1e-3 * x / np.abs(x))
     with pytest.raises(Infeasible, match="exceeds gamma"):
         pdd_solve_with_candidates(problem, candidates=[aligned])
+
+
+# ---------------------------------------------------------------------------
+# caps close to the least reachable one
+
+
+def cap_minimum(problem):
+    """The full cap minimizer's value on B scaled to a largest column of 1,
+    from the phase of the first objective vector, and that scale."""
+    sh = float(max(np.linalg.norm(b) for b in problem.B.T))
+    dual = _CapDual(problem.B / sh)
+    return optimizer._minimize_quad_core(dual, _unit_phases(problem.Q[:, 0]))[1], sh
+
+
+# what the two instances below reach with the outer loop; cut to one outer
+# iteration, they reach 2.82e-15 (0.187 of it) and 1.73e-3
+OUTER_LOOP_MAXIMUM = 1.509140105380026e-14
+OUTER_LOOP_CAP_MINIMUM = 5.043269250340793e-05
+
+
+def test_maximizer_near_the_least_cap_needs_the_outer_loop():
+    # the cap at twice the least value the cap minimizer reaches
+    base = random_problem(np.random.default_rng(1), n=4, case="P3")
+    value, sh = cap_minimum(base)
+    res = pdd_solve(replace(base, gamma=2 * value * sh**2))
+    assert res.objective >= 0.99 * OUTER_LOOP_MAXIMUM
+
+
+def test_cap_minimizer_needs_the_outer_loop():
+    base = random_problem(np.random.default_rng(17), n=4, case="P3")
+    assert cap_minimum(base)[0] <= 1.01 * OUTER_LOOP_CAP_MINIMUM
+
+
+def test_p9_stops_where_its_slope_overflows():
+    # at twice its least cap, a restart's P9 dual iterate on this instance
+    # collapses to ||w|| ~ 1e-308, where sqrt(gamma) / ||w|| overflows: the
+    # projection stops there, with no NaN step, and the solve ends promptly
+    base = random_problem(np.random.default_rng(26), n=16, case="P4")
+    value, sh = cap_minimum(base)
+    problem = replace(base, gamma=2 * value * sh**2)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            coeff = pdd_solve(problem).theta.coefficients
+            assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
+        except ProjectionError:
+            pass
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_minimize_quadratic_two_vectors_reaches_null(rng):
