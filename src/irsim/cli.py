@@ -1,7 +1,8 @@
-"""Command-line interface: beam scans, one-off solves, parameter sweeps.
+"""Command-line interface: experiment sweeps, reference figures, one-off solves.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when an
-optimization run (or every optimized row of a sweep) is infeasible.
+Exit codes: 0 on success, 2 on configuration errors and an unwritable
+output file, 3 when an optimization run (or every optimized row of a
+sweep) is infeasible.
 """
 
 from __future__ import annotations
@@ -39,25 +40,25 @@ FIGURE_IDS = {
 }
 
 
-def _load_config(args) -> ScenarioConfig:
-    cfg = ScenarioConfig.from_file(args.config) if args.config else ScenarioConfig.default()
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    return cfg
+def _load_config(path) -> ScenarioConfig:
+    return ScenarioConfig.from_file(path) if path else ScenarioConfig.default()
 
 
-# argparse takes "-1,0,1" for an option, so a negative first value needs "="
-_GRID_HELP = "comma-separated {}; write a negative first value as --grid=-1,0,1"
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
+    # argparse takes "-1,0,1" for an option, so a negative first value needs "="
+    parser.add_argument(
+        "--grid", help="comma-separated swept values; write a negative first value as --grid=-1,0,1"
+    )
     parser.add_argument("--config", help="scenario INI file (defaults built in)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _run_sweep(config: ScenarioConfig, experiment: str, args) -> int:
+def _run_sweep(args, experiment: str) -> int:
+    config = _load_config(args.config)
+    if args.seed is not None:
+        config = config.replace(seed=args.seed)
     if args.grid:
         try:
             grid = tuple(float(v) for v in args.grid.split(","))
@@ -73,7 +74,11 @@ def _run_sweep(config: ScenarioConfig, experiment: str, args) -> int:
         return 2
     rows = run_experiment(config, sweep)
     out = args.out or f"{experiment}.{args.format}"
-    emit(rows, args.format, out)
+    try:
+        emit(rows, args.format, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     feas = sum(1 for r in rows if r["feasible"])
     print(f"{experiment}: {len(rows)} rows ({feas} feasible) -> {out}")
     if all_infeasible(rows):
@@ -82,33 +87,21 @@ def _run_sweep(config: ScenarioConfig, experiment: str, args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    config = _load_config(args)
-    experiment = "beam_scan_lrs" if args.radar == "lrs" else "beam_scan_urs"
-    return _run_sweep(config, experiment, args)
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    return _run_sweep(config, args.experiment, args)
-
-
 def _cmd_reproduce(args) -> int:
-    config = _load_config(args)
-    experiment = FIGURE_IDS.get(args.figure, args.figure)
-    if experiment not in EXPERIMENT_IDS:
-        known = ", ".join(list(FIGURE_IDS) + list(EXPERIMENT_IDS))
+    if args.figure not in FIGURE_IDS:
+        known = ", ".join(FIGURE_IDS)
         print(f"config error: unknown figure id {args.figure!r} (known: {known})", file=sys.stderr)
         return 2
+    experiment = FIGURE_IDS[args.figure]
     if experiment == "beam_scan_lrs":
         # absolute dB levels depend on this repo's gain conventions; compare
         # gaps between schemes, not absolute values
         print("note: only relative gaps between schemes are comparable")
-    return _run_sweep(config, experiment, args)
+    return _run_sweep(args, experiment)
 
 
 def _cmd_optimize(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config)
     geom, plan = config.geometry, config.timing
     p_l, p_u = plan.lrs.power, plan.urs.power
     comps = tuple(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG")
@@ -160,8 +153,12 @@ def _cmd_optimize(args) -> int:
             ],
         }
         text = json.dumps(payload, indent=2, allow_nan=False)
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"solution -> {args.out}")
     return 0
 
@@ -173,36 +170,28 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scan = sub.add_parser("scan", help="beam scan of one radar across its codebook")
-    p_scan.add_argument("--radar", choices=("lrs", "urs"), default="lrs")
-    p_scan.add_argument("--grid", help=_GRID_HELP.format("beam direction cosines"))
-    _add_common(p_scan)
-
     p_opt = sub.add_parser("optimize", help="solve one reflection design problem")
     p_opt.add_argument("--problem", choices=("p1", "p2", "p3", "p4"), default="p3")
-    _add_common(p_opt)
+    p_opt.add_argument("--config", help="scenario INI file (defaults built in)")
+    p_opt.add_argument("--out", help="JSON file for the solution")
 
     p_sweep = sub.add_parser("sweep", help="run one experiment family over a grid")
     p_sweep.add_argument("--experiment", choices=EXPERIMENT_IDS, required=True)
-    p_sweep.add_argument("--grid", help=_GRID_HELP.format("swept values"))
-    _add_common(p_sweep)
+    _add_sweep_options(p_sweep)
 
     p_rep = sub.add_parser("reproduce", help="rerun a reference figure's experiment")
-    p_rep.add_argument("figure", help="fig6..fig13 or an experiment id")
-    p_rep.add_argument("--grid", help=_GRID_HELP.format("swept values"))
-    _add_common(p_rep)
+    p_rep.add_argument("figure", help="fig6..fig13")
+    _add_sweep_options(p_rep)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "scan":
-            return _cmd_scan(args)
         if args.command == "optimize":
             return _cmd_optimize(args)
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _run_sweep(args, args.experiment)
         return _cmd_reproduce(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -167,9 +167,8 @@ class ScenarioConfig:
     seed: int
 
     @classmethod
-    def default(cls, **overrides) -> "ScenarioConfig":
-        cfg = cls.from_parser(_parser())
-        return cfg.replace(**overrides) if overrides else cfg
+    def default(cls) -> "ScenarioConfig":
+        return cls.from_parser(_parser())
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import AnglePair, composite_vector, steering_1d, steering_radar, dft_codebook
+from .arrays import AnglePair, composite_vector, steering_1d, dft_codebook
 from .config import ConfigError, ScenarioConfig, _cast
 from .waveform import segment_pri
 from .optimizer import closed_form_lrs_only, closed_form_urs_null
@@ -122,12 +122,6 @@ def _scan_beam(spec, zeta) -> np.ndarray:
     return np.kron(w, np.ones(spec.count_b)) / np.sqrt(spec.size)
 
 
-def _beam_match_gain(spec, angles, beam) -> float:
-    """|b^H w|^2 of a beam against the true target direction (max = count)."""
-    b = steering_radar(spec, angles, sense="transmit")
-    return float(abs(np.vdot(b, beam)) ** 2)
-
-
 def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     geom = config.geometry
     p_l, p_u = config.timing.lrs.power, config.timing.urs.power
@@ -147,7 +141,7 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         theta = closed_form_urs_null(irs, geom.angles_u, (1, 0) if irs.count_a >= 2 else (0, 1))
     solve_wall = time.perf_counter() - t0
     side, link = (0, "LL") if lrs else (1, "UU")
-    spec, angles = (geom.lrs_spec, geom.angles_l) if lrs else (geom.urs_spec, geom.angles_u)
+    spec = geom.lrs_spec if lrs else geom.urs_spec
     rand = _random_phase_expectation(geom, p_l, p_u)
     rand_q = rand.q_ll if lrs else rand.q_uu
     rcs = default_rcs(irs, config.echo_ratio)
@@ -162,10 +156,9 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         prop = link_power(link, theta, geom, p_l, p_u, **beam)
         wall = time.perf_counter() - t0 + solve_wall
         solve_wall = 0.0
-        pattern = _beam_match_gain(spec, angles, w) / spec.size  # in [0, 1]
-        scale = (q_beam / matched) ** 2
+        pattern = q_beam / matched  # |b^H w|^2 / count, in [0, 1]
         for scheme, value, it, t in (("proposed", prop, 0, wall),
-                                     ("random_phase", rand_q * scale, 0, 0.0),
+                                     ("random_phase", rand_q * pattern**2, 0, 0.0),
                                      ("no_irs", base * pattern**2, 0, 0.0)):
             lrs_value, urs_value = (value, 0.0) if lrs else (0.0, value)
             rows.append(_row(zeta, scheme, lrs_value, urs_value, True, it, t))
@@ -374,8 +367,5 @@ def emit(results: list[dict], fmt: str, path: str) -> None:
         payload = json.dumps(rounded, indent=2) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    try:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(payload)

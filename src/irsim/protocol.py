@@ -263,10 +263,13 @@ def no_irs_baseline_power(
 
 
 def _random_phase_expectation(geom: ScenarioGeometry, p_l: float, p_u: float) -> PowerReport:
-    """Exact mean power report over i.i.d. uniform phases: E|c^H theta|^2 = ||c||^2."""
-    comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
-    gains = {k: np.vdot(c, c).real for k, c in comps.items()}
-    return _report_from_gains(gains, geom, p_l, p_u)
+    """Exact mean power report over i.i.d. uniform phases.
+
+    E|c^H theta|^2 = ||c||^2, which is the element count N for every
+    composite c, because each of its entries has unit modulus.
+    """
+    n = float(geom.irs_spec.size)
+    return _report_from_gains(dict.fromkeys("UVRG", n), geom, p_l, p_u)
 
 
 def random_phase_baseline(

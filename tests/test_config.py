@@ -334,7 +334,7 @@ def test_perfbench_reference_scenario_loads(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
     path = workloads.write_scenario(str(tmp_path / "reference.ini"), 5)
-    assert ScenarioConfig.from_file(path) == ScenarioConfig.default(seed=5)
+    assert ScenarioConfig.from_file(path) == ScenarioConfig.default().replace(seed=5)
 
 
 def test_negative_seed_rejected(tmp_path, capsys):

@@ -243,7 +243,7 @@ def test_beam_scan_urs_uses_closed_form_null(small_config, shape):
 def test_cli_scan_writes_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "scan.csv"
-    code = cli_main(["scan", "--radar", "lrs", "--out", str(out)])
+    code = cli_main(["sweep", "--experiment", "beam_scan_lrs", "--out", str(out)])
     assert code == 0
     header = open(out).readline().strip().split(",")
     assert header == list(COLUMNS)
@@ -254,18 +254,20 @@ def test_cli_scan_urs_single_element_reflector(tmp_path):
     ini = tmp_path / "one.ini"
     ini.write_text("[arrays]\nirs_count_x = 1\nirs_count_y = 1\n")
     out = tmp_path / "scan.csv"
-    assert cli_main(["scan", "--radar", "urs", "--config", str(ini), "--out", str(out)]) == 0
+    assert cli_main(["sweep", "--experiment", "beam_scan_urs", "--config", str(ini),
+                     "--out", str(out)]) == 0
     with open(out) as fh:
         prop = [r for r in csv.DictReader(fh) if r["scheme"] == "proposed"]
     assert prop and all(r["iterations"] == "0" and float(r["urs_power"]) > 0 for r in prop)
 
 
-def test_cli_optimize_json(tmp_path):
+@pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])
+def test_cli_optimize_json(tmp_path, problem):
     out = tmp_path / "sol.json"
-    code = cli_main(["optimize", "--problem", "p1", "--out", str(out)])
+    code = cli_main(["optimize", "--problem", problem, "--out", str(out)])
     assert code == 0
     payload = json.load(open(out))
-    assert payload["problem"] == "P1"
+    assert payload["problem"] == problem.upper()
     assert len(payload["phases"]) == 64
     assert payload["constraint"] <= payload["gamma"] * (1 + 1e-6)
 
@@ -316,9 +318,46 @@ def test_cli_unknown_figure_exits_2(tmp_path):
     assert cli_main(["reproduce", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def exit_code(argv) -> int:
+    # argparse rejects an unknown command or option by raising SystemExit
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--radar", "lrs"],
+    ["optimize", "--format", "csv"],
+    ["optimize", "--seed", "1"],
+    ["reproduce", "gamma_sweep"],
+])
+def test_cli_removed_routes_exit_2(tmp_path, capsys, argv):
+    # one route per operation: beam scans are `sweep --experiment beam_scan_*`,
+    # `reproduce` takes figure ids only, and `optimize` always writes JSON from
+    # a solve that draws no random numbers
+    out = tmp_path / "x.out"
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    if argv[0] == "reproduce":
+        assert "known: fig6, fig7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "fig9", "--grid", "40"],
+    ["optimize", "--problem", "p1"],
+])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.out"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["scan", "--grid", "nan"], "finite"),
-    (["scan", "--grid", "0.1,inf"], "finite"),
+    (["sweep", "--experiment", "beam_scan_lrs", "--grid", "nan"], "finite"),
+    (["sweep", "--experiment", "beam_scan_urs", "--grid", "0.1,inf"], "finite"),
     (["sweep", "--experiment", "gamma_sweep", "--grid", "1e-9,inf"], "finite"),
     (["sweep", "--experiment", "gamma_sweep", "--grid", "0,1e-9"], "power.gamma"),
     (["sweep", "--experiment", "gamma_sweep", "--grid=-1e-9,1e-9"], "power.gamma"),
@@ -350,7 +389,7 @@ def test_cli_rejected_grid_value_names_experiment_and_value(tmp_path, capsys, mo
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["scan"], ["sweep", "--experiment", "gamma_sweep"],
+@pytest.mark.parametrize("command", [["optimize"], ["sweep", "--experiment", "gamma_sweep"],
                                      ["reproduce", "fig8"]])
 def test_cli_param_option_is_gone(tmp_path, command):
     out = tmp_path / "x.csv"
@@ -403,7 +442,7 @@ def run_child(*args):
 def test_cli_entry_point_installed():
     proc = run_child("-m", "irsim.cli", "--help")
     assert proc.returncode == 0
-    assert "scan" in proc.stdout and "reproduce" in proc.stdout
+    assert "sweep" in proc.stdout and "reproduce" in proc.stdout
 
 
 def test_package_imports_without_scipy():
