@@ -8,7 +8,9 @@ sweep) is infeasible.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -44,6 +46,26 @@ def _load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_file(path) if path else ScenarioConfig.default()
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a new file at ``path`` cannot be written, or None; checked before
+    any solve runs, so that a bad path costs no work."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.exists(directory):
+        return os.strerror(errno.ENOENT)
+    if not os.path.isdir(directory):
+        return os.strerror(errno.ENOTDIR)
+    if not os.access(directory, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
+def _cannot_write(path: str, reason: str | None) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     # argparse takes "-1,0,1" for an option, so a negative first value needs "="
     parser.add_argument(
@@ -72,13 +94,14 @@ def _run_sweep(args, experiment: str) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    rows = run_experiment(config, sweep)
     out = args.out or f"{experiment}.{args.format}"
+    if reason := _unwritable(out):
+        return _cannot_write(out, reason)
+    rows = run_experiment(config, sweep)
     try:
         emit(rows, args.format, out)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
-        return 2
+        return _cannot_write(out, exc.strerror)
     feas = sum(1 for r in rows if r["feasible"])
     print(f"{experiment}: {len(rows)} rows ({feas} feasible) -> {out}")
     if all_infeasible(rows):
@@ -115,6 +138,8 @@ def _cmd_optimize(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.out and (reason := _unwritable(args.out)):
+        return _cannot_write(args.out, reason)
     t0 = time.perf_counter()
     try:
         result = pdd_solve(problem)
@@ -157,8 +182,7 @@ def _cmd_optimize(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc.strerror)
         print(f"solution -> {args.out}")
     return 0
 

@@ -32,13 +32,13 @@ one outer iteration falls below 0.9 of its value on 38 seeded N = 4
 instances. Two tests pin one instance of each. The loop's settings are
 the private constants ``_RHO0`` to ``_MAX_SCA``.
 
-The first start is finished by one more alternation to the tight loop
+The winning start is finished by one more alternation to the tight loop
 tolerance. The random restarts of a binding-cap solve are first screened by
 the unit-modulus fixed-point map of the Lagrangian (Soltanalian & Stoica,
-IEEE TSP 2014), and only those whose screened point beats the finished one
-run the penalty-dual loop. Closed-form solutions exist for the two
-single-radar special cases, and a phase-grid exhaustive search serves as a
-small-size oracle.
+IEEE TSP 2014), and only those whose screened point beats the finished
+first start run the penalty-dual loop; a restart that then wins gets the
+same finish. Closed-form solutions exist for the two single-radar special
+cases, and a phase-grid exhaustive search serves as a small-size oracle.
 """
 
 from __future__ import annotations
@@ -783,10 +783,10 @@ def _minimize_quad_core(
     polished by projected gradient with phase retraction.
 
     With a stop level, the penalty loop ends as soon as its best copy has
-    ||B^H theta||^2 <= stop, and the polish runs from that copy. Neither the
-    best copy nor the polish ever raises the value, so a stopped run returns
-    a value <= stop, and a run that never reaches the level is exactly the
-    run without one.
+    ||B^H theta||^2 <= stop, and that copy is returned as it is, with no
+    polish. A loop that never reaches the level is polished, and neither the
+    best copy nor the polish ever raises the value, so a run that never
+    reaches the level is exactly the run without one.
     """
     B, Bh = dual.B, dual.Bh
     n = B.shape[0]
@@ -810,9 +810,11 @@ def _minimize_quad_core(
     best, score, _, _ = _penalty_dual(
         theta0, disk_block, lambda x: -dual.quad(x), None if stop is None else -stop
     )
+    x, val = best, -score
+    if stop is not None and val <= stop:
+        return ReflectionVector.on(np.angle(x)), val
     # polish on the unit-modulus manifold: projected gradient with retraction,
     # step 1 / (2 sig2) along the gradient 2 B B^H x = 2 C p, p = Re(C^H x)
-    x, val = best, -score
     Cr = dual.Cr
     descent = Cr / dual.sig2
     p = x.view(float) @ Cr
@@ -902,8 +904,8 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
 
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
-    when that start violates the cap. Its single outer iteration usually
-    stops at a loose loop tolerance, so the finish runs one more
+    when that start violates the cap. A run's single outer iteration
+    usually stops at a loose loop tolerance, so the finish runs one more
     alternation from its kept copy (lambda = 0, rho = ``_RHO0``, loop
     tolerance ``_INNER_TOL``, at most ``_MAX_INNER`` block calls) and keeps
     the result only if it scores higher.
@@ -913,17 +915,19 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     instances can have. They are screened first (:func:`_screen_starts`,
     all at once), and the penalty-dual loop runs only from those whose
     screened point beats the finished one; without a kept first copy every
-    restart runs. The best feasible result wins.
+    restart runs. The best feasible result wins, and a restart that wins is
+    finished too, so the finish always applies to the winning run.
 
     ``outer_iterations`` counts the outer iterations of every run: the
-    first start's, the finish's one and those of each restart that runs; a
+    first start's, each finish's one and those of each restart that runs; a
     screened-out restart adds nothing. ``trace`` follows the winning run,
-    the first start with its finish when the finish won.
+    with its finish when the finish scored higher.
 
     A start over the cap is blended toward the point of the cap minimizer
     (:func:`_minimize_quad_core`), run once per solve with gamma as its
     stop level: its penalty loop ends at the first unit-modulus copy under
-    gamma, and runs to its end only when it finds none.
+    gamma, which is then used unpolished, and runs to its end and its
+    polish only when it finds none.
 
     Raises :class:`Infeasible` when the cap minimizer, or the returned
     reflection itself, ends above gamma (1 + ``FEAS_RTOL``). The stop level
@@ -971,6 +975,18 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
         block.w = None  # every start follows its own trajectory
         return _penalty_dual(theta0, block.update, score)
 
+    def finish(theta, obj, history, converged):
+        """One more alternation from a run's kept copy, to the tight loop
+        tolerance; the run's result stays unless the finish scores higher."""
+        nonlocal total_outer
+        theta_f, obj_f, history_f, conv_f = _penalty_dual(
+            theta, block.update, score, loop_tol=_INNER_TOL, max_outer=1
+        )
+        total_outer += len(history_f)
+        if obj_f > obj:
+            return theta_f, obj_f, history + history_f, conv_f
+        return theta, obj, history, converged
+
     if init is not None:
         theta0 = _unit_phases(np.asarray(init, dtype=complex))
     else:
@@ -978,14 +994,7 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     best_theta, best_obj, history, converged = single_run(theta0)
     total_outer = len(history)
     if best_theta is not None:
-        # the finish: one more alternation from the kept copy, to the tight loop
-        # tolerance; the loop keeps that copy unless the finish scores higher
-        theta_f, obj_f, history_f, conv_f = _penalty_dual(
-            best_theta, block.update, score, loop_tol=_INNER_TOL, max_outer=1
-        )
-        total_outer += len(history_f)
-        if obj_f > best_obj:
-            best_theta, best_obj, history, converged = theta_f, obj_f, history + history_f, conv_f
+        best_theta, best_obj, history, converged = finish(best_theta, best_obj, history, converged)
 
     cap_binding = best_theta is not None and dual is not None and dual.quad(best_theta) > gamma / 2
     if best_theta is None or cap_binding:
@@ -994,11 +1003,15 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
             keep = np.ones(len(starts), dtype=bool)
         else:
             keep = _screen_starts(scaled.Q, dual, best_theta, starts.T)
+        restart_won = False
         for extra in starts[keep]:
             theta_k, obj_k, history_k, conv_k = single_run(extra)
             total_outer += len(history_k)
             if theta_k is not None and obj_k > best_obj:
                 best_theta, best_obj, history, converged = theta_k, obj_k, history_k, conv_k
+                restart_won = True
+        if restart_won:
+            best_theta, best_obj, history, converged = finish(best_theta, best_obj, history, converged)
 
     if best_theta is None:
         # never produced a unit-modulus iterate under the cap: settle at the

@@ -347,12 +347,21 @@ def test_cli_removed_routes_exit_2(tmp_path, capsys, argv):
     ["reproduce", "fig9", "--grid", "40"],
     ["optimize", "--problem", "p1"],
 ])
-def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
-    out = tmp_path / "missing" / "x.out"
-    assert cli_main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and str(out) in err
-    assert not out.exists()
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the target is checked before any solve runs
+    def never(*args, **kwargs):
+        raise AssertionError("solved for an output that cannot be written")
+
+    monkeypatch.setattr(irsim.cli, "run_experiment", never)
+    monkeypatch.setattr(irsim.cli, "pdd_solve", never)
+    (tmp_path / "existing").mkdir()
+    for target, reason in (("missing/x.out", "No such file or directory"),
+                           ("existing", "Is a directory")):
+        out = tmp_path / target
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1074,8 +1074,9 @@ def oracle_instance(index):
 
 def spy_solver_runs(monkeypatch):
     """Record (theta0, result) of every penalty-dual run of pdd_solve's own
-    starts, in order: the first start, its finish, then each restart that
-    runs. The cap minimizer's runs, which take a stop level, are left out."""
+    starts, in order: the first start, its finish, each restart that runs,
+    then the finish of the restart that wins, if one does. The cap
+    minimizer's runs, which take a stop level, are left out."""
     runs = []
     penalty_dual = optimizer._penalty_dual
 
@@ -1106,6 +1107,20 @@ def test_screen_runs_the_restarts_of_oracle_instance_23(monkeypatch):
     assert finished < 0.8 * best
     assert len(runs) > 2  # a restart ran
     assert res.objective / best >= ORACLE_23_RATIO
+
+
+def test_winning_restart_of_oracle_instance_23_is_finished(monkeypatch):
+    # a restart wins on this instance, and gets the same finish as the first
+    # start: one more alternation from its kept copy, kept if it scores higher
+    runs = spy_solver_runs(monkeypatch)
+    res = pdd_solve(oracle_instance(23))
+    restarts = [out for _, out in runs[2:-1]]
+    winner = max(restarts, key=lambda out: out[1])
+    assert winner[1] > max(runs[0][1][1], runs[1][1][1])
+    finish_start, finish = runs[-1]
+    assert finish_start is winner[0] and len(finish[2]) == 1
+    sq2 = max(np.linalg.norm(q) for q in oracle_instance(23).Q.T) ** 2
+    assert res.objective >= sq2 * winner[1]
 
 
 def screened(Q, B, theta_ref, starts):
@@ -1160,8 +1175,14 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
         for value, kept in zip(values, keep):
             margin = value - ref - 1e-9 * abs(ref)
             assert kept == (margin > 0) or abs(margin) < 1e-9 * abs(ref)
-        # the first start and its finish, then one run per kept restart
-        assert len(runs) == 2 + int(np.sum(keep))
+        # the first start and its finish, then one run per kept restart, then
+        # the finish of a restart that beats the finished first start
+        kept = int(np.sum(keep))
+        finished = max(runs[0][1][1], runs[1][1][1])
+        won = [out for _, out in runs[2 : 2 + kept] if out[1] > finished]
+        assert len(runs) == 2 + kept + (1 if won else 0)
+        if won:
+            assert runs[-1][0] is max(won, key=lambda out: out[1])[0]
         for start in starts.T[~keep]:
             assert not any(np.array_equal(theta0, start) for theta0, _ in runs)
         counts["kept"] += int(np.sum(keep))
@@ -1242,6 +1263,61 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
             seen["raised" if raised else "kept"] += 1
             seen["stopped"] += early
     assert min(seen.values()) > 0, seen
+
+
+def spy_cap_minimizer_loop(monkeypatch):
+    """Record (theta0, result) of every penalty-dual run of the cap minimizer."""
+    runs = []
+    penalty_dual = optimizer._penalty_dual
+
+    def spy(theta0, block, score, stop=None, **kwargs):
+        out = penalty_dual(theta0, block, score, stop, **kwargs)
+        runs.append((theta0, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "_penalty_dual", spy)
+    return runs
+
+
+def cap_minimizer_inputs(rng, count):
+    """(dual, ref) of ``count`` random N = 2, 3, 4, 8 problems, as cap_minimum builds them."""
+    out = []
+    for trial in range(count):
+        problem = random_problem(rng, n=(2, 3, 4, 8)[trial % 4], case="P3" if trial % 2 else "P4")
+        sh = float(max(np.linalg.norm(b) for b in problem.B.T))
+        out.append((_CapDual(problem.B / sh), _unit_phases(problem.Q[:, 0])))
+    return out
+
+
+def test_cap_minimizer_returns_its_loop_copy_at_the_stop_level(rng, monkeypatch):
+    # a loop that reaches the stop level hands back its kept copy unpolished
+    inputs = cap_minimizer_inputs(rng, 8)
+    runs = spy_cap_minimizer_loop(monkeypatch)
+    for dual, ref in inputs:
+        runs.clear()
+        optimizer._minimize_quad_core(dual, ref)
+        stop = -2.0 * runs[0][1][1]  # twice the value of the full loop's kept copy
+        runs.clear()
+        theta, val = optimizer._minimize_quad_core(dual, ref, stop)
+        ((theta0, (kept, score, history, _)),) = runs
+        assert history and dual.quad(theta0) > stop  # the loop ran until it reached the level
+        np.testing.assert_array_equal(theta.phases, np.angle(kept))
+        assert val == -score <= stop
+
+
+def test_cap_minimizer_without_stop_level_polishes(rng, monkeypatch):
+    # minimize_unit_modulus_quadratic takes no stop level: the polish runs
+    # after the loop, and never raises the loop's value
+    inputs = cap_minimizer_inputs(rng, 8)
+    runs = spy_cap_minimizer_loop(monkeypatch)
+    lowered = 0
+    for dual, ref in inputs:
+        runs.clear()
+        val = optimizer._minimize_quad_core(dual, ref)[1]
+        ((_, (_, score, _, _)),) = runs
+        assert val <= -score
+        lowered += val < -score
+    assert lowered > 0
 
 
 def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
