@@ -32,12 +32,16 @@ one outer iteration falls below 0.9 of its value on 38 seeded N = 4
 instances. Two tests pin one instance of each. The loop's settings are
 the private constants ``_RHO0`` to ``_MAX_SCA``.
 
-The winning start is finished by one more alternation to the tight loop
-tolerance. The random restarts of a binding-cap solve are first screened by
-the unit-modulus fixed-point map of the Lagrangian (Soltanalian & Stoica,
-IEEE TSP 2014), and only those whose screened point beats the finished
-first start run the penalty-dual loop; a restart that then wins gets the
-same finish. Closed-form solutions exist for the two single-radar special
+The winning start is finished by Newton's method on the KKT conditions of
+the phase problem, with the cap held as an equality when the start ends on
+it. The phase Hessian is a diagonal plus a matrix of rank at most 9, so
+each step is an O(N) Woodbury solve, and the finish ends stationary to
+rounding level, where the penalty-dual loop stops at its loop tolerance.
+The random restarts of a binding-cap solve are first screened by the
+unit-modulus fixed-point map of the Lagrangian (Soltanalian & Stoica, IEEE
+TSP 2014), and only those whose screened point beats the finished first
+start run the penalty-dual loop; a restart that then wins gets the same
+finish. Closed-form solutions exist for the two single-radar special
 cases, and a phase-grid exhaustive search serves as a small-size oracle.
 """
 
@@ -679,9 +683,6 @@ def _penalty_dual(
     block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
     score: Callable[[np.ndarray], float | None],
     stop: float | None = None,
-    *,
-    loop_tol: float | None = None,
-    max_outer: int | None = None,
 ) -> tuple[np.ndarray | None, float, list[tuple[np.ndarray, float, float]], bool]:
     """The penalty-dual loop, shared by the solver and the cap minimizer.
 
@@ -698,16 +699,17 @@ def _penalty_dual(
     alternation never raises; else the plain step follows and the memory
     is cleared. Every block call counts toward ``_MAX_INNER``. The
     alternation stops once an image moves less than a loop tolerance that
-    shrinks with the outer index to ``_INNER_TOL`` (or the fixed ``loop_tol``
-    when given), and leaves vartheta = phase(theta + rho lambda).
+    shrinks with the outer index to ``_INNER_TOL``, and leaves vartheta =
+    phase(theta + rho lambda).
 
     ``score`` rates a unit-modulus copy, higher being better, or returns
     None for a copy that may not be returned; the best-rated copy seen,
     ``theta0`` included, is kept. The loop ends when the copies merge to
-    ``_OUTER_TOL`` with a copy kept (converged), after ``max_outer`` outer
-    iterations (``_MAX_OUTER`` when None), or, with a ``stop`` score, as
-    soon as the kept copy scores at least that, checked before every outer
-    iteration.
+    ``_OUTER_TOL`` with a copy kept (converged), after ``_MAX_OUTER`` outer
+    iterations, or, with a ``stop`` score, as soon as the kept copy scores
+    at least that, checked before every outer iteration. The solver's
+    finish is not a run of this loop but Newton's method on the KKT
+    conditions (:func:`_finish`).
 
     Returns the kept copy (None if none), its score (-inf if none), the
     (theta, gap, rho) of every outer iteration and the converged flag.
@@ -718,11 +720,11 @@ def _penalty_dual(
     first = score(theta0)
     best, best_score = (None, -math.inf) if first is None else (theta0, first)
     history: list[tuple[np.ndarray, float, float]] = []
-    for outer in range(1, (max_outer or _MAX_OUTER) + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         if stop is not None and best_score >= stop:
             break
         # solve the inner problem inexactly at first, tightly once rho is small
-        tol = max(_INNER_TOL, 0.03 * _C ** (2 * outer)) if loop_tol is None else loop_tol
+        tol = max(_INNER_TOL, 0.03 * _C ** (2 * outer))
         shift = rho * lam
         trial, merit, memory = vartheta, math.inf, []
         for _ in range(_MAX_INNER):
@@ -861,12 +863,19 @@ _SCREEN_MOVE_TOL = 1e-6  # the screen stops once no entry moves this much
 _SCREEN_RTOL = 1e-9  # a screened start runs in full only if it beats the reference by this
 
 
+def _cap_multiplier(Q: np.ndarray, dual: _CapDual, theta: np.ndarray) -> float:
+    """The cap multiplier mu >= 0 that fits stationarity at ``theta`` best:
+    Im(conj(theta) (Q Q^H theta - mu B B^H theta)) smallest in least squares."""
+    grad, cap = Q @ (Q.conj().T @ theta), dual.B @ (dual.Bh @ theta)
+    a, b = (np.conj(theta) * grad).imag, (np.conj(theta) * cap).imag
+    return max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
+
+
 def _screen_starts(Q: np.ndarray, dual: _CapDual, theta_ref: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Which columns of ``starts`` may reach a better basin than ``theta_ref``.
 
-    Fits the cap multiplier mu >= 0 at ``theta_ref`` by least squares, so
-    that Im(conj(theta) (Q Q^H theta - mu B B^H theta)) is smallest, and
-    ascends L(theta) = ||Q^H theta||^2 - mu ||B^H theta||^2 from every column
+    Fits the cap multiplier mu >= 0 at ``theta_ref`` (:func:`_cap_multiplier`)
+    and ascends L(theta) = ||Q^H theta||^2 - mu ||B^H theta||^2 from every column
     at once by the unit-modulus fixed-point map theta <- phase(M theta),
     M = Q Q^H - mu B B^H + kappa I with kappa = mu sig2, for which M is
     positive semidefinite, so that no step lowers L (Soltanalian & Stoica,
@@ -875,9 +884,7 @@ def _screen_starts(Q: np.ndarray, dual: _CapDual, theta_ref: np.ndarray, starts:
     L(theta_ref) by more than ``_SCREEN_RTOL`` relative.
     """
     B, Qh, Bh = dual.B, Q.conj().T, dual.Bh
-    grad, cap = Q @ (Qh @ theta_ref), B @ (Bh @ theta_ref)
-    a, b = (np.conj(theta_ref) * grad).imag, (np.conj(theta_ref) * cap).imag
-    mu = max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
+    mu = _cap_multiplier(Q, dual, theta_ref)
 
     def lagrangian(T: np.ndarray) -> np.ndarray:
         return (np.abs(Qh @ T) ** 2).sum(axis=0) - mu * (np.abs(Bh @ T) ** 2).sum(axis=0)
@@ -893,6 +900,98 @@ def _screen_starts(Q: np.ndarray, dual: _CapDual, theta_ref: np.ndarray, starts:
     return lagrangian(T) > ref + _SCREEN_RTOL * abs(ref)
 
 
+_NEWTON_STEPS = 20  # Newton steps of the finish at most
+_NEWTON_STEP_TOL = 1e-13  # the finish stops once no phase moves this much
+_CAP_ACTIVE_RTOL = 1e-6  # the finish holds the cap from a copy over gamma (1 - this)
+
+
+def _kkt_newton(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> np.ndarray | None:
+    """Newton's method on the KKT conditions of max ||Q^H theta||^2 over the
+    phases phi of theta = exp(i phi), from ``theta``; with ``dual``, the cap
+    is held at ||B^H theta||^2 = gamma with its multiplier mu.
+
+    Stationarity reads F(phi) = Im(conj(theta) A theta) = 0 for A = Q Q^H -
+    mu B B^H, with Jacobian J = Re(diag(conj(theta)) A diag(theta)) -
+    diag(Re(conj(theta) A theta)). With W = [Q, B], S = diag(1, -mu) on
+    their columns and P = diag(conj(theta)) W, the first term is
+    Re(P S P^H) = [Re P, Im P] diag(S, S) [Re P, Im P]^T, so J is a diagonal
+    plus a matrix of rank at most 2 (k_Q + k_B). J has the global phase,
+    the all-ones vector, in its null space, and F is orthogonal to it; J +
+    11^T / N fixes that phase, and its systems are solved in O(N) by the
+    Woodbury identity. With the cap, the step (d phi, d mu) solves the
+    bordered system J d phi - b d mu = -F, 2 b^T d phi = gamma -
+    ||B^H theta||^2, b = Im(conj(theta) B B^H theta) being half the cap's
+    gradient, by two solves with J in one application: d phi = x1 + d mu
+    x2, J x1 = -F, J x2 = b. mu starts from :func:`_cap_multiplier`.
+
+    Stops after ``_NEWTON_STEPS`` steps or once a step moves no phase by
+    ``_NEWTON_STEP_TOL``. Returns None when a step is not finite, as where
+    the cap's gradient vanishes (N = 1).
+    """
+    k = Q.shape[1]
+    W = Q if dual is None else np.concatenate([Q, dual.B], axis=1)
+    Wh = W.conj().T
+    mu = 0.0 if dual is None else _cap_multiplier(Q, dual, theta)
+    signs = np.ones(W.shape[1])
+    phi = np.angle(theta)
+    n = len(phi)
+    ones = np.ones((n, 1))
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            theta = np.exp(1j * phi)
+            p = Wh @ theta
+            signs[k:] = -mu
+            P = np.conj(theta)[:, None] * W
+            t = P @ (signs * p)  # conj(theta) A theta
+            e = np.concatenate([signs, signs, [1.0 / n]])
+            V = np.concatenate([P.real, P.imag, ones], axis=1)
+            # J + 11^T / N = -diag(d) + V diag(e) V^T, d = Re(conj(theta) A theta)
+            neg_inv_d = -1.0 / t.real
+            rhs = -t.imag[:, None]
+            if dual is not None:
+                b = (P[:, k:] @ p[k:]).imag
+                rhs = np.concatenate([rhs, b[:, None]], axis=1)
+            DR, DV = rhs * neg_inv_d[:, None], V * neg_inv_d[:, None]
+            small = np.eye(len(e)) + e[:, None] * (V.T @ DV)
+            try:
+                X = DR - DV @ np.linalg.solve(small, e[:, None] * (V.T @ DR))
+            except np.linalg.LinAlgError:
+                return None
+            step = X[:, 0]
+            if dual is not None:
+                cap = float(np.vdot(p[k:], p[k:]).real)
+                dmu = (0.5 * (dual.gamma - cap) - b @ step) / (b @ X[:, 1])
+                step = step + dmu * X[:, 1]
+                mu += dmu
+            if not (np.isfinite(step).all() and math.isfinite(mu)):
+                return None
+            phi = phi + step
+            if np.abs(step).max() < _NEWTON_STEP_TOL:
+                break
+    return np.exp(1j * phi)
+
+
+def _finish(
+    Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray, value: float,
+    score: Callable[[np.ndarray], float | None],
+) -> tuple[np.ndarray, float]:
+    """A run's kept copy ``theta``, rated ``value`` by ``score``, finished by
+    :func:`_kkt_newton`, or the copy itself where that scores no higher.
+
+    The cap is held when the copy is over gamma (1 - ``_CAP_ACTIVE_RTOL``);
+    below that Newton runs without it, and once more with it when that
+    lands over gamma.
+    """
+    if dual is not None and dual.quad(theta) > dual.gamma * (1.0 - _CAP_ACTIVE_RTOL):
+        point = _kkt_newton(Q, dual, theta)
+    else:
+        point = _kkt_newton(Q, None, theta)
+        if point is not None and dual is not None and dual.quad(point) > dual.gamma:
+            point = _kkt_newton(Q, dual, theta)
+    new = None if point is None else score(point)
+    return (point, new) if new is not None and new > value else (theta, value)
+
+
 def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult:
     """Solve the cap-constrained unit-modulus maximization.
 
@@ -905,10 +1004,10 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
     when that start violates the cap. A run's single outer iteration
-    usually stops at a loose loop tolerance, so the finish runs one more
-    alternation from its kept copy (lambda = 0, rho = ``_RHO0``, loop
-    tolerance ``_INNER_TOL``, at most ``_MAX_INNER`` block calls) and keeps
-    the result only if it scores higher.
+    usually stops at a loose loop tolerance, so the finish
+    (:func:`_finish`) takes Newton steps on the KKT conditions from its
+    kept copy, holding the cap when the copy ends on it, and keeps the
+    result only if it scores higher.
 
     When the cap is binding at the finished point, ``_RESTARTS - 1``
     deterministic random starts guard the other basins that binding-cap
@@ -919,9 +1018,10 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     finished too, so the finish always applies to the winning run.
 
     ``outer_iterations`` counts the outer iterations of every run: the
-    first start's, each finish's one and those of each restart that runs; a
-    screened-out restart adds nothing. ``trace`` follows the winning run,
-    with its finish when the finish scored higher.
+    first start's, one for each finish and those of each restart that
+    runs; a screened-out restart adds nothing. ``trace`` follows the
+    winning run, with one more point (gap 0, rho ``_RHO0``) for its finish
+    when the finish scored higher. ``converged`` is the winning run's flag.
 
     A start over the cap is blended toward the point of the cap minimizer
     (:func:`_minimize_quad_core`), run once per solve with gamma as its
@@ -976,16 +1076,14 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
         return _penalty_dual(theta0, block.update, score)
 
     def finish(theta, obj, history, converged):
-        """One more alternation from a run's kept copy, to the tight loop
-        tolerance; the run's result stays unless the finish scores higher."""
+        """The run's result with its kept copy finished (:func:`_finish`): one
+        outer iteration, traced when it scores higher."""
         nonlocal total_outer
-        theta_f, obj_f, history_f, conv_f = _penalty_dual(
-            theta, block.update, score, loop_tol=_INNER_TOL, max_outer=1
-        )
-        total_outer += len(history_f)
-        if obj_f > obj:
-            return theta_f, obj_f, history + history_f, conv_f
-        return theta, obj, history, converged
+        total_outer += 1
+        theta_f, obj_f = _finish(scaled.Q, dual, theta, obj, score)
+        if theta_f is theta:
+            return theta, obj, history, converged
+        return theta_f, obj_f, history + [(theta_f, 0.0, _RHO0)], converged
 
     if init is not None:
         theta0 = _unit_phases(np.asarray(init, dtype=complex))

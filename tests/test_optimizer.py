@@ -1074,20 +1074,34 @@ def oracle_instance(index):
 
 def spy_solver_runs(monkeypatch):
     """Record (theta0, result) of every penalty-dual run of pdd_solve's own
-    starts, in order: the first start, its finish, each restart that runs,
-    then the finish of the restart that wins, if one does. The cap
+    starts, in order: the first start, then each restart that runs. The cap
     minimizer's runs, which take a stop level, are left out."""
     runs = []
     penalty_dual = optimizer._penalty_dual
 
-    def spy(theta0, block, score, stop=None, **kwargs):
-        out = penalty_dual(theta0, block, score, stop, **kwargs)
+    def spy(theta0, block, score, stop=None):
+        out = penalty_dual(theta0, block, score, stop)
         if stop is None:
             runs.append((theta0, out))
         return out
 
     monkeypatch.setattr(optimizer, "_penalty_dual", spy)
     return runs
+
+
+def spy_finishes(monkeypatch):
+    """Record (theta, value, finished theta, finished value) of every finish
+    of pdd_solve, in order: the first start's, then a winning restart's."""
+    finishes = []
+    finish = optimizer._finish
+
+    def spy(Q, dual, theta, value, score):
+        out = finish(Q, dual, theta, value, score)
+        finishes.append((theta, value, *out))
+        return out
+
+    monkeypatch.setattr(optimizer, "_finish", spy)
+    return finishes
 
 
 # the ratio to the 16-level grid optimum that oracle instance 23 reached before
@@ -1100,27 +1114,29 @@ def test_screen_runs_the_restarts_of_oracle_instance_23(monkeypatch):
     # restart reaches the better basin, so the screen must let one run
     prob = oracle_instance(23)
     runs = spy_solver_runs(monkeypatch)
+    finishes = spy_finishes(monkeypatch)
     res = pdd_solve(prob)
     _, best = brute_force_oracle(prob, 16)
     sq2 = max(np.linalg.norm(q) for q in prob.Q.T) ** 2  # pdd_solve scores on Q / sq
-    finished = sq2 * runs[1][1][1]
+    finished = sq2 * finishes[0][3]
     assert finished < 0.8 * best
-    assert len(runs) > 2  # a restart ran
+    assert len(runs) > 1  # a restart ran
     assert res.objective / best >= ORACLE_23_RATIO
 
 
 def test_winning_restart_of_oracle_instance_23_is_finished(monkeypatch):
     # a restart wins on this instance, and gets the same finish as the first
-    # start: one more alternation from its kept copy, kept if it scores higher
+    # start: from its kept copy, kept if it scores higher
     runs = spy_solver_runs(monkeypatch)
+    finishes = spy_finishes(monkeypatch)
     res = pdd_solve(oracle_instance(23))
-    restarts = [out for _, out in runs[2:-1]]
-    winner = max(restarts, key=lambda out: out[1])
-    assert winner[1] > max(runs[0][1][1], runs[1][1][1])
-    finish_start, finish = runs[-1]
-    assert finish_start is winner[0] and len(finish[2]) == 1
+    winner = max((out for _, out in runs[1:]), key=lambda out: out[1])
+    assert winner[1] > finishes[0][3]  # it beats the finished first start
+    assert len(finishes) == 2
+    start, value, _, finished = finishes[1]
+    assert start is winner[0] and value == winner[1]
     sq2 = max(np.linalg.norm(q) for q in oracle_instance(23).Q.T) ** 2
-    assert res.objective >= sq2 * winner[1]
+    assert finished >= value and res.objective == sq2 * finished
 
 
 def screened(Q, B, theta_ref, starts):
@@ -1161,12 +1177,14 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
 
     monkeypatch.setattr(optimizer, "_screen_starts", screen_spy)
     runs = spy_solver_runs(monkeypatch)
+    finishes = spy_finishes(monkeypatch)
     counts = {"kept": 0, "skipped": 0}
     problems = [random_problem(rng, n=(4, 8, 16)[i % 3], case=("P3", "P4")[i % 2], gamma_frac=0.1)
                 for i in range(12)] + [oracle_instance(23)]
     for prob in problems:
         screens.clear()
         runs.clear()
+        finishes.clear()
         pdd_solve(prob)
         if not screens:
             continue  # the cap does not bind at the finished first start
@@ -1175,14 +1193,14 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
         for value, kept in zip(values, keep):
             margin = value - ref - 1e-9 * abs(ref)
             assert kept == (margin > 0) or abs(margin) < 1e-9 * abs(ref)
-        # the first start and its finish, then one run per kept restart, then
-        # the finish of a restart that beats the finished first start
+        # the first start, then one run per kept restart; the first start's
+        # finish, then the finish of a restart that beats the finished first start
         kept = int(np.sum(keep))
-        finished = max(runs[0][1][1], runs[1][1][1])
-        won = [out for _, out in runs[2 : 2 + kept] if out[1] > finished]
-        assert len(runs) == 2 + kept + (1 if won else 0)
+        won = [out for _, out in runs[1:] if out[1] > finishes[0][3]]
+        assert len(runs) == 1 + kept
+        assert len(finishes) == 1 + (1 if won else 0)
         if won:
-            assert runs[-1][0] is max(won, key=lambda out: out[1])[0]
+            assert finishes[-1][0] is max(won, key=lambda out: out[1])[0]
         for start in starts.T[~keep]:
             assert not any(np.array_equal(theta0, start) for theta0, _ in runs)
         counts["kept"] += int(np.sum(keep))
@@ -1192,16 +1210,87 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
 
 def test_finish_never_lowers_the_first_start(rng, monkeypatch):
     runs = spy_solver_runs(monkeypatch)
+    finishes = spy_finishes(monkeypatch)
     problems = [random_problem(rng, n=(4, 8, 16)[i % 3], case=("P3", "P4")[i % 2]) for i in range(12)]
     problems.append(ProblemData(Q=problems[0].Q, B=None, gamma=1.0))
+    raised = 0
     for prob in problems:
         runs.clear()
+        finishes.clear()
         res = pdd_solve(prob)
-        (_, first), (finish_start, finish) = runs[:2]
-        assert finish_start is first[0]  # the finish starts at the first start's kept copy
-        assert finish[1] >= first[1]
+        first = runs[0][1]
+        start, value, finished_theta, finished = finishes[0]
+        assert start is first[0] and value == first[1]  # it starts at the first start's kept copy
+        assert finished >= value
+        raised += finished > value and finished_theta is not start
         sq2 = max(np.linalg.norm(q) for q in prob.Q.T) ** 2
         assert res.objective >= sq2 * first[1]
+    assert raised > 0  # the finish does move the copy
+
+
+def spy_newton(monkeypatch):
+    """Record (dual, theta, result) of every Newton solve of the finish."""
+    calls = []
+    newton = optimizer._kkt_newton
+
+    def spy(Q, dual, theta):
+        out = newton(Q, dual, theta)
+        calls.append((dual, theta, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "_kkt_newton", spy)
+    return calls
+
+
+def finish_once(problem, theta):
+    """The finish of ``theta`` on ``problem``, scored as pdd_solve scores."""
+    dual = optimizer._cap_dual(problem)
+
+    def score(x):
+        if dual is not None and dual.quad(x) > problem.gamma * (1 + 0.1 * optimizer.FEAS_RTOL):
+            return None
+        return problem_objective(problem, x)
+
+    return optimizer._finish(problem.Q, dual, theta, score(theta), score)
+
+
+def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
+    # each case ends in the kept copy or in the result with the cap held,
+    # and raises nothing and warns nothing
+    calls = spy_newton(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # N = 1 on the cap: the cap's gradient vanishes identically
+        theta = np.ones(1, dtype=complex)
+        prob = ProblemData(Q=np.array([[2.0 + 1.0j]]), B=np.array([[1.0 + 0.0j]]), gamma=1.0)
+        out = finish_once(prob, theta)
+        assert out[0] is theta and len(calls) == 1
+        assert calls[0][0] is not None and calls[0][2] is None
+        # a zero row of Q makes the diagonal of the Newton matrix 0: no finite step
+        calls.clear()
+        theta = np.ones(2, dtype=complex)
+        out = finish_once(ProblemData(Q=np.array([[1.0], [0.0]]), B=None, gamma=1.0), theta)
+        assert out[0] is theta and len(calls) == 1 and calls[0][2] is None
+        # no cap: Newton runs once, without it, back to a stationary point
+        base = random_problem(np.random.default_rng(3), n=8)
+        prob = ProblemData(Q=base.Q / max(np.linalg.norm(q) for q in base.Q.T), B=None, gamma=1.0)
+        theta = pdd_solve(prob).theta.coefficients * np.exp(0.1j * np.random.default_rng(0).normal(size=8))
+        calls.clear()
+        out = finish_once(prob, theta)
+        assert len(calls) == 1 and calls[0][0] is None
+        assert out[1] > problem_objective(prob, theta) and kkt_residual(prob, out[0]) <= 1e-12
+        # a kept copy just under the cap, from which Newton without the cap
+        # lands far over it: the finish holds the cap instead
+        calls.clear()
+        rng = np.random.default_rng(5)
+        prob = [random_problem(rng, n=1024, gamma_frac=0.3) for _ in range(2)][1]
+        res = pdd_solve(prob)
+    (free, start, over), (held, held_start, capped) = calls
+    assert free is None and held is not None and held_start is start
+    assert 1 - 1e-5 < problem_constraint(prob, start) / prob.gamma < 1 - optimizer._CAP_ACTIVE_RTOL
+    assert problem_constraint(prob, over) > 10 * prob.gamma
+    np.testing.assert_array_equal(res.theta.phases, np.angle(capped))
+    assert problem_constraint(prob, res.theta.coefficients) <= prob.gamma * (1 + optimizer.FEAS_RTOL)
 
 
 def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
@@ -1394,13 +1483,17 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
 
     penalty_dual = optimizer._penalty_dual
 
-    def shrunken_run(theta0, update, score, *stop, **finish):
+    def shrunken_run(theta0, update, score, *stop):
         if stop:  # the cap minimizer's own loop runs as before
             return penalty_dual(theta0, update, score, *stop)
-        return 1e-3 * aligned, 1.0, [], True  # the first start and its finish
+        return 1e-3 * aligned, 1.0, [], True  # the first start
+
+    def no_finish(Q, dual, theta, value, score):
+        return theta, value
 
     with monkeypatch.context() as m:
         m.setattr(optimizer, "_penalty_dual", shrunken_run)
+        m.setattr(optimizer, "_finish", no_finish)
         with pytest.raises(Infeasible, match="exceeds gamma"):
             pdd_solve(problem)
 

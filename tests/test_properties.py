@@ -1,7 +1,7 @@
 """Physics invariants of the solver, checked as properties over random problems."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irsim import (
     PulseSpec,
@@ -46,6 +46,9 @@ def test_pdd_solve_unit_modulus_under_cap(seed, n, case, gamma_frac):
 # test below, measured with the plain (unaccelerated) inner alternation of the
 # penalty-dual loop at commit 4955744: 2.19704e-3. A ceiling, never to be raised.
 KKT_MEDIAN_CEILING = 2.19704e-3
+# The finish takes Newton steps on the KKT conditions, so every solve of the
+# same set ends stationary to rounding level: the largest residual was 8.2e-15.
+KKT_MAX_CEILING = 1e-12
 
 
 def test_pdd_solve_stationarity_residual_does_not_grow():
@@ -55,6 +58,7 @@ def test_pdd_solve_stationarity_residual_does_not_grow():
         problem = random_problem(rng, n=(4, 8, 16)[i % 3], case=("P3", "P4")[(i // 3) % 2])
         residuals.append(kkt_residual(problem, pdd_solve(problem).theta.coefficients))
     assert np.median(residuals) <= KKT_MEDIAN_CEILING
+    assert max(residuals) <= KKT_MAX_CEILING
 
 
 @SOLVER_SETTINGS
@@ -111,6 +115,7 @@ def random_cpi(rng, urs_start):
     urs_start=st.floats(0.0, 60e-6),
     cap_frac=st.floats(0.05, 2.0),
 )
+@example(seed=30, urs_start=0.0, cap_frac=1.0)  # a one-element reflector, finished on the cap
 def test_short_term_energy_at_least_long_term(seed, urs_start, cap_frac):
     # at zero estimation error the short-term schedule is offered the
     # long-term reflection in every case, so it never collects less
