@@ -26,7 +26,9 @@ __all__ = [
     "dft_codebook",
 ]
 
-COMPOSITE_KINDS = ("U", "V", "R", "G")
+# composite kind -> its (reflected, incident) direction: legitimate (L) or unauthorized (U)
+_COMPOSITE_SIDES = {"U": "LL", "V": "UL", "R": "LU", "G": "UU"}
+COMPOSITE_KINDS = tuple(_COMPOSITE_SIDES)
 
 
 def _wrap_angle(a: float) -> float:
@@ -118,7 +120,8 @@ def steering_irs(spec: ArraySpec, angles: AnglePair, sense: str = "incident") ->
     ``sense='incident'`` evaluates the arrival direction (phi, eta);
     ``sense='reflected'`` evaluates the specular departure direction
     (pi - phi, pi + eta), which equals the elementwise conjugate of the
-    incident vector.
+    incident vector exactly, value for value (only the signs of zeros may
+    differ), so the power layer builds incident vectors only.
     """
     zx, zy = _irs_zetas(angles, sense)
     dx = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zx)
@@ -131,7 +134,8 @@ def steering_radar(spec: ArraySpec, angles: AnglePair, sense: str = "transmit") 
 
     Both radars share the same construction. ``sense='receive'`` evaluates
     the echo direction (pi - phi, pi + eta) and equals the conjugate of the
-    transmit-sense vector.
+    transmit-sense vector exactly, value for value (only the signs of zeros
+    may differ), so the power layer builds transmit vectors only.
     """
     if sense == "transmit":
         s = 1.0
@@ -161,20 +165,11 @@ def composite_deltas(kind: str, angles_l: AnglePair, angles_u: AnglePair) -> tup
     G    unauthorized        unauthorized
     ==== =================== ===================
     """
-    zl = _irs_zetas(angles_l, "incident")
-    zu = _irs_zetas(angles_u, "incident")
-    zl_r = _irs_zetas(angles_l, "reflected")
-    zu_r = _irs_zetas(angles_u, "reflected")
-    if kind == "U":
-        out_z, in_z = zl_r, zl
-    elif kind == "V":
-        out_z, in_z = zu_r, zl
-    elif kind == "R":
-        out_z, in_z = zl_r, zu
-    elif kind == "G":
-        out_z, in_z = zu_r, zu
-    else:
+    if kind not in COMPOSITE_KINDS:
         raise ValueError(f"kind must be one of {COMPOSITE_KINDS}, got {kind!r}")
+    angles = {"L": angles_l, "U": angles_u}
+    out_z = _irs_zetas(angles[_COMPOSITE_SIDES[kind][0]], "reflected")
+    in_z = _irs_zetas(angles[_COMPOSITE_SIDES[kind][1]], "incident")
     return out_z[0] - in_z[0], out_z[1] - in_z[1]
 
 
@@ -188,13 +183,26 @@ def composite_vector(
     source; this is the effective per-element channel of one
     source -> reflector -> destination hop.
     """
-    out_angles = {"U": angles_l, "V": angles_u, "R": angles_l, "G": angles_u}
-    in_angles = {"U": angles_l, "V": angles_l, "R": angles_u, "G": angles_u}
     if kind not in COMPOSITE_KINDS:
         raise ValueError(f"kind must be one of {COMPOSITE_KINDS}, got {kind!r}")
-    a_out = steering_irs(irs_spec, out_angles[kind], "reflected")
-    a_in = steering_irs(irs_spec, in_angles[kind], "incident")
-    return a_out * np.conj(a_in)
+    return _composites(kind, angles_l, angles_u, irs_spec)[kind]
+
+
+def _composites(
+    kinds: str, angles_l: AnglePair, angles_u: AnglePair, irs_spec: ArraySpec
+) -> dict[str, np.ndarray]:
+    """The composites of ``kinds``, building each incident vector they use once.
+
+    A reflected-sense vector is exactly the conjugate of the incident one, so
+    each composite is the product of two conjugated incident vectors.
+    """
+    angles = {"L": angles_l, "U": angles_u}
+    sides = dict.fromkeys(side for kind in kinds for side in _COMPOSITE_SIDES[kind])
+    reflected = {side: np.conj(steering_irs(irs_spec, angles[side])) for side in sides}
+    return {
+        kind: reflected[_COMPOSITE_SIDES[kind][0]] * reflected[_COMPOSITE_SIDES[kind][1]]
+        for kind in kinds
+    }
 
 
 def composite_vector_kron(

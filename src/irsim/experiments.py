@@ -27,7 +27,7 @@ from .arrays import AnglePair, composite_vector, steering_1d, dft_codebook
 from .config import ConfigError, ScenarioConfig, _cast
 from .waveform import segment_pri
 from .optimizer import closed_form_lrs_only, closed_form_urs_null
-from .power import ReflectionVector, link_power, irs_received_powers
+from .power import _LINK_TABLE, ReflectionVector, _Steering, link_power
 from .protocol import (
     _random_phase_expectation,
     _step2_figures,
@@ -127,11 +127,13 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
     p_l, p_u = config.timing.lrs.power, config.timing.urs.power
     lrs = radar == "lrs"
     irs = geom.irs_spec
+    side, p_side = ("L", p_l) if lrs else ("U", p_u)
+    kind, factor = _LINK_TABLE[side * 2]
     t0 = time.perf_counter()
+    steering = _Steering(geom, side, kind)
     if lrs:
         # legitimate radar only: reflect coherently back at it
-        u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
-        theta = closed_form_lrs_only(u)
+        theta = closed_form_lrs_only(steering.composites["U"])
     elif irs.size == 1:
         # no null exists, and every phase gives the same echo
         theta = ReflectionVector.on(np.zeros(1))
@@ -139,21 +141,22 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         # unauthorized radar only: null its echo along the first axis with
         # at least two elements
         theta = closed_form_urs_null(irs, geom.angles_u, (1, 0) if irs.count_a >= 2 else (0, 1))
+    # the reflection gain does not depend on the beam: once per scan
+    array_gain = steering.array_gain(kind, theta.coefficients)
     solve_wall = time.perf_counter() - t0
-    side, link = (0, "LL") if lrs else (1, "UU")
     spec = geom.lrs_spec if lrs else geom.urs_spec
     rand = _random_phase_expectation(geom, p_l, p_u)
     rand_q = rand.q_ll if lrs else rand.q_uu
     rcs = default_rcs(irs, config.echo_ratio)
-    base = no_irs_baseline_power(geom, rcs, p_l, p_u)[side]
-    matched = irs_received_powers(geom, p_l, p_u)[side]
+    base = no_irs_baseline_power(geom, rcs, p_l, p_u)[0 if lrs else 1]
+    matched = steering.gain(side) * p_side
     rows = []
     for zeta in grid:
         t0 = time.perf_counter()
-        w = _scan_beam(spec, zeta)
-        beam = {"w_l": w} if lrs else {"w_u": w}
-        q_beam = irs_received_powers(geom, p_l, p_u, **beam)[side]
-        prop = link_power(link, theta, geom, p_l, p_u, **beam)
+        k = steering.gain(side, _scan_beam(spec, zeta))
+        q_beam = k * p_side
+        # the link's factor reads only the scanned radar's gain
+        prop = float(factor(k, k, p_l, p_u) * array_gain)
         wall = time.perf_counter() - t0 + solve_wall
         solve_wall = 0.0
         pattern = q_beam / matched  # |b^H w|^2 / count, in [0, 1]

@@ -2,12 +2,12 @@
 
 Production path: the closed forms in which every link power factors into
 (received power at the reflector) x (reflection-domain array gain
-|composite^H theta|^2). One table, ``_LINK_TABLE``, gives each link its
-composite and its per-watt factor; link powers (beam scans), power reports
-(CPIs) and the random-phase baseline all evaluate through it. Guard path:
-:func:`bilinear_link_power` evaluates the full beamformer/channel-matrix
-product and must agree with the closed forms to machine precision; it
-exists to catch element-ordering bugs.
+|composite^H theta|^2). ``_Steering`` builds, once per evaluation, only the
+steering vectors the call reads; ``_LINK_TABLE`` gives each link its
+composite and its per-watt factor. Every power evaluation goes through the
+two. Guard path: :func:`bilinear_link_power` evaluates the full
+beamformer/channel-matrix product and must agree with the closed forms to
+machine precision; it exists to catch element-ordering bugs.
 
 All powers are evaluated at in-pulse (peak) time, where the chirp envelope
 carries its full transmit power.
@@ -15,11 +15,13 @@ carries its full transmit power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .arrays import composite_vector, matched_beamformer, steering_radar
+from .arrays import _composites, matched_beamformer, steering_radar
 from .channel import LinkGain, ScenarioGeometry, build_channels, path_gain
 
 __all__ = [
@@ -44,18 +46,24 @@ LINKS = tuple(_LINK_TABLE)
 
 @dataclass(frozen=True)
 class ReflectionVector:
-    """Per-element reflection coefficients: on/off amplitude and phase shift."""
+    """Per-element reflection coefficients: on/off amplitude and phase shift.
+
+    All three arrays are read-only; the coefficients are computed once.
+    """
 
     amplitudes: np.ndarray  # each entry 0 or 1
     phases: np.ndarray  # radians
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=float)
-        ph = np.asarray(self.phases, dtype=float)
+        amp = np.array(self.amplitudes, dtype=float)
+        ph = np.array(self.phases, dtype=float)
         if amp.shape != ph.shape or amp.ndim != 1:
             raise ValueError("amplitudes and phases must be 1D arrays of equal length")
         if not np.all((amp == 0.0) | (amp == 1.0)):
             raise ValueError("amplitudes must be 0 or 1")
+        if not np.isfinite(ph).all():
+            raise ValueError("phases must be finite")
+        amp.flags.writeable = ph.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "phases", ph)
 
@@ -70,9 +78,11 @@ class ReflectionVector:
         """All elements absorbing (step-I state)."""
         return cls(np.zeros(n), np.zeros(n))
 
-    @property
+    @cached_property
     def coefficients(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
+        coeff = self.amplitudes * np.exp(1j * self.phases)
+        coeff.flags.writeable = False
+        return coeff
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
@@ -100,25 +110,69 @@ class PowerReport:
     q_ou: float
 
 
-def _beamformers(geom: ScenarioGeometry, w_l, w_u) -> tuple[np.ndarray, np.ndarray]:
-    if w_l is None:
-        w_l = matched_beamformer(geom.lrs_spec, geom.angles_l)
-    if w_u is None:
-        w_u = matched_beamformer(geom.urs_spec, geom.angles_u)
-    return np.asarray(w_l, dtype=complex), np.asarray(w_u, dtype=complex)
+class _Steering:
+    """The steering vectors of one geometry that one power evaluation reads.
+
+    ``radars`` names the radars whose one-hop gains it reads ("L", "U" or
+    both), ``kinds`` its composites. Radar vectors are transmit-sense only:
+    receive is their exact conjugate and the matched beam transmit / sqrt(M).
+    """
+
+    def __init__(self, geom: ScenarioGeometry, radars: str, kinds: str = ""):
+        self.geom = geom
+        specs = {"L": (geom.lrs_spec, geom.angles_l), "U": (geom.urs_spec, geom.angles_u)}
+        self.transmit = {side: steering_radar(*specs[side]) for side in dict.fromkeys(radars)}
+        self.composites = _composites(kinds, geom.angles_l, geom.angles_u, geom.irs_spec)
+
+    def gain(self, side: str, w=None) -> float:
+        """One-hop power gain per watt, abar^2 |array response|^2, of a radar's beam (matched if None)."""
+        b, g = self.transmit[side], self.geom
+        w = b / np.sqrt(b.size) if w is None else np.asarray(w, dtype=complex)
+        if side == "L":
+            return float(abs(path_gain(g.dist_li, g.wavelength) * np.vdot(b, w)) ** 2)
+        # through the receive-sense vector conj(b)
+        return float(abs(path_gain(g.dist_ui, g.wavelength) * (w @ np.conj(b))) ** 2)
+
+    def gains(self, w_l=None, w_u=None) -> tuple:
+        """(k_l, k_u), with None for a radar not built."""
+        return tuple(self.gain(s, w) if s in self.transmit else None for s, w in (("L", w_l), ("U", w_u)))
+
+    def array_gain(self, kind: str, coeff: np.ndarray) -> float:
+        """|composite^H theta|^2 for one composite kind."""
+        return abs(np.vdot(self.composites[kind], coeff)) ** 2
+
+    def report(self, gains: dict, p_l: float, p_u: float) -> PowerReport:
+        """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
+        k_l, k_u = self.gains()
+        q_ll, q_lu, q_ul, q_uu = (
+            factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()
+        )
+        return PowerReport(
+            q_ls=float(k_l * p_l), q_us=float(k_u * p_u),
+            q_ll=float(q_ll), q_lu=float(q_lu), q_ul=float(q_ul), q_uu=float(q_uu),
+            q_ol=float(q_ll + q_ul), q_ou=float(q_lu + q_uu),
+        )
+
+    def reflection_report(self, coeff: np.ndarray, p_l: float, p_u: float) -> PowerReport:
+        """The matched-beam power report of one reflection's coefficients."""
+        return self.report({kind: self.array_gain(kind, coeff) for kind in "UVRG"}, p_l, p_u)
 
 
-def _unit_power_gains(geom: ScenarioGeometry, w_l, w_u) -> tuple[float, float]:
-    """One-hop power gains per watt transmitted: abar^2 |array response|^2."""
-    w_l, w_u = _beamformers(geom, w_l, w_u)
-    abar_l = path_gain(geom.dist_li, geom.wavelength)
-    abar_u = path_gain(geom.dist_ui, geom.wavelength)
-    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
-    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
-    return (
-        float(abs(abar_l * np.vdot(b_tx, w_l)) ** 2),
-        float(abs(abar_u * (w_u @ c_rx)) ** 2),
-    )
+def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u) -> PowerReport:
+    """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
+    return _Steering(geom, "LU").report(gains, p_l, p_u)
+
+
+def _check_inputs(geom: ScenarioGeometry, p_l, p_u, theta=None, w_l=None, w_u=None) -> None:
+    """Reject an argument that would give a negative or non-finite power; p = 0 is a silent radar."""
+    for name, p in (("p_l", p_l), ("p_u", p_u)):
+        if not (math.isfinite(p) and p >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {p}")
+    if theta is not None and len(theta) != geom.irs_spec.size:
+        raise ValueError(f"theta has {len(theta)} elements, the reflector {geom.irs_spec.size}")
+    for name, w, spec in (("w_l", w_l, geom.lrs_spec), ("w_u", w_u, geom.urs_spec)):
+        if w is not None and (np.shape(w) != (spec.size,) or not np.all(np.isfinite(w))):
+            raise ValueError(f"{name} must be a finite vector of length {spec.size}")
 
 
 def irs_received_powers(
@@ -129,14 +183,9 @@ def irs_received_powers(
     Beamformers must be unit norm; they default to the match for the true
     target direction, which yields the coherent values abar^2 * M * P.
     """
-    k_l, k_u = _unit_power_gains(geom, w_l, w_u)
+    _check_inputs(geom, p_l, p_u, w_l=w_l, w_u=w_u)
+    k_l, k_u = _Steering(geom, "LU").gains(w_l, w_u)
     return k_l * p_l, k_u * p_u
-
-
-def _array_gain(kind: str, geom: ScenarioGeometry, coeff: np.ndarray) -> float:
-    """|composite^H theta|^2 for one composite kind ("U", "V", "R" or "G")."""
-    comp = composite_vector(kind, geom.angles_l, geom.angles_u, geom.irs_spec)
-    return abs(np.vdot(comp, coeff)) ** 2
 
 
 def link_power(
@@ -154,31 +203,18 @@ def link_power(
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
+    _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
     kind, factor = _LINK_TABLE[link]
-    k_l, k_u = _unit_power_gains(geom, w_l, w_u)
-    return float(factor(k_l, k_u, p_l, p_u) * _array_gain(kind, geom, theta.coefficients))
-
-
-def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u) -> PowerReport:
-    """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
-    k_l, k_u = _unit_power_gains(geom, None, None)
-    q_ll, q_lu, q_ul, q_uu = (
-        factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()
-    )
-    return PowerReport(
-        q_ls=float(k_l * p_l), q_us=float(k_u * p_u),
-        q_ll=float(q_ll), q_lu=float(q_lu), q_ul=float(q_ul), q_uu=float(q_uu),
-        q_ol=float(q_ll + q_ul), q_ou=float(q_lu + q_uu),
-    )
+    steering = _Steering(geom, link, kind)
+    return float(factor(*steering.gains(w_l, w_u), p_l, p_u) * steering.array_gain(kind, theta.coefficients))
 
 
 def power_report(
     theta: ReflectionVector, geom: ScenarioGeometry, p_l: float, p_u: float
 ) -> PowerReport:
     """Evaluate every power figure for one reflection vector, with matched beamformers."""
-    coeff = theta.coefficients
-    gains = {kind: _array_gain(kind, geom, coeff) for kind in "UVRG"}
-    return _report_from_gains(gains, geom, p_l, p_u)
+    _check_inputs(geom, p_l, p_u, theta)
+    return _Steering(geom, "LU", "UVRG").reflection_report(theta.coefficients, p_l, p_u)
 
 
 def bilinear_link_power(
@@ -201,7 +237,9 @@ def bilinear_link_power(
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
-    w_l, w_u = _beamformers(geom, w_l, w_u)
+    _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
+    w_l = np.asarray(matched_beamformer(geom.lrs_spec, geom.angles_l) if w_l is None else w_l, dtype=complex)
+    w_u = np.asarray(matched_beamformer(geom.urs_spec, geom.angles_u) if w_u is None else w_u, dtype=complex)
     gains = (
         LinkGain(path_gain(geom.dist_li, geom.wavelength), nu_l),
         LinkGain(path_gain(geom.dist_ui, geom.wavelength), nu_u),

@@ -7,7 +7,8 @@ error). Step II applies optimized reflections: either one vector per
 timing case within each PRI (short-term) or a single fixed vector for the
 whole step (long-term). Reflections are designed from the estimated
 parameters but all reported powers are evaluated with the true ones, one
-power report per distinct reflection. One reduction, ``_step2_figures``,
+power report per distinct reflection, all from one table of the true
+geometry's steering vectors. One reduction, ``_step2_figures``,
 turns a report into the step-II energy and URS peak, for CPIs and baselines.
 """
 
@@ -18,11 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arrays import composite_vector
 from .channel import ScenarioGeometry
-from .power import (
-    PowerReport, ReflectionVector, _report_from_gains, irs_received_powers, power_report,
-)
+from .power import PowerReport, ReflectionVector, _check_inputs, _report_from_gains, _Steering
 from .optimizer import (
     Infeasible,
     build_problem,
@@ -142,6 +140,7 @@ def run_cpi(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_inputs(geom, p_l, p_u)
     if not 1 <= step1_pris < plan.pulses_per_cpi:
         raise ValueError("step1_pris must leave at least one step-II PRI")
     if p_u_min is None:
@@ -154,13 +153,14 @@ def run_cpi(
 
     # step I: measurements (perturbed), reflectors absorbing
     est_geom = _perturb_angles(geom, err, rng)
-    q_ls_true, q_us_true = irs_received_powers(geom, p_l, p_u)
-    q_ls_est = q_ls_true * (1.0 + err.power_rel_error)
-    q_us_est = q_us_true * (1.0 + err.power_rel_error)
-    comps_est = tuple(
-        composite_vector(k, est_geom.angles_l, est_geom.angles_u, est_geom.irs_spec)
-        for k in "UVRG"
-    )
+    # one table of the true geometry serves step I and every report of step
+    # II, and the design as well when the angles are estimated exactly
+    true = _Steering(geom, "LU", "UVRG")
+    design = true if est_geom is geom else _Steering(est_geom, "", "UVRG")
+    k_l, k_u = true.gains()
+    q_ls_est = k_l * p_l * (1.0 + err.power_rel_error)
+    q_us_est = k_u * p_u * (1.0 + err.power_rel_error)
+    comps_est = tuple(design.composites[k] for k in "UVRG")
     durations = (plan.lrs.duration, plan.urs.duration)
     urs_present = q_us_est > 0
     warm_coeff = [t.coefficients for t in warm.reflections] if warm is not None else []
@@ -207,7 +207,7 @@ def run_cpi(
     # step II evaluation at the true scenario, one report per distinct vector
     cases = reflections if variant == "short_term" else reflections * 3
     distinct = {id(th): th for th in cases}
-    reports = {key: power_report(th, geom, p_l, p_u) for key, th in distinct.items()}
+    reports = {key: true.reflection_report(th.coefficients, p_l, p_u) for key, th in distinct.items()}
     r1, r2, r3 = (reports[id(th)] for th in cases)
     report = replace(r1, q_ul=r2.q_ul, q_uu=r2.q_uu, q_ol=r3.q_ol, q_ou=r3.q_ou)
     lrs_energy, urs_peak = _step2_figures(report, (t1, t2, t3), n_pris)
@@ -282,9 +282,14 @@ def random_phase_baseline(
     """Average matched-beam power report over i.i.d. uniform-phase reflections."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    n = geom.irs_spec.size
-    comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(draws, n))
-    thetas = np.exp(1j * phases)
-    mean_gain = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
-    return _report_from_gains(mean_gain, geom, p_l, p_u)
+    _check_inputs(geom, p_l, p_u)
+    steering = _Steering(geom, "LU", "UVRG")
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(draws, geom.irs_spec.size))
+    # the values of exp(j phases), without its draws-by-N complex temporary
+    thetas = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=thetas.real)
+    np.sin(phases, out=thetas.imag)
+    mean_gain = {
+        k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in steering.composites.items()
+    }
+    return steering.report(mean_gain, p_l, p_u)

@@ -204,6 +204,53 @@ def test_reflection_vector_validation():
         ReflectionVector(np.array([0.5, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         ReflectionVector(np.ones(3), np.zeros(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phases"):
+            ReflectionVector.on(np.array([0.0, bad, 1.0]))
+
+
+def test_reflection_coefficients_are_computed_once_and_read_only(rng):
+    phases = rng.uniform(0.0, 2.0 * np.pi, 8)
+    theta = ReflectionVector.on(phases)
+    coeff = theta.coefficients
+    assert theta.coefficients is coeff
+    np.testing.assert_array_equal(coeff, np.exp(1j * phases))
+    for array in (coeff, theta.phases, theta.amplitudes):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the phases are a copy: changing the caller's array leaves the coefficients right
+    phases[0] += 1.0
+    np.testing.assert_array_equal(theta.coefficients, np.exp(1j * theta.phases))
+
+
+def test_power_entry_points_reject_bad_arguments(rng):
+    geom = random_geometry(rng)
+    n, m_l, m_u = geom.irs_spec.size, geom.lrs_spec.size, geom.urs_spec.size
+    # (the arguments each entry point takes, the call)
+    calls = (
+        (("theta", "p_l", "p_u", "w_l", "w_u"),
+         lambda theta, p_l, p_u, w_l, w_u: link_power("LL", theta, geom, p_l, p_u, w_l, w_u)),
+        (("theta", "p_l", "p_u", "w_l", "w_u"),
+         lambda theta, p_l, p_u, w_l, w_u: bilinear_link_power("UU", theta, geom, p_l, p_u, w_l, w_u)),
+        (("p_l", "p_u", "w_l", "w_u"),
+         lambda p_l, p_u, w_l, w_u: irs_received_powers(geom, p_l, p_u, w_l, w_u)),
+        (("theta", "p_l", "p_u"), lambda theta, p_l, p_u: power_report(theta, geom, p_l, p_u)),
+    )
+    good = {"theta": random_reflection(rng, n), "p_l": P, "p_u": P, "w_l": None, "w_u": None}
+    bad = [
+        ("theta", random_reflection(rng, n + 1)),
+        ("p_l", -P), ("p_l", np.nan), ("p_l", np.inf), ("p_u", -P), ("p_u", np.nan),
+        ("w_l", np.ones(m_l + 1) / np.sqrt(m_l + 1)), ("w_l", np.full(m_l, np.nan)),
+        ("w_u", np.ones((m_u, 1))), ("w_u", np.full(m_u, np.inf)),
+    ]
+    for names, call in calls:
+        for name, value in bad:
+            if name in names:
+                with pytest.raises(ValueError, match=name):
+                    call(**{**{k: good[k] for k in names}, name: value})
+    # a silent radar is a valid input
+    assert link_power("LL", good["theta"], geom, 0.0, 0.0) == 0.0
+    assert irs_received_powers(geom, 0.0, P)[0] == 0.0
 
 
 def test_pulse_scaling_consistency():

@@ -1,19 +1,29 @@
 """Physics invariants of the solver, checked as properties over random problems."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from irsim import (
+    ArraySpec,
+    PowerReport,
     PulseSpec,
+    ReflectionVector,
     TimingPlan,
     bilinear_link_power,
     build_problem,
     composite_vector,
     irs_received_powers,
     link_power,
+    matched_beamformer,
+    path_gain,
     pdd_solve,
+    power_report,
     problem_constraint,
     run_cpi,
+    steering_irs,
+    steering_radar,
 )
 
 from conftest import random_geometry, random_reflection
@@ -79,6 +89,63 @@ def test_link_power_equals_bilinear_guard(seed, link, p_l, p_u, nu_l, nu_u):
     closed = link_power(link, theta, geom, p_l, p_u)
     guard = bilinear_link_power(link, theta, geom, p_l, p_u, nu_l=nu_l, nu_u=nu_u)
     np.testing.assert_allclose(closed, guard, rtol=1e-9, atol=0)
+
+
+def written_out_powers(theta, geom, p_l, p_u, w_l, w_u):
+    """(link powers, reflector powers) from the public vector builders, each vector
+    built from scratch in its own sense and each product in the closed forms' order."""
+    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l) if w_l is None else w_l
+    w_u = matched_beamformer(geom.urs_spec, geom.angles_u) if w_u is None else w_u
+    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
+    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
+    k_l = float(abs(path_gain(geom.dist_li, geom.wavelength) * np.vdot(b_tx, w_l)) ** 2)
+    k_u = float(abs(path_gain(geom.dist_ui, geom.wavelength) * (w_u @ c_rx)) ** 2)
+    g = {k: abs(np.vdot(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec),
+                        theta.coefficients)) ** 2 for k in "UVRG"}
+    links = {
+        "LL": k_l**2 * p_l * g["U"], "LU": k_l * k_u * p_l * g["V"],
+        "UL": k_l * k_u * p_u * g["R"], "UU": k_u**2 * p_u * g["G"],
+    }
+    return links, (k_l * p_l, k_u * p_u)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    irs_shape=st.one_of(
+        st.just((1, 1)),
+        st.tuples(st.integers(2, 32), st.just(1)),
+        st.tuples(st.integers(2, 8), st.integers(2, 8)),
+    ),
+    link=st.sampled_from(["LL", "LU", "UL", "UU"]),
+    p_l=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    p_u=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    explicit_beams=st.booleans(),
+)
+def test_power_evaluation_equals_the_formulas_written_out(seed, irs_shape, link, p_l, p_u, explicit_beams):
+    # value for value, not to a tolerance: the builder takes receive = conj(transmit),
+    # reflected = conj(incident) and the matched beam = transmit / sqrt(M), all exact
+    rng = np.random.default_rng(seed)
+    geom = replace(random_geometry(rng), irs_spec=ArraySpec(*irs_shape, 0.02, 0.2))
+    n = geom.irs_spec.size
+    theta = ReflectionVector(rng.integers(0, 2, n).astype(float), rng.uniform(0.0, 2 * np.pi, n))
+    w_l = w_u = None
+    if explicit_beams:
+        w_l, w_u = (z / np.linalg.norm(z) for z in (
+            rng.normal(size=s.size) + 1j * rng.normal(size=s.size) for s in (geom.lrs_spec, geom.urs_spec)))
+    for kind, (out, inc) in zip("UVRG", ((geom.angles_l, geom.angles_l), (geom.angles_u, geom.angles_l),
+                                         (geom.angles_l, geom.angles_u), (geom.angles_u, geom.angles_u))):
+        np.testing.assert_array_equal(
+            composite_vector(kind, geom.angles_l, geom.angles_u, geom.irs_spec),
+            steering_irs(geom.irs_spec, out, "reflected") * np.conj(steering_irs(geom.irs_spec, inc, "incident")))
+    links, reflector = written_out_powers(theta, geom, p_l, p_u, w_l, w_u)
+    assert link_power(link, theta, geom, p_l, p_u, w_l, w_u) == float(links[link])
+    assert irs_received_powers(geom, p_l, p_u, w_l, w_u) == reflector
+    links, (q_ls, q_us) = written_out_powers(theta, geom, p_l, p_u, None, None)
+    q_ll, q_lu, q_ul, q_uu = (links[k] for k in ("LL", "LU", "UL", "UU"))
+    assert power_report(theta, geom, p_l, p_u) == PowerReport(
+        float(q_ls), float(q_us), float(q_ll), float(q_lu), float(q_ul), float(q_uu),
+        float(q_ll + q_ul), float(q_lu + q_uu))
 
 
 @SOLVER_SETTINGS

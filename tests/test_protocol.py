@@ -264,6 +264,28 @@ def test_short_term_powers_come_from_their_case_reflections(rng):
     assert (got.q_ls, got.q_us, got.q_ll, got.q_lu, got.q_ul, got.q_uu, got.q_ol, got.q_ou) == want
 
 
+def test_random_phase_baseline_equals_the_exp_route(rng):
+    # the draws are filled as cos + j sin, which gives the values of exp(j phases)
+    from irsim.power import _report_from_gains
+
+    for n_axis, draws in ((1, 1), (16, 1), (16, 3), (64, 500)):
+        geom = small_geometry(rng, n_axis=n_axis)
+        got = random_phase_baseline(geom, np.random.default_rng(9), draws, P, P)
+        thetas = np.exp(1j * np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (draws, n_axis)))
+        comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
+        gains = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
+        assert got == _report_from_gains(gains, geom, P, P)
+
+
+def test_cpi_and_baseline_reject_bad_powers(rng):
+    geom = small_geometry(rng)
+    for p_l, p_u, name in ((-P, P, "p_l"), (np.nan, P, "p_l"), (P, np.inf, "p_u")):
+        with pytest.raises(ValueError, match=name):
+            random_phase_baseline(geom, np.random.default_rng(1), 10, p_l, p_u)
+        with pytest.raises(ValueError, match=name):
+            run_cpi(geom, make_plan(), "long_term", 1e-9, p_l, p_u)
+
+
 def test_random_phase_baseline_deterministic(rng):
     geom = small_geometry(rng)
     a = random_phase_baseline(geom, np.random.default_rng(11), 100, P, P)
