@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,7 +118,7 @@ def _row(value, scheme, lrs, urs, feasible, iterations, wall) -> dict:
 def _scan_beam(spec, zeta) -> np.ndarray:
     """Unit-norm beam steered at direction cosine ``zeta`` on the y axis."""
     w = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zeta)
-    return np.kron(w, np.ones(spec.count_b)) / np.sqrt(spec.size)
+    return np.repeat(w, spec.count_b) / np.sqrt(spec.size)
 
 
 def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
@@ -317,6 +316,8 @@ def run_experiment(config: ScenarioConfig, sweep: SweepSpec) -> list[dict]:
             for index, value in enumerate(grid)]
     workers = _cast("IRSIM_WORKERS", os.environ.get("IRSIM_WORKERS", "1"), int)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_pooled_point, args))
     else:

@@ -423,7 +423,8 @@ def _p9_dual(
     sig2 >= ||B||^2), which ascends and keeps off the kink of ||y|| at 0.
 
     Returns x and the real coordinates w of y, with w = None when there is
-    no cap (``dual`` is None) or clip(b) already meets it. The returned x
+    no cap (``dual`` is None) or clip(b) already meets it, or misses it by
+    so little that the first step from y = 0 is exactly 0. The returned x
     never exceeds the cap: a point a hair over it is pulled toward x = 0,
     which is feasible for any gamma > 0, when the iteration converged or
     stalled within ``FEAS_RTOL`` of the cap; it stalls so when gamma is
@@ -458,6 +459,10 @@ def _p9_dual(
     tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + r))
     z, w = b, np.zeros(2 * dual.k)  # the first iterate is a step from y = 0
     d = w0 if w0 is not None and w0.any() else p * ((1 - root_gamma / math.sqrt(p @ p)) / dual.sig2)
+    if not d.any():
+        # ||p|| rounds to sqrt(gamma): clip(b) is over the cap by less than
+        # rounding, and y = 0 maximizes g to rounding
+        return _pull_under_cap(x, dual, True), None
     Cd = (Cr @ d).view(complex)
     (z, w, m, x, grad, nw), _ = at(1.0)
     converged = False
@@ -497,6 +502,16 @@ def _p9_dual(
         if not math.isfinite(slope) or state[1].tolist() == w.tolist():
             break  # rounding floor: the slope overflows, or the step no longer moves y
         z, w, m, x, grad, nw = state
+    return _pull_under_cap(x, dual, converged), w
+
+
+def _pull_under_cap(x: np.ndarray, dual: _CapDual, converged: bool) -> np.ndarray:
+    """x, pulled toward 0 when it is a hair over the cap (see :func:`_p9_dual`).
+
+    Raises :class:`ProjectionError` when x is over the cap and the projection
+    neither converged nor stalled within ``FEAS_RTOL`` of it.
+    """
+    gamma = dual.gamma
     cap = dual.quad(x)  # as the callers measure it; |Re(C^H x)|^2 rounds apart from it
     margin = 1e-12
     while (converged or cap <= gamma * (1.0 + FEAS_RTOL)) and cap > gamma and margin < 1e-6:
@@ -507,7 +522,7 @@ def _p9_dual(
         margin *= 10.0
     if cap > gamma:
         raise ProjectionError(f"P9 projection stopped at cap {cap:.17g} over gamma {gamma:.17g}")
-    return x, w
+    return x
 
 
 _QUAD_MAX_STEPS = 50

@@ -2,12 +2,14 @@
 
 Production path: the closed forms in which every link power factors into
 (received power at the reflector) x (reflection-domain array gain
-|composite^H theta|^2). ``_Steering`` builds, once per evaluation, only the
-steering vectors the call reads; ``_LINK_TABLE`` gives each link its
-composite and its per-watt factor. Every power evaluation goes through the
-two. Guard path: :func:`bilinear_link_power` evaluates the full
-beamformer/channel-matrix product and must agree with the closed forms to
-machine precision; it exists to catch element-ordering bugs.
+|composite^H theta|^2). A matched beam's one-hop gain is abar^2 * M in
+closed form, so ``_Steering`` builds, once per evaluation, only the
+composites the call reads, and a radar's steering vector only for an
+explicit beam; ``_LINK_TABLE`` gives each link its composite and its
+per-watt factor. Every power evaluation goes through the two. Guard path:
+:func:`bilinear_link_power` evaluates the full beamformer/channel-matrix
+product and must agree with the closed forms to machine precision; it
+exists to catch element-ordering bugs.
 
 All powers are evaluated at in-pulse (peak) time, where the chirp envelope
 carries its full transmit power.
@@ -49,6 +51,7 @@ class ReflectionVector:
     """Per-element reflection coefficients: on/off amplitude and phase shift.
 
     All three arrays are read-only; the coefficients are computed once.
+    Two vectors are equal when their amplitudes and phases are.
     """
 
     amplitudes: np.ndarray  # each entry 0 or 1
@@ -87,6 +90,16 @@ class ReflectionVector:
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
 
+    # by value, element for element: the generated methods would compare and
+    # hash the arrays as objects
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReflectionVector):
+            return NotImplemented
+        return np.array_equal(self.amplitudes, other.amplitudes) and np.array_equal(self.phases, other.phases)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.amplitudes.tolist()), tuple(self.phases.tolist())))
+
 
 @dataclass(frozen=True)
 class PowerReport:
@@ -114,28 +127,37 @@ class _Steering:
     """The steering vectors of one geometry that one power evaluation reads.
 
     ``radars`` names the radars whose one-hop gains it reads ("L", "U" or
-    both), ``kinds`` its composites. Radar vectors are transmit-sense only:
-    receive is their exact conjugate and the matched beam transmit / sqrt(M).
+    both), ``kinds`` its composites. A matched beam needs no radar vector:
+    its gain is abar^2 |b^H b / sqrt(M)|^2 = abar^2 M. A radar's transmit
+    vector b is built on the first explicit beam, once; receive is its
+    exact conjugate.
     """
 
     def __init__(self, geom: ScenarioGeometry, radars: str, kinds: str = ""):
-        self.geom = geom
-        specs = {"L": (geom.lrs_spec, geom.angles_l), "U": (geom.urs_spec, geom.angles_u)}
-        self.transmit = {side: steering_radar(*specs[side]) for side in dict.fromkeys(radars)}
+        self.geom, self.radars = geom, radars
         self.composites = _composites(kinds, geom.angles_l, geom.angles_u, geom.irs_spec)
+        self.transmit = {}  # side -> transmit-sense vector, built on its first explicit beam
 
     def gain(self, side: str, w=None) -> float:
         """One-hop power gain per watt, abar^2 |array response|^2, of a radar's beam (matched if None)."""
-        b, g = self.transmit[side], self.geom
-        w = b / np.sqrt(b.size) if w is None else np.asarray(w, dtype=complex)
+        g = self.geom
         if side == "L":
-            return float(abs(path_gain(g.dist_li, g.wavelength) * np.vdot(b, w)) ** 2)
-        # through the receive-sense vector conj(b)
-        return float(abs(path_gain(g.dist_ui, g.wavelength) * (w @ np.conj(b))) ** 2)
+            spec, angles, dist = g.lrs_spec, g.angles_l, g.dist_li
+        else:
+            spec, angles, dist = g.urs_spec, g.angles_u, g.dist_ui
+        abar = path_gain(dist, g.wavelength)
+        if w is None:
+            return float(abar**2 * spec.size)
+        if side not in self.transmit:
+            self.transmit[side] = steering_radar(spec, angles)
+        b, w = self.transmit[side], np.asarray(w, dtype=complex)
+        # the unauthorized radar's echo goes through the receive-sense vector conj(b)
+        response = np.vdot(b, w) if side == "L" else w @ np.conj(b)
+        return float(abs(abar * response) ** 2)
 
     def gains(self, w_l=None, w_u=None) -> tuple:
-        """(k_l, k_u), with None for a radar not built."""
-        return tuple(self.gain(s, w) if s in self.transmit else None for s, w in (("L", w_l), ("U", w_u)))
+        """(k_l, k_u), with None for a radar not named."""
+        return tuple(self.gain(s, w) if s in self.radars else None for s, w in (("L", w_l), ("U", w_u)))
 
     def array_gain(self, kind: str, coeff: np.ndarray) -> float:
         """|composite^H theta|^2 for one composite kind."""

@@ -458,3 +458,11 @@ def test_package_imports_without_scipy():
     # scipy is a test dependency only; a None entry makes any import of it fail
     proc = run_child("-c", "import sys; sys.modules['scipy'] = None; import irsim, irsim.cli")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # IRSIM_WORKERS defaults to 1, so a serial run never needs multiprocessing
+    code = "import sys, irsim, irsim.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

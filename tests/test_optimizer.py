@@ -338,6 +338,37 @@ def test_p9_unconverged_over_cap_raises(rng, monkeypatch):
         p9_solve(b, B, gamma)
 
 
+def test_identical_solves_compare_equal(rng):
+    problem = random_problem(rng, n=6, case="P3", gamma_frac=0.3)
+    a, b = pdd_solve(problem), pdd_solve(problem)
+    assert a == b and a.theta == b.theta
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_p9_over_cap_by_rounding_pulls_clip_under_the_cap(rng, k):
+    # gamma is the double below the cap value ||p||^2 of clip(b), p = Re(C^H clip(b)),
+    # and sqrt(gamma) == ||p||: the first step from y = 0, scaled by
+    # 1 - sqrt(gamma) / ||p||, is exactly 0, so there is no first trial point
+    n, cases = 5, 0
+    for _ in range(40):
+        b = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        B = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        x = _clip_disk(b)
+        p = x.view(float) @ _CapDual(B).Cr
+        B = B * np.sqrt(1.5 / (p @ p))  # the cap value near 1.5, where sqrt often rounds the two alike
+        p = x.view(float) @ _CapDual(B).Cr
+        gamma = float(np.nextafter(p @ p, 0.0))
+        if np.sqrt(gamma) != np.sqrt(p @ p):
+            continue
+        cases += 1
+        dual = _CapDual(B, gamma)
+        theta, w = _p9_dual(b, dual, None)
+        assert w is None
+        assert dual.quad(theta) <= gamma
+        np.testing.assert_allclose(theta, x, rtol=0, atol=1e-9)
+    assert cases >= 10
+
+
 def random_spd(rng, m, cond=None, scaled=False):
     """Random symmetric positive definite m x m matrix.
 

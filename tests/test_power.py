@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import irsim.power
 from irsim import (
     AnglePair,
     ArraySpec,
     LinkGain,
     ReflectionVector,
+    ScenarioConfig,
     ScenarioGeometry,
+    SweepSpec,
     bilinear_link_power,
     build_channels,
     closed_form_urs_null,
@@ -18,6 +23,10 @@ from irsim import (
     path_gain,
     power_report,
     pulse_sample,
+    random_phase_baseline,
+    run_cpi,
+    run_experiment,
+    steering_radar,
 )
 
 from conftest import overlap_field_amplitudes, random_geometry, random_reflection
@@ -221,6 +230,62 @@ def test_reflection_coefficients_are_computed_once_and_read_only(rng):
     # the phases are a copy: changing the caller's array leaves the coefficients right
     phases[0] += 1.0
     np.testing.assert_array_equal(theta.coefficients, np.exp(1j * theta.phases))
+
+
+def test_reflection_vector_compares_and_hashes_by_value(rng):
+    phases = rng.uniform(0.0, 2.0 * np.pi, 6)
+    a, b = ReflectionVector.on(phases), ReflectionVector.on(phases.copy())
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    # -0.0 == 0.0 as a phase, so the two hash alike as well
+    zero, signed = ReflectionVector.on(np.zeros(2)), ReflectionVector.on(np.array([-0.0, 0.0]))
+    assert zero == signed and hash(zero) == hash(signed)
+    others = (
+        ReflectionVector.on(np.r_[phases[:5], phases[5] + 1e-9]),
+        ReflectionVector(np.r_[0.0, np.ones(5)], phases),
+        ReflectionVector.on(phases[:5]),
+        ReflectionVector.off(6),
+        tuple(phases),
+        None,
+    )
+    for other in others:
+        assert a != other and not a == other
+
+
+def test_matched_beams_build_no_radar_vector(monkeypatch):
+    # a matched beam's one-hop gain is abar^2 M in closed form, so only an
+    # explicit beam needs a radar's steering vector, built once per evaluation
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return steering_radar(*args)
+
+    monkeypatch.setattr(irsim.power, "steering_radar", counted)
+    cfg = ScenarioConfig.default()
+    cfg = cfg.replace(geometry=dataclasses.replace(
+        cfg.geometry,
+        lrs_spec=ArraySpec(8, 2, 0.1, 0.2),
+        urs_spec=ArraySpec(4, 3, 0.1, 0.2),
+        irs_spec=ArraySpec(4, 2, 0.02, 0.2),
+    ))
+    geom, plan = cfg.geometry, cfg.timing
+    theta = random_reflection(np.random.default_rng(0), geom.irs_spec.size)
+    for link in ("LL", "LU", "UL", "UU"):
+        link_power(link, theta, geom, P, P)
+    power_report(theta, geom, P, P)
+    irs_received_powers(geom, P, P)
+    for variant in ("short_term", "long_term"):
+        run_cpi(geom, plan, variant, cfg.gamma, P, P)
+    random_phase_baseline(geom, np.random.default_rng(1), 16, P, P)
+    assert built == []
+    link_power("LU", theta, geom, P, P, w_u=matched_beamformer(geom.urs_spec, geom.angles_u))
+    assert built == [(geom.urs_spec, geom.angles_u)]
+    for experiment, spec, angles in (("beam_scan_lrs", geom.lrs_spec, geom.angles_l),
+                                     ("beam_scan_urs", geom.urs_spec, geom.angles_u)):
+        built.clear()
+        run_experiment(cfg, SweepSpec((-0.5, 0.0, 0.25, 0.5), experiment))
+        assert built == [(spec, angles)]
 
 
 def test_power_entry_points_reject_bad_arguments(rng):

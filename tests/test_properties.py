@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irsim import (
@@ -93,13 +94,18 @@ def test_link_power_equals_bilinear_guard(seed, link, p_l, p_u, nu_l, nu_u):
 
 def written_out_powers(theta, geom, p_l, p_u, w_l, w_u):
     """(link powers, reflector powers) from the public vector builders, each vector
-    built from scratch in its own sense and each product in the closed forms' order."""
-    w_l = matched_beamformer(geom.lrs_spec, geom.angles_l) if w_l is None else w_l
-    w_u = matched_beamformer(geom.urs_spec, geom.angles_u) if w_u is None else w_u
-    b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
-    c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
-    k_l = float(abs(path_gain(geom.dist_li, geom.wavelength) * np.vdot(b_tx, w_l)) ** 2)
-    k_u = float(abs(path_gain(geom.dist_ui, geom.wavelength) * (w_u @ c_rx)) ** 2)
+    built from scratch in its own sense and each product in the closed forms' order.
+    A matched beam's one-hop gain is abar^2 M, since |b^H (b / sqrt(M))|^2 = M."""
+    if w_l is None:
+        k_l = float(path_gain(geom.dist_li, geom.wavelength) ** 2 * geom.lrs_spec.size)
+    else:
+        b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
+        k_l = float(abs(path_gain(geom.dist_li, geom.wavelength) * np.vdot(b_tx, w_l)) ** 2)
+    if w_u is None:
+        k_u = float(path_gain(geom.dist_ui, geom.wavelength) ** 2 * geom.urs_spec.size)
+    else:
+        c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
+        k_u = float(abs(path_gain(geom.dist_ui, geom.wavelength) * (w_u @ c_rx)) ** 2)
     g = {k: abs(np.vdot(composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec),
                         theta.coefficients)) ** 2 for k in "UVRG"}
     links = {
@@ -124,7 +130,7 @@ def written_out_powers(theta, geom, p_l, p_u, w_l, w_u):
 )
 def test_power_evaluation_equals_the_formulas_written_out(seed, irs_shape, link, p_l, p_u, explicit_beams):
     # value for value, not to a tolerance: the builder takes receive = conj(transmit),
-    # reflected = conj(incident) and the matched beam = transmit / sqrt(M), all exact
+    # reflected = conj(incident) and a matched beam's gain abar^2 M, all exact
     rng = np.random.default_rng(seed)
     geom = replace(random_geometry(rng), irs_spec=ArraySpec(*irs_shape, 0.02, 0.2))
     n = geom.irs_spec.size
@@ -146,6 +152,25 @@ def test_power_evaluation_equals_the_formulas_written_out(seed, irs_shape, link,
     assert power_report(theta, geom, p_l, p_u) == PowerReport(
         float(q_ls), float(q_us), float(q_ll), float(q_lu), float(q_ul), float(q_uu),
         float(q_ll + q_ul), float(q_lu + q_uu))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lrs_shape=st.tuples(st.integers(1, 16), st.integers(2, 16)),
+    urs_shape=st.tuples(st.integers(1, 16), st.integers(2, 16)),
+)
+def test_matched_beam_gain_closed_form_agrees_with_the_beam_product(seed, lrs_shape, urs_shape):
+    # b has unit-modulus entries, so |b^H (b / sqrt(M))|^2 = M and the matched
+    # one-hop gain abar^2 M matches the product to rounding
+    geom = replace(random_geometry(np.random.default_rng(seed)),
+                   lrs_spec=ArraySpec(*lrs_shape, 0.1, 0.2), urs_spec=ArraySpec(*urs_shape, 0.1, 0.2))
+    closed = irs_received_powers(geom, 1.0, 1.0)
+    for k, spec, angles, dist in zip(closed, (geom.lrs_spec, geom.urs_spec),
+                                     (geom.angles_l, geom.angles_u), (geom.dist_li, geom.dist_ui)):
+        b = steering_radar(spec, angles, "transmit")
+        product = abs(path_gain(dist, geom.wavelength) * np.vdot(b, matched_beamformer(spec, angles))) ** 2
+        assert abs(k - product) <= 16 * np.spacing(k)
 
 
 @SOLVER_SETTINGS
@@ -192,6 +217,19 @@ def test_short_term_energy_at_least_long_term(seed, urs_start, cap_frac):
     long_ = run_cpi(geom, plan, "long_term", gamma, P, P)
     assert short.feasible == long_.feasible
     assert short.lrs_energy >= long_.lrs_energy * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("cap_frac", [1.0, 1.0 - 2.0**-51])
+def test_cpi_with_a_cap_a_rounding_below_the_one_element_cap(cap_frac):
+    # a one-element reflector has one cap value; a gamma within rounding of it
+    # left the projection's first step exactly 0 and divided by its norm
+    geom, plan, cap = random_cpi(np.random.default_rng(30), 0.0)
+    assert geom.irs_spec.size == 1
+    gamma = cap * cap_frac
+    for variant in ("short_term", "long_term"):
+        cpi = run_cpi(geom, plan, variant, gamma, P, P)
+        if cpi.feasible:
+            assert cpi.urs_peak_power <= gamma * (1.0 + 1e-6)
 
 
 @SOLVER_SETTINGS

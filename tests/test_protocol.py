@@ -133,6 +133,20 @@ def test_estimation_error_gaussian_reproducible(rng):
     assert a.lrs_energy == b.lrs_energy
 
 
+def test_identical_cpi_results_compare_equal(rng):
+    # results compare and hash by value, reflection vectors included
+    geom = small_geometry(rng)
+    plan = make_plan()
+    gamma = gamma_for(geom, 0.3, rng)
+    results = {}
+    for variant in ("short_term", "long_term"):
+        a, b = (run_cpi(geom, plan, variant, gamma, P, P) for _ in range(2))
+        assert a == b and a.mode == b.mode
+        assert hash(a) == hash(b)
+        results[variant] = a
+    assert results["short_term"] != results["long_term"]
+
+
 def test_power_measurement_error_applied(rng):
     geom = small_geometry(rng)
     plan = make_plan()
