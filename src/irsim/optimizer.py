@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -187,7 +187,7 @@ class PddTracePoint:
 class PddResult:
     theta: ReflectionVector
     objective: float
-    trace: list[PddTracePoint] = field(default_factory=list)
+    trace: tuple[PddTracePoint, ...] = ()
     converged: bool = True
     outer_iterations: int = 0
 
@@ -1132,11 +1132,11 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
         best_theta = feas_ref["theta"]
         best_obj = problem_objective(scaled, best_theta)
         converged = False
-    trace = [
+    trace = tuple(
         PddTracePoint(outer=outer, objective=sq**2 * problem_objective(scaled, theta),
                       constraint=problem_constraint(problem, theta), gap=gap, rho=rho)
         for outer, (theta, gap, rho) in enumerate(history, 1)
-    ]
+    )
     return PddResult(theta=_under_cap(problem, best_theta), objective=sq**2 * best_obj,
                      trace=trace, converged=converged, outer_iterations=total_outer)
 

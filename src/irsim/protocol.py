@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 VARIANTS = ("short_term", "long_term")
+# complex entries per block of random_phase_baseline draws
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -279,17 +281,40 @@ def random_phase_baseline(
     p_l: float,
     p_u: float,
 ) -> PowerReport:
-    """Average matched-beam power report over i.i.d. uniform-phase reflections."""
+    """Average matched-beam power report over i.i.d. uniform-phase reflections.
+
+    The draws are streamed in blocks of ``max(2, 2**16 // N)`` rows, so
+    memory is O(block·N + draws) instead of O(draws·N). Each row keeps its
+    own product with each composite and each mean runs once over all the
+    draws, so the report equals, bit for bit, the single-array route
+    ``exp(1j * rng.uniform(0, 2π, (draws, N)))``.
+    """
+    if isinstance(draws, bool) or not isinstance(draws, (int, np.integer)):
+        raise ValueError(f"draws must be an integer, got {draws!r}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     _check_inputs(geom, p_l, p_u)
     steering = _Steering(geom, "LU", "UVRG")
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(draws, geom.irs_spec.size))
-    # the values of exp(j phases), without its draws-by-N complex temporary
-    thetas = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=thetas.real)
-    np.sin(phases, out=thetas.imag)
-    mean_gain = {
-        k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in steering.composites.items()
-    }
+    n = geom.irs_spec.size
+    # a one-row product takes numpy's vector-dot path, whose sum differs from
+    # the matrix-vector one in the last bit, so a block has at least two rows
+    # and a lone last row joins the block before it
+    block = max(2, _BLOCK_ENTRIES // n)
+    conj = {k: np.conj(c) for k, c in steering.composites.items()}
+    gains = {k: np.empty(draws) for k in conj}
+    # the values of exp(j phases), without a complex temporary per block
+    buffer = np.empty((min(block + 1, draws), n), dtype=complex)
+    start = 0
+    while start < draws:
+        rows = min(block, draws - start)
+        if draws - start - rows == 1:
+            rows += 1
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n))
+        thetas = buffer[:rows]
+        np.cos(phases, out=thetas.real)
+        np.sin(phases, out=thetas.imag)
+        for k, c in conj.items():
+            gains[k][start:start + rows] = np.abs(thetas @ c) ** 2
+        start += rows
+    mean_gain = {k: float(np.mean(g)) for k, g in gains.items()}
     return steering.report(mean_gain, p_l, p_u)

@@ -344,6 +344,14 @@ def test_identical_solves_compare_equal(rng):
     assert a == b and a.theta == b.theta
 
 
+def test_solve_results_hash_alike_when_equal():
+    problem = random_problem(np.random.default_rng(1), n=4, case="P3", gamma_frac=0.3)
+    a, b = pdd_solve(problem), pdd_solve(problem)
+    assert isinstance(a.trace, tuple)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_p9_over_cap_by_rounding_pulls_clip_under_the_cap(rng, k):
     # gamma is the double below the cap value ||p||^2 of clip(b), p = Re(C^H clip(b)),

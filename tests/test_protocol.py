@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from irsim import (
     random_phase_baseline,
     run_cpi,
 )
+from irsim import protocol
 
 from conftest import random_angles
 
@@ -278,17 +281,68 @@ def test_short_term_powers_come_from_their_case_reflections(rng):
     assert (got.q_ls, got.q_us, got.q_ll, got.q_lu, got.q_ul, got.q_uu, got.q_ol, got.q_ou) == want
 
 
-def test_random_phase_baseline_equals_the_exp_route(rng):
-    # the draws are filled as cos + j sin, which gives the values of exp(j phases)
+def _exp_route_report(geom, seed, draws):
+    # the baseline as one draws-by-N array of exp(j phases)
     from irsim.power import _report_from_gains
 
-    for n_axis, draws in ((1, 1), (16, 1), (16, 3), (64, 500)):
-        geom = small_geometry(rng, n_axis=n_axis)
+    n = geom.irs_spec.size
+    thetas = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (draws, n)))
+    comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
+    gains = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
+    return _report_from_gains(gains, geom, P, P)
+
+
+def _upa_geometry(rng, n_x, n_y):
+    return replace(small_geometry(rng), irs_spec=ArraySpec(n_x, n_y, 0.02, 0.2))
+
+
+def test_random_phase_baseline_equals_the_exp_route(rng):
+    # the draws are filled block by block as cos + j sin, which gives the
+    # values of exp(j phases); 64 and 256 elements give blocks of 1,024 and
+    # 256 draws, so the larger counts cross block edges and end in a tail
+    cases = [(small_geometry(rng, n_axis=n), draws) for n, draws in ((1, 1), (16, 1), (16, 3), (64, 500))]
+    cases += [(small_geometry(rng, n_axis=64), 2 * 1024 + 3), (_upa_geometry(rng, 16, 16), 3 * 256 + 17)]
+    cases += [(small_geometry(rng, n_axis=1024), 64 + 1), (_upa_geometry(rng, 32, 32), 2 * 64 + 2)]
+    for geom, draws in cases:
         got = random_phase_baseline(geom, np.random.default_rng(9), draws, P, P)
-        thetas = np.exp(1j * np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (draws, n_axis)))
-        comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
-        gains = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
-        assert got == _report_from_gains(gains, geom, P, P)
+        assert got == _exp_route_report(geom, 9, draws)
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("n_x, n_y", [(1, 1), (4, 1), (3, 3)])
+def test_random_phase_baseline_small_blocks_equal_the_exp_route(rng, monkeypatch, block, n_x, n_y):
+    # blocks of 2 and 3 draws cover 1 ... 7 draws, through every kind of tail
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", block * n_x * n_y)
+    for draws in range(1, 8):
+        geom = _upa_geometry(rng, n_x, n_y)
+        got = random_phase_baseline(geom, np.random.default_rng(draws), draws, P, P)
+        assert got == _exp_route_report(geom, draws, draws)
+
+
+def test_random_phase_baseline_memory_does_not_grow_with_draws(rng):
+    # one draws-by-N complex array at N = 256 and 20,000 draws would be 78 MB
+    import tracemalloc
+
+    geom = _upa_geometry(rng, 16, 16)
+    tracemalloc.start()
+    try:
+        random_phase_baseline(geom, np.random.default_rng(2), 20_000, P, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("draws", [2.0, 2.5, True, "3", None])
+def test_random_phase_baseline_rejects_non_integer_draws(rng, draws):
+    with pytest.raises(ValueError, match="draws must be an integer"):
+        random_phase_baseline(small_geometry(rng), np.random.default_rng(1), draws, P, P)
+
+
+def test_random_phase_baseline_takes_numpy_integer_draws(rng):
+    geom = small_geometry(rng)
+    got = random_phase_baseline(geom, np.random.default_rng(4), np.int64(3), P, P)
+    assert got == random_phase_baseline(geom, np.random.default_rng(4), 3, P, P)
 
 
 def test_cpi_and_baseline_reject_bad_powers(rng):
