@@ -18,18 +18,14 @@ parameter. The alternation, a fixed-point iteration on the auxiliary copy,
 is sped up by Anderson extrapolation, kept only where it does not raise a
 merit that the plain alternation never raises; the exit test and exit state
 stay those of the plain alternation. A start that violates the cap is
-blended toward a cap minimizer, found by the same penalty-dual loop with the
-roles swapped: its disk block, min ||B^H x||^2 + ||x - c||^2 / (2 rho), is
-convex and is also solved exactly by Newton's method in a dual variable with
-at most 4 real entries. Both dual solves share the cap constants, built once
-per problem.
+blended toward a point of the cap minimizer, a batched unit-modulus
+descent of ||B^H theta||^2 finished by Newton's method.
 
 The outer loop is kept for caps close to the least reachable one. On the
-reference inputs every run ends after one outer iteration, but near that
-cap the cap minimizer runs 2-16 of them, and cut to one it ends 2.7-34
-times higher on N = 4 instances; at twice that cap, the maximizer cut to
-one outer iteration falls below 0.9 of its value on 38 seeded N = 4
-instances. Two tests pin one instance of each. The loop's settings are
+reference inputs every run ends after one outer iteration, but with the
+cap at twice the least value a penalty-dual cap minimizer reaches on 38
+seeded N = 4 instances, the maximizer cut to one outer iteration falls
+below 0.9 of its value. A test pins one of them. The loop's settings are
 the private constants ``_RHO0`` to ``_MAX_SCA``.
 
 The winning start is finished by Newton's method on the KKT conditions of
@@ -319,15 +315,15 @@ def _real_rows(M: np.ndarray) -> np.ndarray:
 
 
 class _CapDual:
-    """Per-problem constants of the two rank-<=2 dual solves.
+    """Per-problem constants of the cap and of the P9 projection's dual solve.
 
-    Both disk blocks (the P9 projection and the cap minimizer's block) are
-    solved in a dual variable y in C^k, k = B.shape[1] <= 2, handled in the
-    real coordinates w = (Re y, Im y) through C = [B, iB], so that B y = C w
-    and Re(C^H x) = (Re B^H x, Im B^H x); both are real products with the
-    rows ``Cr`` of C. Built once per problem and shared by every start.
+    The P9 projection is solved in a dual variable y in C^k, k = B.shape[1]
+    <= 2, handled in the real coordinates w = (Re y, Im y) through C = [B,
+    iB], so that B y = C w and Re(C^H x) = (Re B^H x, Im B^H x); both are
+    real products with the rows ``Cr`` of C. Built once per problem and
+    shared by every start and the cap minimizer.
 
-    Both Newton matrices need Re(C^H J C) for the Jacobian J of x = clip(z).
+    Its Newton matrix needs Re(C^H J C) for the Jacobian J of x = clip(z).
     With G_n = Re(C_n^H C_n) and S_n = C_n^T C_n for the rows C_n of C, an
     entry inside the disk adds G_n, and a clipped one, where |x_n| = 1, its
     tangential part (G_n - Re(conj(x_n)^2 S_n)) / (2 r_n), r_n = |z_n|. So
@@ -425,13 +421,13 @@ def _p9_dual(
     Returns x and the real coordinates w of y, with w = None when there is
     no cap (``dual`` is None) or clip(b) already meets it, or misses it by
     so little that the first step from y = 0 is exactly 0. The returned x
-    never exceeds the cap: a point a hair over it is pulled toward x = 0,
-    which is feasible for any gamma > 0, when the iteration converged or
-    stalled within ``FEAS_RTOL`` of the cap; it stalls so when gamma is
-    within rounding of the least cap of the unit-modulus points, and the
-    maximizer lies far across a plateau of g. Raises
-    :class:`ProjectionError` when it stops short of convergence, at the
-    step limit or at the rounding floor, further over the cap. A trial
+    never exceeds the cap: a point over it is pulled toward x = 0, which is
+    feasible for any gamma > 0, when the iteration converged (over by
+    rounding) or stalled within ``FEAS_RTOL`` of the cap; it stalls so when
+    gamma is within rounding of the least cap of the unit-modulus points,
+    and the maximizer lies far across a plateau of g. Further over, short of
+    convergence (at the step limit or the rounding floor), a warm start runs
+    again from y = 0 and a cold one raises :class:`ProjectionError`. A trial
     point whose slope is not finite, as when y collapses toward 0 and
     sqrt(gamma) / ||y|| overflows, counts as the rounding floor.
     """
@@ -502,11 +498,13 @@ def _p9_dual(
         if not math.isfinite(slope) or state[1].tolist() == w.tolist():
             break  # rounding floor: the slope overflows, or the step no longer moves y
         z, w, m, x, grad, nw = state
+    if not converged and w0 is not None and w0.any() and dual.quad(x) > gamma * (1.0 + FEAS_RTOL):
+        return _p9_dual(b, dual, None)  # the warm start led astray: once more from y = 0
     return _pull_under_cap(x, dual, converged), w
 
 
 def _pull_under_cap(x: np.ndarray, dual: _CapDual, converged: bool) -> np.ndarray:
-    """x, pulled toward 0 when it is a hair over the cap (see :func:`_p9_dual`).
+    """x, pulled toward 0 when it is over the cap (see :func:`_p9_dual`).
 
     Raises :class:`ProjectionError` when x is over the cap and the projection
     neither converged nor stalled within ``FEAS_RTOL`` of it.
@@ -514,74 +512,16 @@ def _pull_under_cap(x: np.ndarray, dual: _CapDual, converged: bool) -> np.ndarra
     gamma = dual.gamma
     cap = dual.quad(x)  # as the callers measure it; |Re(C^H x)|^2 rounds apart from it
     margin = 1e-12
-    while (converged or cap <= gamma * (1.0 + FEAS_RTOL)) and cap > gamma and margin < 1e-6:
-        # the computed cap carries rounding of relative size up to
-        # eps ||B|| ||x|| / sqrt(gamma), so the margin grows until it clears it
+    while (converged or cap <= gamma * (1.0 + FEAS_RTOL)) and cap > gamma and margin < 1.0:
+        # the computed cap carries rounding of relative size up to eps ||B||
+        # ||x|| / sqrt(gamma), so the margin grows until it clears it, at most
+        # to 1 less a rounding, which takes x to within rounding of 0
         x = x * (np.sqrt(gamma / cap) * (1.0 - margin))
         cap = dual.quad(x)
         margin *= 10.0
     if cap > gamma:
         raise ProjectionError(f"P9 projection stopped at cap {cap:.17g} over gamma {gamma:.17g}")
     return x
-
-
-_QUAD_MAX_STEPS = 50
-
-
-def _quad_dual(
-    c: np.ndarray, dual: _CapDual, rho: float, w0: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||B^H x||^2 + ||x - c||^2 / (2 rho) over the unit-disk product.
-
-    With ||B^H x||^2 = max_y 2 Re<y, B^H x> - ||y||^2 the disk problem
-    separates for fixed y into x(y) = clip(c - 2 rho B y), and the optimal
-    y solves F(y) = y - B^H x(y) = 0. F is -1/2 the gradient of a smooth,
-    strongly concave dual in at most 4 real variables, and is solved by
-    semismooth Newton with Newton matrix I + 2 rho Re(C^H J C), J the
-    Jacobian of the clip (:meth:`_CapDual.clip_gram`), by
-    :func:`_spd_solve`; a step is halved until ||F|| decreases, its trial
-    points reusing z and C d as in :func:`_p9_dual`. The iteration starts
-    from ``w0`` (real coordinates of y, zero when None) and stops at a
-    relative tolerance or at the rounding floor, where no step along the
-    Newton direction decreases ||F||.
-
-    Returns x(y) and the real coordinates w of y, the warm start of the
-    next call on a nearby c.
-    """
-    two_rho, Cr = 2.0 * rho, dual.Cr
-
-    def at(t: float) -> tuple:
-        """(z, w, m, x, F, ||F||) at w + t d, m = max(|z|, 1) and x = clip(z)."""
-        z_t, w_t = z - t * Cd, w + t * d
-        m_t = np.maximum(np.abs(z_t), 1.0)
-        x_t = z_t / m_t
-        F_t = w_t - x_t.view(float) @ Cr
-        return z_t, w_t, m_t, x_t, F_t, math.sqrt(F_t @ F_t)
-
-    z, w = c, np.zeros(2 * dual.k)  # the first iterate is a step from y = 0
-    d = w if w0 is None else w0
-    Cd = two_rho * (Cr @ d).view(complex)
-    z, w, m, x, F, size = at(1.0)
-    # above the rounding of B^H x(y), as in _p9_dual
-    tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
-    for _ in range(_QUAD_MAX_STEPS):
-        if size <= tol:
-            break
-        newton = [e + two_rho * v for e, v in zip(dual.eye, dual.clip_gram(x, m).tolist())]
-        d = _spd_solve(newton, F.tolist())
-        if d is None:
-            break  # I + 2 rho Re(C^H J C) >= I: only non-finite entries get here
-        d, t = -np.array(d), 1.0
-        Cd = two_rho * (Cr @ d).view(complex)
-        for _ in range(40):
-            state = at(t)
-            if state[-1] < size:
-                break
-            t *= 0.5
-        else:
-            break  # rounding floor
-        z, w, m, x, F, size = state
-    return x, w
 
 
 def _principal_phases(Q: np.ndarray) -> np.ndarray:
@@ -697,34 +637,30 @@ def _penalty_dual(
     theta0: np.ndarray,
     block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
     score: Callable[[np.ndarray], float | None],
-    stop: float | None = None,
 ) -> tuple[np.ndarray | None, float, list[tuple[np.ndarray, float, float]], bool]:
-    """The penalty-dual loop, shared by the solver and the cap minimizer.
+    """The solver's penalty-dual loop.
 
     Starts both copies at ``theta0`` with lambda = 0 and rho = ``_RHO0``. Each
     outer iteration alternates between the disk block,
-    ``block(theta, center, rho, tol)``, which returns the new theta and the
-    block objective f there (center = vartheta - rho lambda), and the
-    unit-modulus block, the phase of theta + rho lambda; then it takes a
-    dual step. The alternation is the map vartheta -> phase(block(theta,
-    vartheta - rho lambda) + rho lambda); from its third image on, vartheta
-    is extrapolated by :func:`_anderson`, and kept only if the block result
-    from it does not raise the merit Phi(theta) = f(theta) + ||theta +
-    rho lambda - phase(theta + rho lambda)||^2 / (2 rho), which the plain
-    alternation never raises; else the plain step follows and the memory
-    is cleared. Every block call counts toward ``_MAX_INNER``. The
-    alternation stops once an image moves less than a loop tolerance that
-    shrinks with the outer index to ``_INNER_TOL``, and leaves vartheta =
-    phase(theta + rho lambda).
+    ``block(theta, center, rho, tol)``, which returns the new theta, the
+    block objective f there and its SCA objectives (center = vartheta - rho
+    lambda), and the unit-modulus block, the phase of theta + rho lambda;
+    then it takes a dual step. The alternation is the map vartheta ->
+    phase(block(theta, vartheta - rho lambda) + rho lambda); from its third
+    image on, vartheta is extrapolated by :func:`_anderson`, and kept only
+    if the block result from it does not raise the merit Phi(theta) =
+    f(theta) + ||theta + rho lambda - phase(theta + rho lambda)||^2 /
+    (2 rho), which the plain alternation never raises; else the plain step
+    follows and the memory is cleared. Every block call counts toward
+    ``_MAX_INNER``. The alternation stops once an image moves less than a
+    loop tolerance that shrinks with the outer index to ``_INNER_TOL``, and
+    leaves vartheta = phase(theta + rho lambda).
 
     ``score`` rates a unit-modulus copy, higher being better, or returns
     None for a copy that may not be returned; the best-rated copy seen,
     ``theta0`` included, is kept. The loop ends when the copies merge to
-    ``_OUTER_TOL`` with a copy kept (converged), after ``_MAX_OUTER`` outer
-    iterations, or, with a ``stop`` score, as soon as the kept copy scores
-    at least that, checked before every outer iteration. The solver's
-    finish is not a run of this loop but Newton's method on the KKT
-    conditions (:func:`_finish`).
+    ``_OUTER_TOL`` with a copy kept (converged) or after ``_MAX_OUTER``
+    outer iterations.
 
     Returns the kept copy (None if none), its score (-inf if none), the
     (theta, gap, rho) of every outer iteration and the converged flag.
@@ -736,14 +672,12 @@ def _penalty_dual(
     best, best_score = (None, -math.inf) if first is None else (theta0, first)
     history: list[tuple[np.ndarray, float, float]] = []
     for outer in range(1, _MAX_OUTER + 1):
-        if stop is not None and best_score >= stop:
-            break
         # solve the inner problem inexactly at first, tightly once rho is small
         tol = max(_INNER_TOL, 0.03 * _C ** (2 * outer))
         shift = rho * lam
         trial, merit, memory = vartheta, math.inf, []
         for _ in range(_MAX_INNER):
-            theta_new, f = block(theta, trial - shift, rho, tol)[:2]
+            theta_new, f, _ = block(theta, trial - shift, rho, tol)
             image = theta_new + shift
             vartheta_new = _unit_phases(image)
             r = image - vartheta_new
@@ -772,12 +706,10 @@ def _penalty_dual(
 def minimize_unit_modulus_quadratic(vectors) -> tuple[ReflectionVector, float]:
     """Minimize sum_i |h_i^H theta|^2 over unit-modulus theta.
 
-    ``vectors`` is a sequence of the h_i (1D complex arrays). The same
-    penalty-dual machinery with the roles swapped: here the quadratic form
-    is the (convex) objective of the disk block, so no linearization is
-    needed. This is the cap minimizer that :func:`pdd_solve` runs to find a
-    point under the cap, here on the vectors scaled to unit largest norm.
-    All-zero vectors give the zero-phase reflection.
+    ``vectors`` is a sequence of the h_i (1D complex arrays), scaled to unit
+    largest norm for the cap minimizer of :func:`pdd_solve`
+    (:func:`_minimize_quad_core`), run with no stop level. All-zero vectors
+    give the zero-phase reflection.
     """
     B = np.stack([np.asarray(v, dtype=complex) for v in vectors], axis=1)
     scale = float(np.max(np.linalg.norm(B, axis=0)))
@@ -787,23 +719,35 @@ def minimize_unit_modulus_quadratic(vectors) -> tuple[ReflectionVector, float]:
     return theta, val * scale**2
 
 
+def _cap_step(dual: _CapDual, T: np.ndarray) -> np.ndarray:
+    """The cap minimizer's map on the rows t of T: the phases of (sig2 I - B B^H) t."""
+    return np.angle(dual.sig2 * T - (T @ dual.B.conj()) @ dual.B.T)
+
+
+_CAP_STARTS = 8  # the null-space start and seeded random starts, mapped as one batch
+_CAP_STEPS = 3000  # map steps of the cap minimizer at most
+_CAP_MOVE_TOL = 1e-10  # the map stops once no entry moves this much
+_CAP_FINISHES = 3  # lowest rows finished by Newton's method when none meets the stop level
+
+
 def _minimize_quad_core(
     dual: _CapDual, ref: np.ndarray | None, stop: float | None = None
 ) -> tuple[ReflectionVector, float]:
-    """Penalty-dual minimization of ||B^H theta||^2 over unit-modulus theta.
+    """Minimization of ||B^H theta||^2 over unit-modulus theta.
 
-    Runs :func:`_penalty_dual` from the reference projected onto the null
-    space of the cap form, scoring a copy by -||B^H theta||^2. The disk
-    block, min ||B^H x||^2 + ||x - center||^2 / (2 rho) over the unit disks,
-    is solved exactly by :func:`_quad_dual`, warm-started from the previous
-    inner iteration's dual solution. The best unit-modulus copy seen is
-    polished by projected gradient with phase retraction.
-
-    With a stop level, the penalty loop ends as soon as its best copy has
-    ||B^H theta||^2 <= stop, and that copy is returned as it is, with no
-    polish. A loop that never reaches the level is polished, and neither the
-    best copy nor the polish ever raises the value, so a run that never
-    reaches the level is exactly the run without one.
+    A point is rated, and returned, with the value of its reflection rebuilt
+    from its phases, ``dual.quad(rv.coefficients)``: near a null, rebuilding
+    moves the value by percents. The reference projected onto the null space
+    of the cap form is returned when it meets the stop level; else it and
+    ``_CAP_STARTS - 1`` seeded random starts are mapped as one batch by
+    theta <- phase((sig2 I - B B^H) theta), which never raises the value
+    (majorization-minimization; Soltanalian & Stoica, IEEE TSP 2014), until
+    a row meets the level (the lowest-indexed one is returned), for
+    ``_CAP_STEPS`` steps or until no entry moves ``_CAP_MOVE_TOL``. Then
+    :func:`_kkt_newton` finishes the ``_CAP_FINISHES`` lowest rows, and the
+    lowest point is returned. A run that never meets the level is the run
+    without one, and a stopped row would only have gone lower, so the level
+    changes no decision.
     """
     B, Bh = dual.B, dual.Bh
     n = B.shape[0]
@@ -817,32 +761,29 @@ def _minimize_quad_core(
             break
     else:
         theta0 = _unit_phases(cand)  # every candidate lies in the span of B: all ones
-    w = None
 
-    def disk_block(theta, center, rho, tol):
-        nonlocal w
-        x, w = _quad_dual(center, dual, rho, w)
-        return x, dual.quad(x)
+    def rebuilt(phases: np.ndarray) -> tuple[ReflectionVector, float]:
+        rv = ReflectionVector.on(phases)
+        return rv, dual.quad(rv.coefficients)
 
-    best, score, _, _ = _penalty_dual(
-        theta0, disk_block, lambda x: -dual.quad(x), None if stop is None else -stop
-    )
-    x, val = best, -score
-    if stop is not None and val <= stop:
-        return ReflectionVector.on(np.angle(x)), val
-    # polish on the unit-modulus manifold: projected gradient with retraction,
-    # step 1 / (2 sig2) along the gradient 2 B B^H x = 2 C p, p = Re(C^H x)
-    Cr = dual.Cr
-    descent = Cr / dual.sig2
-    p = x.view(float) @ Cr
-    for _ in range(400):
-        x_new = _unit_phases(x - (descent @ p).view(complex))
-        p_new = x_new.view(float) @ Cr
-        new_val = float(p_new @ p_new)
-        if new_val >= val:
+    start = rebuilt(np.angle(theta0))
+    if stop is not None and start[1] <= stop:
+        return start
+    draws = np.random.default_rng(0x5EED).uniform(0.0, 2.0 * np.pi, (_CAP_STARTS - 1, n))
+    T = np.exp(1j * np.concatenate([start[0].phases[None], draws]))  # rebuilt as rebuilt() does
+    for _ in range(_CAP_STEPS):
+        phases = _cap_step(dual, T)
+        T, prev = np.exp(1j * phases), T
+        values = [dual.quad(t) for t in T]
+        under = [j for j, value in enumerate(values) if stop is not None and value <= stop]
+        if under:
+            return rebuilt(phases[under[0]])
+        if np.abs(T - prev).max() < _CAP_MOVE_TOL:
             break
-        x, p, val = x_new, p_new, new_val
-    return ReflectionVector.on(np.angle(x)), val
+    order = np.argsort(values, kind="stable")
+    finished = [_kkt_newton(B, None, T[j]) for j in order[:_CAP_FINISHES]]
+    points = [rebuilt(phases[order[0]])] + [rebuilt(np.angle(p)) for p in finished if p is not None]
+    return min(points, key=lambda point: point[1])  # a finished row only where it is lower
 
 
 def _wrap_pm_pi(x: np.ndarray) -> np.ndarray:
@@ -1039,10 +980,9 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     when the finish scored higher. ``converged`` is the winning run's flag.
 
     A start over the cap is blended toward the point of the cap minimizer
-    (:func:`_minimize_quad_core`), run once per solve with gamma as its
-    stop level: its penalty loop ends at the first unit-modulus copy under
-    gamma, which is then used unpolished, and runs to its end and its
-    polish only when it finds none.
+    (:func:`_minimize_quad_core`), run once per solve from that start with
+    gamma as its stop level: it ends at its first reflection under gamma,
+    and runs to its end only when it finds none.
 
     Raises :class:`Infeasible` when the cap minimizer, or the returned
     reflection itself, ends above gamma (1 + ``FEAS_RTOL``). The stop level

@@ -253,9 +253,10 @@ def bilinear_link_power(
     """Guard path: the same link power via the full channel-matrix product.
 
     Builds the rank-1 hop matrices explicitly and evaluates
-    |w_dst^T H_dst,I diag(theta) H_I,src w_src|^2 * P_src. Must equal
-    :func:`link_power` to within floating-point error for every input; kept
-    to protect the closed forms against element-ordering mistakes.
+    |w_dst^T H_dst,I diag(theta) H_I,src w_src|^2 * P_src, applying
+    diag(theta) entrywise. Must equal :func:`link_power` to within
+    floating-point error for every input; kept to protect the closed forms
+    against element-ordering mistakes.
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
@@ -267,11 +268,10 @@ def bilinear_link_power(
         LinkGain(path_gain(geom.dist_ui, geom.wavelength), nu_u),
     )
     ch = build_channels(geom, gains)
-    d = np.diag(theta.coefficients)
     src, dst = link[0], link[1]
     h_in = ch.h_il @ w_l if src == "L" else ch.h_iu @ w_u
     p_src = p_l if src == "L" else p_u
     h_out = ch.h_li if dst == "L" else ch.h_ui
     w_dst = w_l if dst == "L" else w_u
-    amp = w_dst @ (h_out @ (d @ h_in))
+    amp = w_dst @ (h_out @ (theta.coefficients * h_in))
     return float(abs(amp) ** 2 * p_src)

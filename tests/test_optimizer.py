@@ -338,6 +338,29 @@ def test_p9_unconverged_over_cap_raises(rng, monkeypatch):
         p9_solve(b, B, gamma)
 
 
+def test_p9_pull_clears_a_cap_under_the_rounding_floor():
+    # x lies in the null space of B up to rounding, so its computed cap is
+    # rounding noise, and gamma is a 13th of it: each rescale of x onto the
+    # cap draws new noise, which on this draw stays over gamma through every
+    # margin up to 1e-6. The point of a converged projection must still end
+    # under the cap, its margin growing on toward x = 0; an unconverged one
+    # over the cap by more than FEAS_RTOL still raises
+    rng = np.random.default_rng(799)
+    B = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    z = np.exp(2j * np.pi * rng.random(4))
+    x = z - B @ np.linalg.solve(B.conj().T @ B, B.conj().T @ z)
+    gamma = _CapDual(B).quad(x) / 13
+    dual = _CapDual(B, gamma)
+    y, cap, margin = x, dual.quad(x), 1e-12
+    while cap > gamma and margin < 1e-6:  # the pull as it stopped before
+        y = y * (np.sqrt(gamma / cap) * (1.0 - margin))
+        cap, margin = dual.quad(y), margin * 10.0
+    assert cap > gamma
+    assert dual.quad(optimizer._pull_under_cap(x, dual, True)) <= gamma
+    with pytest.raises(ProjectionError):
+        optimizer._pull_under_cap(x, dual, False)
+
+
 def test_identical_solves_compare_equal(rng):
     problem = random_problem(rng, n=6, case="P3", gamma_frac=0.3)
     a, b = pdd_solve(problem), pdd_solve(problem)
@@ -482,46 +505,6 @@ def test_p9_bad_warm_start_reaches_the_cold_solution(rng, k):
 # the solver blocks
 
 
-def quad_block_residual(x, c, B, rho):
-    """Projected-gradient fixed-point residual of min ||B^H x||^2 + ||x - c||^2 / (2 rho)."""
-    L = 2.0 * _top_sigma_sq(B) + 1.0 / rho
-    grad = 2.0 * (B @ (B.conj().T @ x)) + (x - c) / rho
-    return float(np.max(np.abs(x - _clip_disk(x - grad / L))))
-
-
-def quad_block_reference(c, B, rho, steps=5000):
-    """The same minimizer by plain projected gradient, run far past convergence."""
-    L = 2.0 * _top_sigma_sq(B) + 1.0 / rho
-    x = _clip_disk(c)
-    for _ in range(steps):
-        x = _clip_disk(x - (2.0 * (B @ (B.conj().T @ x)) + (x - c) / rho) / L)
-    return x
-
-
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("c_scale", [1.0, 1e3])
-@pytest.mark.parametrize("rho", [1.0, 0.1, 1e-4])
-def test_cap_minimizer_block_solves_its_disk_problem(rng, k, c_scale, rho):
-    # the disk block of the cap minimizer, solved in its rank-k dual; with
-    # |c| >> 1 nearly every entry ends up clipped
-    n = 8
-    for _ in range(3):
-        B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
-        c = c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        x, w = optimizer._quad_dual(c, optimizer._CapDual(B), rho, None)
-        assert w.shape == (2 * k,)
-        assert np.max(np.abs(x)) <= 1.0 + 1e-15
-        assert quad_block_residual(x, c, B, rho) < 1e-9
-        np.testing.assert_allclose(x, quad_block_reference(c, B, rho), atol=1e-9)
-        # a warm start from the solution of a nearby problem lands on the same point
-        c2 = c + 1e-3 * c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        x2, _ = optimizer._quad_dual(c2, optimizer._CapDual(B), rho, w)
-        x2_cold, _ = optimizer._quad_dual(c2, optimizer._CapDual(B), rho, None)
-        assert quad_block_residual(x2, c2, B, rho) < 1e-9
-        np.testing.assert_allclose(x2, x2_cold, atol=1e-9)
-
-
-
 def clip_gram_direct(C, z, x):
     """Re(C^H J C) for the Jacobian J of x = clip(z), formed row by row."""
     r = np.abs(z)
@@ -642,35 +625,6 @@ def p9_reference(b, dual, w0):
     return x, w
 
 
-def quad_reference(c, dual, rho, w0):
-    """Reference for _quad_dual: the same Newton iteration, written out as p9_reference."""
-    C, Ch, k = dual.C, dual.C.conj().T, dual.k
-
-    def at(w):
-        z = c - 2.0 * rho * (C @ w)
-        x = _clip_disk(z)
-        return z, x, w - (Ch @ x).real
-
-    w = np.zeros(2 * k) if w0 is None else w0
-    z, x, F = at(w)
-    tol = 1e-13 * float(dual.row_norms @ (1.0 + np.abs(c)))
-    for _ in range(50):
-        if np.linalg.norm(F) <= tol:
-            break
-        d = -np.linalg.solve(np.eye(2 * k) + 2.0 * rho * clip_gram_direct(C, z, x), F)
-        t = 1.0
-        for _ in range(40):
-            z_t, x_t, F_t = at(w + t * d)
-            if np.linalg.norm(F_t) < np.linalg.norm(F):
-                break
-            t *= 0.5
-        else:
-            break
-        w = w + t * d
-        z, x, F = z_t, x_t, F_t
-    return x, w
-
-
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("frac", [0.3, 1e-5, 0.97])
 def test_p9_matches_reference_loop(rng, k, frac):
@@ -685,23 +639,6 @@ def test_p9_matches_reference_loop(rng, k, frac):
         x2_ref, _ = p9_reference(b2, dual, w_ref)
         x2, _ = _p9_dual(b2, dual, w)
         np.testing.assert_allclose(x2, x2_ref, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("c_scale", [1.0, 1e3])
-@pytest.mark.parametrize("rho", [1.0, 1e-4])
-def test_cap_minimizer_block_matches_reference_loop(rng, k, c_scale, rho):
-    n = 8
-    for _ in range(3):
-        B = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) / np.sqrt(n)
-        dual = optimizer._CapDual(B)
-        c = c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        x_ref, w_ref = quad_reference(c, dual, rho, None)
-        x, w = optimizer._quad_dual(c, dual, rho, None)
-        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-9)
-        c2 = c + 1e-3 * c_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        np.testing.assert_allclose(optimizer._quad_dual(c2, dual, rho, w)[0],
-                                   quad_reference(c2, dual, rho, w_ref)[0], rtol=0, atol=1e-9)
 
 
 def test_unit_phases_zero_convention_and_bits(rng):
@@ -1112,16 +1049,14 @@ def oracle_instance(index):
 
 
 def spy_solver_runs(monkeypatch):
-    """Record (theta0, result) of every penalty-dual run of pdd_solve's own
-    starts, in order: the first start, then each restart that runs. The cap
-    minimizer's runs, which take a stop level, are left out."""
+    """Record (theta0, result) of every penalty-dual run of pdd_solve, in
+    order: the first start, then each restart that runs."""
     runs = []
     penalty_dual = optimizer._penalty_dual
 
-    def spy(theta0, block, score, stop=None):
-        out = penalty_dual(theta0, block, score, stop)
-        if stop is None:
-            runs.append((theta0, out))
+    def spy(theta0, block, score):
+        out = penalty_dual(theta0, block, score)
+        runs.append((theta0, out))
         return out
 
     monkeypatch.setattr(optimizer, "_penalty_dual", spy)
@@ -1319,17 +1254,33 @@ def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
         assert len(calls) == 1 and calls[0][0] is None
         assert out[1] > problem_objective(prob, theta) and kkt_residual(prob, out[0]) <= 1e-12
         # a kept copy just under the cap, from which Newton without the cap
-        # lands far over it: the finish holds the cap instead
-        calls.clear()
+        # lands far over it: the finish holds the cap instead. The copy is a
+        # solve's result, on the cap, moved down the cap's phase gradient
+        # to 1 - 3e-6 of gamma
         rng = np.random.default_rng(5)
         prob = [random_problem(rng, n=1024, gamma_frac=0.3) for _ in range(2)][1]
         res = pdd_solve(prob)
+        coeff = res.theta.coefficients
+        down = (np.conj(coeff) * (prob.B @ (prob.B.conj().T @ coeff))).imag
+
+        def ratio(t):
+            return problem_constraint(prob, np.exp(1j * (res.theta.phases - t * down))) / prob.gamma
+
+        lo, hi = 0.0, 1.0
+        while ratio(hi) > 1 - 3e-6:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ratio(mid) > 1 - 3e-6 else (lo, mid)
+        theta = np.exp(1j * (res.theta.phases - hi * down))
+        calls.clear()
+        out = finish_once(prob, theta)
     (free, start, over), (held, held_start, capped) = calls
-    assert free is None and held is not None and held_start is start
+    assert start is theta and free is None and held is not None and held_start is start
     assert 1 - 1e-5 < problem_constraint(prob, start) / prob.gamma < 1 - optimizer._CAP_ACTIVE_RTOL
     assert problem_constraint(prob, over) > 10 * prob.gamma
-    np.testing.assert_array_equal(res.theta.phases, np.angle(capped))
-    assert problem_constraint(prob, res.theta.coefficients) <= prob.gamma * (1 + optimizer.FEAS_RTOL)
+    assert out[0] is capped and out[1] > problem_objective(prob, theta)
+    assert problem_constraint(prob, capped) <= prob.gamma * (1 + optimizer.FEAS_RTOL)
 
 
 def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
@@ -1393,20 +1344,6 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def spy_cap_minimizer_loop(monkeypatch):
-    """Record (theta0, result) of every penalty-dual run of the cap minimizer."""
-    runs = []
-    penalty_dual = optimizer._penalty_dual
-
-    def spy(theta0, block, score, stop=None, **kwargs):
-        out = penalty_dual(theta0, block, score, stop, **kwargs)
-        runs.append((theta0, out))
-        return out
-
-    monkeypatch.setattr(optimizer, "_penalty_dual", spy)
-    return runs
-
-
 def cap_minimizer_inputs(rng, count):
     """(dual, ref) of ``count`` random N = 2, 3, 4, 8 problems, as cap_minimum builds them."""
     out = []
@@ -1417,35 +1354,32 @@ def cap_minimizer_inputs(rng, count):
     return out
 
 
-def test_cap_minimizer_returns_its_loop_copy_at_the_stop_level(rng, monkeypatch):
-    # a loop that reaches the stop level hands back its kept copy unpolished
-    inputs = cap_minimizer_inputs(rng, 8)
-    runs = spy_cap_minimizer_loop(monkeypatch)
-    for dual, ref in inputs:
-        runs.clear()
-        optimizer._minimize_quad_core(dual, ref)
-        stop = -2.0 * runs[0][1][1]  # twice the value of the full loop's kept copy
-        runs.clear()
-        theta, val = optimizer._minimize_quad_core(dual, ref, stop)
-        ((theta0, (kept, score, history, _)),) = runs
-        assert history and dual.quad(theta0) > stop  # the loop ran until it reached the level
-        np.testing.assert_array_equal(theta.phases, np.angle(kept))
-        assert val == -score <= stop
+def test_cap_minimizer_value_is_its_rebuilt_reflections(rng):
+    # the value handed back is ||B^H theta||^2 of the returned reflection,
+    # rebuilt from its angles, bit for bit; with a stop level the minimizer
+    # ends at or under it, whether it stops at its start, in its map, or
+    # never meets the level and runs as it does without one
+    stepped = 0
+    for dual, ref in cap_minimizer_inputs(rng, 8):
+        start, start_val = optimizer._minimize_quad_core(dual, ref, np.inf)
+        full, full_val = optimizer._minimize_quad_core(dual, ref)
+        assert start_val == dual.quad(start.coefficients)
+        assert full_val == dual.quad(full.coefficients) <= start_val
+        for stop in (start_val, np.sqrt(start_val * full_val), 2.0 * full_val):
+            theta, val = optimizer._minimize_quad_core(dual, ref, stop)
+            assert val == dual.quad(theta.coefficients) <= stop
+            stepped += start_val > stop
+    assert stepped > 0
 
 
-def test_cap_minimizer_without_stop_level_polishes(rng, monkeypatch):
-    # minimize_unit_modulus_quadratic takes no stop level: the polish runs
-    # after the loop, and never raises the loop's value
-    inputs = cap_minimizer_inputs(rng, 8)
-    runs = spy_cap_minimizer_loop(monkeypatch)
-    lowered = 0
-    for dual, ref in inputs:
-        runs.clear()
-        val = optimizer._minimize_quad_core(dual, ref)[1]
-        ((_, (_, score, _, _)),) = runs
-        assert val <= -score
-        lowered += val < -score
-    assert lowered > 0
+def test_pdd_solve_meets_a_cap_that_its_start_alone_missed():
+    # the penalty-dual cap minimizer, run from this solve's start, ended at
+    # 2.92e-3 (scaled) against a scaled gamma of 2.67e-8, and the solve
+    # raised Infeasible although reflections under the cap exist
+    problem = replace(random_problem(np.random.default_rng(0), n=4, case="P3"), gamma=5.827e-18)
+    coeff = pdd_solve(problem).theta.coefficients
+    np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+    assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
 
 
 def test_pdd_solve_near_threshold_cap_is_met_or_infeasible(monkeypatch):
@@ -1512,6 +1446,41 @@ def test_pdd_solve_at_cap_rounding_floor_returns_under_cap(rng, monkeypatch):
             assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
 
 
+def test_pdd_solve_under_the_cap_forms_rounding_floor_is_met_or_infeasible():
+    # the 12th problem drawn in the order of the stop-level test above (N = 4,
+    # P3) at a cap far under the rounding of its cap form, where a converged
+    # P9 projection can end over gamma by many times gamma (the pull of
+    # test_p9_pull_clears_a_cap_under_the_rounding_floor). A solve returns a
+    # reflection under the cap or raises Infeasible, never ProjectionError
+    rng = np.random.default_rng(20240811)
+    for trial in range(12):
+        base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
+    problem = replace(base, gamma=3.936472950925875e-43)
+    for solve in (pdd_solve, pdd_solve_with_candidates):
+        try:
+            coeff = solve(problem).theta.coefficients
+        except Infeasible:
+            continue
+        np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+        assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
+
+
+def test_p9_warm_start_led_astray_runs_again_cold():
+    # the 9th problem drawn in the order of the stop-level test above (N = 4,
+    # P4), at 1.001 and 2 times the least cap its cap minimizer reaches from
+    # the solve's start: a P9 projection warm-started from the previous
+    # one's dual point collapses toward y = 0 and stops 4.7 and 1.3 times
+    # over gamma; run again from y = 0, it converges under the cap
+    rng = np.random.default_rng(20240811)
+    for trial in range(9):
+        base = random_problem(rng, n=2 + trial % 3, case="P3" if trial % 2 else "P4")
+    for gamma in (4.465894134027206e-14, 8.922865402651761e-14):
+        problem = replace(base, gamma=gamma)
+        coeff = pdd_solve(problem).theta.coefficients
+        np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+        assert problem_constraint(problem, coeff) <= problem.gamma * (1 + optimizer.FEAS_RTOL)
+
+
 def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     # an iterate or a candidate that meets the cap only through its shrunken
     # magnitude: the unit-modulus reflection rebuilt from its angles is
@@ -1520,11 +1489,7 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     aligned = np.exp(1j * np.angle(problem.Q[:, 0]))
     assert problem_constraint(problem, aligned) > 3 * problem.gamma
 
-    penalty_dual = optimizer._penalty_dual
-
-    def shrunken_run(theta0, update, score, *stop):
-        if stop:  # the cap minimizer's own loop runs as before
-            return penalty_dual(theta0, update, score, *stop)
+    def shrunken_run(theta0, update, score):
         return 1e-3 * aligned, 1.0, [], True  # the first start
 
     def no_finish(Q, dual, theta, value, score):
@@ -1555,32 +1520,36 @@ def cap_minimum(problem):
     return optimizer._minimize_quad_core(dual, _unit_phases(problem.Q[:, 0]))[1], sh
 
 
-# what the two instances below reach with the outer loop; cut to one outer
-# iteration, they reach 2.82e-15 (0.187 of it) and 1.73e-3
+# what the instance below reaches with the outer loop; cut to one outer
+# iteration, it reaches 2.82e-15 (0.187 of it)
 OUTER_LOOP_MAXIMUM = 1.509140105380026e-14
-OUTER_LOOP_CAP_MINIMUM = 5.043269250340793e-05
 
 
 def test_maximizer_near_the_least_cap_needs_the_outer_loop():
-    # the cap at twice the least value the cap minimizer reaches
+    # the cap at twice the value 1.15e-3 (scaled) that the penalty-dual cap
+    # minimizer used to reach on this instance
     base = random_problem(np.random.default_rng(1), n=4, case="P3")
-    value, sh = cap_minimum(base)
-    res = pdd_solve(replace(base, gamma=2 * value * sh**2))
+    res = pdd_solve(replace(base, gamma=8.054990856623046e-15))
     assert res.objective >= 0.99 * OUTER_LOOP_MAXIMUM
 
 
-def test_cap_minimizer_needs_the_outer_loop():
-    base = random_problem(np.random.default_rng(17), n=4, case="P3")
-    assert cap_minimum(base)[0] <= 1.01 * OUTER_LOOP_CAP_MINIMUM
+def test_cap_minimizer_reaches_the_rounding_floor():
+    # on these instances the penalty-dual cap minimizer ended at 5.0e-5 and
+    # 3.4e-4 (scaled); the batched map finished by Newton goes on to the
+    # rounding floor of the cap form
+    for seed, n, case in ((17, 4, "P3"), (26, 16, "P4")):
+        base = random_problem(np.random.default_rng(seed), n=n, case=case)
+        assert cap_minimum(base)[0] <= 1e-30
 
 
 def test_p9_stops_where_its_slope_overflows():
-    # at twice its least cap, a restart's P9 dual iterate on this instance
-    # collapses to ||w|| ~ 1e-308, where sqrt(gamma) / ||w|| overflows: the
-    # projection stops there, with no NaN step, and the solve ends promptly
+    # at twice the least cap 3.39e-4 (scaled) that the penalty-dual cap
+    # minimizer used to reach, a restart's P9 dual iterate on this instance
+    # collapsed to ||w|| ~ 1e-308, where sqrt(gamma) / ||w|| overflows, when
+    # that minimizer chose the start; a projection must stop there, with no
+    # NaN step, and the solve end promptly
     base = random_problem(np.random.default_rng(26), n=16, case="P4")
-    value, sh = cap_minimum(base)
-    problem = replace(base, gamma=2 * value * sh**2)
+    problem = replace(base, gamma=4.439846948651173e-12)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -26,6 +26,7 @@ from irsim import (
     steering_irs,
     steering_radar,
 )
+from irsim import optimizer
 
 from conftest import random_geometry, random_reflection
 from test_optimizer import kkt_residual, random_problem
@@ -70,6 +71,30 @@ def test_pdd_solve_stationarity_residual_does_not_grow():
         residuals.append(kkt_residual(problem, pdd_solve(problem).theta.coefficients))
     assert np.median(residuals) <= KKT_MEDIAN_CEILING
     assert max(residuals) <= KKT_MAX_CEILING
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    k=st.integers(1, 2),
+    weak=st.floats(1e-8, 1.0),
+)
+def test_cap_minimizer_map_step_never_raises_the_cap(seed, n, k, weak):
+    # the map theta <- phase((sig2 I - B B^H) theta) is a majorization-
+    # minimization step for ||B^H theta||^2, so no step raises it beyond
+    # rounding; checked for five steps from random unit-modulus rows, with a
+    # second cap column that can be weak against the first
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    B[:, 1:] *= weak
+    dual = optimizer._CapDual(B)
+    T = np.exp(2j * np.pi * rng.random((8, n)))
+    for _ in range(5):
+        after = np.exp(1j * optimizer._cap_step(dual, T))
+        for row, row_after in zip(T, after):
+            assert dual.quad(row_after) <= dual.quad(row) + 1e-13 * n * dual.sig2
+        T = after
 
 
 @SOLVER_SETTINGS
