@@ -58,10 +58,11 @@ class ScenarioGeometry:
     irs_spec: ArraySpec
 
     def __post_init__(self):
-        if not (math.isfinite(self.dist_li) and math.isfinite(self.dist_ui)):
-            raise ValueError("distances must be finite")
-        if self.dist_li <= 0 or self.dist_ui <= 0:
-            raise ValueError("distances must be positive")
+        for name in ("dist_li", "dist_ui"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         wavelengths = {
             self.lrs_spec.wavelength,
             self.urs_spec.wavelength,

@@ -123,6 +123,13 @@ def _cmd_reproduce(args) -> int:
     return _run_sweep(args, experiment)
 
 
+def _snr_db(power: float, noise: float) -> float:
+    """Echo SNR in dB: -inf without echo power, inf without noise."""
+    if power <= 0:
+        return float("-inf")
+    return 10 * np.log10(power / noise) if noise > 0 else float("inf")
+
+
 def _cmd_optimize(args) -> int:
     config = _load_config(args.config)
     geom, plan = config.geometry, config.timing
@@ -153,8 +160,7 @@ def _cmd_optimize(args) -> int:
         f"converged {result.converged}, {result.outer_iterations} outer iterations, {wall:.3f} s"
     )
     rep = power_report(result.theta, geom, p_l, p_u)
-    snr_l = 10 * np.log10(rep.q_ol / config.noise_l) if rep.q_ol > 0 else float("-inf")
-    snr_u = 10 * np.log10(rep.q_ou / config.noise_u) if rep.q_ou > 0 else float("-inf")
+    snr_l, snr_u = _snr_db(rep.q_ol, config.noise_l), _snr_db(rep.q_ou, config.noise_u)
     print(f"echo SNR with this reflection: {snr_l:.1f} dB at LRS, {snr_u:.1f} dB at URS")
     if args.out:
         payload = {

@@ -125,23 +125,27 @@ def _cast(key: str, raw: str, kind):
         raise ConfigError(key, f"cannot parse {raw!r} as {kind.__name__}") from exc
 
 
-# the [timing] key of each field that a PulseSpec or TimingPlan error names;
+# the INI key of each field that a constructor's error names, per section;
 # {} stands for the radar, lrs or urs
 _TIMING_FIELD_KEYS = {"pri": "pri", "pulses_per_cpi": "pulses_per_cpi", "bandwidth": "bandwidth",
                       "duration": "{}_duration", "start_offset": "{}_start"}
+_GEOMETRY_FIELD_KEYS = {"dist_li": "lrs_distance", "dist_ui": "urs_distance"}
+_ERROR_FIELD_KEYS = {"angle_offset": "angle_offset_deg", "angle_sigma": "angle_sigma_deg",
+                     "power_rel_error": "power_rel_error"}
 
 
-def _timing_error(exc: ValueError, radar: str | None = None) -> ConfigError:
-    """A PulseSpec or TimingPlan error, "[radar] field rule", as a ConfigError
-    on the [timing] key of that field; ``radar`` names the pulse when the
-    message does not."""
+def _field_error(exc: ValueError, section: str, field_keys: dict,
+                 radar: str | None = None) -> ConfigError:
+    """A constructor's error, "[radar] field rule", as a ConfigError on the
+    ``section`` key that ``field_keys`` maps the field to; ``radar`` names
+    the pulse when the message does not."""
     field, _, rule = str(exc).partition(" ")
     if field in ("lrs", "urs"):
         radar, (field, _, rule) = field, rule.partition(" ")
-    key = _TIMING_FIELD_KEYS.get(field)
+    key = field_keys.get(field)
     if key is None:
-        return ConfigError("timing", str(exc))
-    return ConfigError(f"timing.{key.format(radar)}", rule)
+        return ConfigError(section, str(exc))
+    return ConfigError(f"{section}.{key.format(radar)}", rule)
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ class ScenarioConfig:
                 angles_l, angles_u, dist_li, dist_ui, lrs_spec, urs_spec, irs_spec
             )
         except ValueError as exc:
-            raise ConfigError("geometry", str(exc)) from exc
+            raise _field_error(exc, "geometry", _GEOMETRY_FIELD_KEYS) from exc
 
         bandwidth = get("timing", "bandwidth")
 
@@ -248,14 +252,14 @@ class ScenarioConfig:
             try:
                 return PulseSpec(power, duration, bandwidth, start)
             except ValueError as exc:
-                raise _timing_error(exc, radar) from exc
+                raise _field_error(exc, "timing", _TIMING_FIELD_KEYS, radar) from exc
 
         lrs, urs = pulse("lrs", "p_l"), pulse("urs", "p_u")
         pri, pulses_per_cpi = get("timing", "pri"), get("timing", "pulses_per_cpi", int)
         try:
             timing = TimingPlan(pri, pulses_per_cpi, lrs, urs)
         except ValueError as exc:
-            raise _timing_error(exc) from exc
+            raise _field_error(exc, "timing", _TIMING_FIELD_KEYS) from exc
 
         # retired keys, checked so old files load, then ignored: the random-phase
         # rows are exact, every experiment runs both reflection schedules, the
@@ -281,7 +285,7 @@ class ScenarioConfig:
                 power_rel_error=rel,
             )
         except ValueError as exc:
-            raise ConfigError("error", str(exc)) from exc
+            raise _field_error(exc, "error", _ERROR_FIELD_KEYS) from exc
 
         cfg = cls(
             geometry=geometry,

@@ -7,9 +7,11 @@ sweeps report the legitimate radar's step-II energy so that short-term and
 long-term reflection schedules are directly comparable. Identical config
 and seed reproduce identical numbers (wall_time excepted).
 
-Grid points of CPI-based sweeps can run on a process pool, sized by the
-IRSIM_WORKERS environment variable (default 1); the cap sweep always runs
-sequentially because each point warm-starts from the previous one.
+Every CPI-based sweep runs ``_point_rows`` per grid point, on a process
+pool sized by the IRSIM_WORKERS environment variable (default 1); the cap
+sweep runs its points in one process in ascending-cap order, each warm-started
+from the last feasible one. A row's wall_time is the time of the work that
+produced it; a beam scan charges the work its points share to the first point.
 """
 
 from __future__ import annotations
@@ -121,10 +123,9 @@ def _scan_beam(spec, zeta) -> np.ndarray:
     return np.repeat(w, spec.count_b) / np.sqrt(spec.size)
 
 
-def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
+def _run_beam_scan(config: ScenarioConfig, grid, lrs: bool) -> list[dict]:
     geom = config.geometry
     p_l, p_u = config.timing.lrs.power, config.timing.urs.power
-    lrs = radar == "lrs"
     irs = geom.irs_spec
     side, p_side = ("L", p_l) if lrs else ("U", p_u)
     kind, factor = _LINK_TABLE[side * 2]
@@ -142,12 +143,15 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         theta = closed_form_urs_null(irs, geom.angles_u, (1, 0) if irs.count_a >= 2 else (0, 1))
     # the reflection gain does not depend on the beam: once per scan
     array_gain = steering.array_gain(kind, theta.coefficients)
-    solve_wall = time.perf_counter() - t0
-    spec = geom.lrs_spec if lrs else geom.urs_spec
+    t1 = time.perf_counter()
     rand = _random_phase_expectation(geom, p_l, p_u)
     rand_q = rand.q_ll if lrs else rand.q_uu
+    t2 = time.perf_counter()
     rcs = default_rcs(irs, config.echo_ratio)
     base = no_irs_baseline_power(geom, rcs, p_l, p_u)[0 if lrs else 1]
+    # each scheme's once-per-scan work, charged to the first grid point
+    walls = [t1 - t0, t2 - t1, time.perf_counter() - t2]
+    spec = geom.lrs_spec if lrs else geom.urs_spec
     matched = steering.gain(side) * p_side
     rows = []
     for zeta in grid:
@@ -156,14 +160,13 @@ def _run_beam_scan(config: ScenarioConfig, grid, radar: str) -> list[dict]:
         q_beam = k * p_side
         # the link's factor reads only the scanned radar's gain
         prop = float(factor(k, k, p_l, p_u) * array_gain)
-        wall = time.perf_counter() - t0 + solve_wall
-        solve_wall = 0.0
+        walls[0] += time.perf_counter() - t0
         pattern = q_beam / matched  # |b^H w|^2 / count, in [0, 1]
-        for scheme, value, it, t in (("proposed", prop, 0, wall),
-                                     ("random_phase", rand_q * pattern**2, 0, 0.0),
-                                     ("no_irs", base * pattern**2, 0, 0.0)):
+        for scheme, value, wall in zip(("proposed", "random_phase", "no_irs"),
+                                       (prop, rand_q * pattern**2, base * pattern**2), walls):
             lrs_value, urs_value = (value, 0.0) if lrs else (0.0, value)
-            rows.append(_row(zeta, scheme, lrs_value, urs_value, True, it, t))
+            rows.append(_row(zeta, scheme, lrs_value, urs_value, True, 0, wall))
+        walls = [0.0, 0.0, 0.0]
     return rows
 
 
@@ -181,32 +184,22 @@ def _cpi_row(config: ScenarioConfig, variant, value, seed_index, warm=None):
                      cpi.feasible, cpi.iterations, wall)
 
 
-def _cpi_energy_rows(config: ScenarioConfig, value: float, index: int, schemes=("short_term",)) -> list[dict]:
-    """Rows for one grid point of a CPI-based sweep (baselines included)."""
-    rows = [
-        _cpi_row(config, variant, value, index * 8 + k)[1] for k, variant in enumerate(schemes)
-    ]
-    rand, base, wall = _baselines(config)
-    rows.append(_row(value, "random_phase", *rand, True, 0, wall))
-    rows.append(_row(value, "no_irs", *base, True, 0, 0.0))
-    return rows
-
-
-def _baselines(config: ScenarioConfig) -> tuple[tuple, tuple, float]:
-    """Step-II (energy, URS peak) of the random-phase and the no-reflector baselines.
-
-    Returns both pairs and the wall time of the random-phase baseline alone.
-    """
+def _baselines(config: ScenarioConfig, value: float) -> list[dict]:
+    """The random-phase and no-reflector rows of one grid point, step-II
+    (energy, URS peak) each, and each timed on its own work."""
     geom, plan = config.geometry, config.timing
     p_l, p_u = plan.lrs.power, plan.urs.power
     n_pris = plan.pulses_per_cpi - config.step1_pris
     t0 = time.perf_counter()
     rand = _random_phase_expectation(geom, p_l, p_u)
     rand_figures = _step2_figures(rand, segment_pri(plan), n_pris)
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
     rcs = default_rcs(geom.irs_spec, config.echo_ratio)
     p_l_base, p_u_base = no_irs_baseline_power(geom, rcs, p_l, p_u)
-    return rand_figures, (n_pris * plan.lrs.duration * p_l_base, p_u_base), wall
+    base = (n_pris * plan.lrs.duration * p_l_base, p_u_base)
+    t2 = time.perf_counter()
+    return [_row(value, "random_phase", *rand_figures, True, 0, t1 - t0),
+            _row(value, "no_irs", *base, True, 0, t2 - t1)]
 
 
 def _rebuilt(key: str, obj, **changes):
@@ -257,13 +250,25 @@ def _point_config(config: ScenarioConfig, experiment: str, value: float) -> Scen
     raise ValueError(f"unknown CPI-based experiment {experiment!r}")
 
 
-def _pooled_point(args) -> list[dict]:
+# the reflection schedules of each CPI-based sweep; short_term alone otherwise
+_SCHEDULES = dict.fromkeys(("gamma_sweep", "overlap_ratio", "angle_error"), ("short_term", "long_term"))
+
+
+def _point_rows(args, warm=None) -> list[dict]:
+    """The rows of one grid point of a CPI-based sweep, baselines included.
+
+    ``warm`` maps a schedule to its last feasible ProtocolMode: each CPI
+    starts from it, and a feasible CPI replaces it. Without it, every CPI
+    starts cold.
+    """
     point_cfg, experiment, value, index = args
-    if experiment in ("overlap_ratio", "angle_error"):
-        schemes = ("short_term", "long_term")
-    else:
-        schemes = ("short_term",)
-    rows = _cpi_energy_rows(point_cfg, value, index, schemes)
+    warm = {} if warm is None else warm
+    rows = []
+    for k, variant in enumerate(_SCHEDULES.get(experiment, ("short_term",))):
+        cpi, row = _cpi_row(point_cfg, variant, value, index * 8 + k, warm.get(variant))
+        if cpi.feasible:
+            warm[variant] = cpi.mode
+        rows.append(row)
     if experiment == "lrs_distance":
         # reference: same optimized reflection with the unauthorized radar absent
         geom, plan = point_cfg.geometry, point_cfg.timing
@@ -273,55 +278,33 @@ def _pooled_point(args) -> list[dict]:
         q_ll = link_power("LL", theta, geom, plan.lrs.power, plan.urs.power)
         e = (plan.pulses_per_cpi - point_cfg.step1_pris) * plan.lrs.duration * q_ll
         wall = time.perf_counter() - t0
-        rows.insert(1, _row(value, "lrs_only", e, 0.0, True, 0, wall))
-    return rows
-
-
-def _run_gamma_sweep(config: ScenarioConfig, grid) -> list[dict]:
-    order = np.argsort(grid)  # ascending caps so warm starts stay feasible
-    warm = {"short_term": None, "long_term": None}
-    rows_by_point: dict[int, list[dict]] = {}
-    for index in order:
-        gamma = grid[index]
-        point_cfg = _point_config(config, "gamma_sweep", gamma)
-        point_rows = []
-        for k, variant in enumerate(("short_term", "long_term")):
-            cpi, row = _cpi_row(point_cfg, variant, gamma, int(index) * 8 + k, warm[variant])
-            if cpi.feasible:
-                warm[variant] = cpi.mode
-            point_rows.append(row)
-        rows_by_point[int(index)] = point_rows
-    # cap-independent baselines, once
-    rand, base, _ = _baselines(config)
-    rows = []
-    for index, gamma in enumerate(grid):
-        rows.extend(rows_by_point[index])
-        rows.append(_row(gamma, "random_phase", *rand, True, 0, 0.0))
-        rows.append(_row(gamma, "no_irs", *base, True, 0, 0.0))
-    return rows
+        rows.append(_row(value, "lrs_only", e, 0.0, True, 0, wall))
+    return rows + _baselines(point_cfg, value)
 
 
 def run_experiment(config: ScenarioConfig, sweep: SweepSpec) -> list[dict]:
     """Run one experiment family over its grid; returns the result rows."""
-    grid = sweep.grid
-    if sweep.experiment == "beam_scan_lrs":
-        return _run_beam_scan(config, grid, "lrs")
-    if sweep.experiment == "beam_scan_urs":
-        return _run_beam_scan(config, grid, "urs")
-    if sweep.experiment == "gamma_sweep":
-        return _run_gamma_sweep(config, grid)
+    grid, experiment = sweep.grid, sweep.experiment
+    if experiment in ("beam_scan_lrs", "beam_scan_urs"):
+        return _run_beam_scan(config, grid, experiment == "beam_scan_lrs")
     # every grid point is checked here, before any is solved, so a rejected
     # value is reported the same way with and without workers
-    args = [(_point_config(config, sweep.experiment, value), sweep.experiment, value, index)
+    args = [(_point_config(config, experiment, value), experiment, value, index)
             for index, value in enumerate(grid)]
+    if experiment == "gamma_sweep":
+        # ascending caps, so that each point's warm start stays feasible
+        warm, chunks = {}, [None] * len(args)
+        for index in np.argsort(grid):
+            chunks[index] = _point_rows(args[index], warm)
+        return [row for chunk in chunks for row in chunk]
     workers = _cast("IRSIM_WORKERS", os.environ.get("IRSIM_WORKERS", "1"), int)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_pooled_point, args))
+            chunks = list(pool.map(_point_rows, args))
     else:
-        chunks = [_pooled_point(a) for a in args]
+        chunks = [_point_rows(a) for a in args]
     return [row for chunk in chunks for row in chunk]
 
 

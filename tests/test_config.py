@@ -251,6 +251,10 @@ def test_unparsable_value_names_its_key(tmp_path, section, key):
     ("timing", "bandwidth", "-1", "must be >= 0"),
     ("timing", "pri", "0", "must be positive"),
     ("timing", "pulses_per_cpi", "0", "must be >= 1"),
+    ("error", "angle_sigma_deg", "-1", "must be >= 0"),
+    ("error", "power_rel_error", "1.5", r"must lie in \(-1, 1\)"),
+    ("geometry", "lrs_distance", "-5", "must be positive"),
+    ("geometry", "urs_distance", "0", "must be positive"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, section, key, value, rule):
     # the key that was set, not another key of the object built from it

@@ -196,6 +196,21 @@ def test_worker_pool_matches_serial(tmp_path, small_config):
             assert a[key] == b[key]
 
 
+def test_every_row_times_its_own_work(small_config):
+    # CPI sweeps time each baseline row at every grid point, the cap sweep too
+    for experiment, grid in (("gamma_sweep", (1e-9, 1e-8)), ("overlap_ratio", (0.0, 1.0))):
+        rows = rows_of(small_config, experiment, grid)
+        baselines = [r for r in rows if r["scheme"] in ("random_phase", "no_irs")]
+        assert len(baselines) == 2 * len(grid), experiment
+        assert all(r["wall_time"] > 0 for r in baselines), experiment
+    # a beam scan charges its once-per-scan work to the first grid point
+    for experiment in ("beam_scan_lrs", "beam_scan_urs"):
+        rows = rows_of(small_config, experiment, (-0.5, 0.0, 0.5))
+        for scheme in ("random_phase", "no_irs"):
+            walls = [r["wall_time"] for r in rows if r["scheme"] == scheme]
+            assert walls[0] > 0 and walls[1:] == [0.0, 0.0], (experiment, scheme)
+
+
 def test_every_experiment_runs_on_default_config():
     # short grids, full default (64-element) scenario
     from irsim import EXPERIMENT_IDS
@@ -285,6 +300,14 @@ def test_cli_non_finite_gamma_exits_2(tmp_path, capsys):
     assert cli_main(["optimize", "--config", str(bad), "--out", str(out)]) == 2
     assert "power.gamma" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_optimize_without_noise_prints_infinite_snr(tmp_path, capsys):
+    # zero noise is a valid config value; the SNR line reads inf, not a crash
+    ini = tmp_path / "quiet.ini"
+    ini.write_text("[power]\nnoise_l = 0\nnoise_u = 0\n")
+    assert cli_main(["optimize", "--config", str(ini)]) == 0
+    assert ": inf dB at LRS" in capsys.readouterr().out
 
 
 def test_cli_optimize_json_is_strict(tmp_path):
