@@ -20,6 +20,7 @@ from .arrays import composite_vector
 from .config import ConfigError, ScenarioConfig
 from .experiments import (
     EXPERIMENT_IDS,
+    FIGURES,
     SweepSpec,
     all_infeasible,
     default_grid,
@@ -28,19 +29,6 @@ from .experiments import (
 )
 from .optimizer import Infeasible, build_problem, pdd_solve, problem_constraint
 from .power import irs_received_powers, power_report
-
-# numbering follows the repo's experiment list; see README for the mapping
-FIGURE_IDS = {
-    "fig6": "beam_scan_lrs",
-    "fig7": "beam_scan_urs",
-    "fig8": "gamma_sweep",
-    "fig9": "lrs_distance",
-    "fig10": "urs_distance",
-    "fig11": "aoa_difference",
-    "fig12": "overlap_ratio",
-    "fig13": "angle_error",
-}
-
 
 def _load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_file(path) if path else ScenarioConfig.default()
@@ -111,11 +99,11 @@ def _run_sweep(args, experiment: str) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.figure not in FIGURE_IDS:
-        known = ", ".join(FIGURE_IDS)
+    if args.figure not in FIGURES:
+        known = ", ".join(FIGURES)
         print(f"config error: unknown figure id {args.figure!r} (known: {known})", file=sys.stderr)
         return 2
-    experiment = FIGURE_IDS[args.figure]
+    experiment = FIGURES[args.figure]
     if experiment == "beam_scan_lrs":
         # absolute dB levels depend on this repo's gain conventions; compare
         # gaps between schemes, not absolute values

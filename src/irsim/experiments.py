@@ -7,6 +7,10 @@ sweeps report the legitimate radar's step-II energy so that short-term and
 long-term reflection schedules are directly comparable. Identical config
 and seed reproduce identical numbers (wall_time excepted).
 
+``_EXPERIMENTS`` is the one list of experiment families: each entry gives
+the figure it reproduces, its default grid, how a grid value changes the
+scenario and the reflection schedules it runs.
+
 Every CPI-based sweep runs ``_point_rows`` per grid point, on a process
 pool sized by the IRSIM_WORKERS environment variable (default 1); the cap
 sweep runs its points in one process in ascending-cap order, each warm-started
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,18 +42,9 @@ from .protocol import (
     run_cpi,
 )
 
-__all__ = ["SweepSpec", "EXPERIMENT_IDS", "run_experiment", "emit", "default_grid", "all_infeasible"]
-
-EXPERIMENT_IDS = (
-    "beam_scan_lrs",
-    "beam_scan_urs",
-    "gamma_sweep",
-    "lrs_distance",
-    "urs_distance",
-    "aoa_difference",
-    "overlap_ratio",
-    "angle_error",
-)
+__all__ = [
+    "SweepSpec", "EXPERIMENT_IDS", "FIGURES", "run_experiment", "emit", "default_grid", "all_infeasible",
+]
 
 COLUMNS = (
     "swept_value",
@@ -61,6 +57,70 @@ COLUMNS = (
 )
 
 OPTIMIZING_SCHEMES = ("short_term", "long_term", "proposed", "lrs_only")
+
+
+def _rebuilt(key: str, obj, **changes):
+    """``dataclasses.replace`` whose ValueError is a ConfigError on ``key``."""
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
+def _aoa_point(config: ScenarioConfig, value: float) -> ScenarioConfig:
+    # sweep around broadside of the reflector axis, where the direction
+    # cosine responds linearly to azimuth
+    base = np.pi / 2
+    return config.replace(geometry=replace(
+        config.geometry, angles_l=AnglePair(np.pi / 2, base), angles_u=AnglePair(np.pi / 2, base + value),
+    ))
+
+
+def _overlap_point(config: ScenarioConfig, value: float) -> ScenarioConfig:
+    # equal pulse lengths; slide the second pulse to set the overlap
+    plan, t = config.timing, 30e-6
+    return config.replace(timing=_rebuilt(
+        "timing", plan,
+        lrs=_rebuilt("timing", plan.lrs, duration=t, start_offset=0.0),
+        urs=_rebuilt("timing", plan.urs, duration=t, start_offset=(1.0 - value) * t),
+    ))
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    figure: str  # the figure id that ``reproduce`` takes
+    grid: Callable[[ScenarioConfig], tuple]  # the default grid of a config
+    # the scenario at one grid value; None for a beam scan
+    point: Callable[[ScenarioConfig, float], ScenarioConfig] | None = None
+    schedules: tuple[str, ...] = ("short_term",)  # the reflection schedules of each grid point
+
+
+_BOTH = ("short_term", "long_term")
+
+# each experiment family once, in figure order
+_EXPERIMENTS = {
+    "beam_scan_lrs": _Experiment("fig6", lambda c: tuple(dft_codebook(c.geometry.lrs_spec)[0])),
+    "beam_scan_urs": _Experiment("fig7", lambda c: tuple(dft_codebook(c.geometry.urs_spec)[0])),
+    "gamma_sweep": _Experiment(
+        "fig8", lambda c: tuple(np.logspace(-10, -7, 7)), lambda c, v: c.replace(gamma=v), _BOTH,
+    ),
+    "lrs_distance": _Experiment(
+        "fig9", lambda c: tuple(np.geomspace(20.0, 160.0, 7)),
+        lambda c, v: c.replace(geometry=_rebuilt("geometry", c.geometry, dist_li=v)),
+    ),
+    "urs_distance": _Experiment(
+        "fig10", lambda c: tuple(np.geomspace(10.0, 80.0, 7)),
+        lambda c, v: c.replace(geometry=_rebuilt("geometry", c.geometry, dist_ui=v)),
+    ),
+    "aoa_difference": _Experiment("fig11", lambda c: (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4), _aoa_point),
+    "overlap_ratio": _Experiment("fig12", lambda c: tuple(np.linspace(0.0, 1.0, 6)), _overlap_point, _BOTH),
+    "angle_error": _Experiment(
+        "fig13", lambda c: (0.0, 0.25, 0.5, 1.0, 1.5, 2.0),
+        lambda c, v: c.replace(error=replace(c.error, angle_offset=float(np.deg2rad(v)))), _BOTH,
+    ),
+}
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+FIGURES = {e.figure: experiment for experiment, e in _EXPERIMENTS.items()}  # figure id -> experiment
 
 
 @dataclass(frozen=True)
@@ -86,23 +146,9 @@ class SweepSpec:
 
 def default_grid(experiment: str, config: ScenarioConfig) -> tuple[float, ...]:
     """The default grid of an experiment family."""
-    if experiment == "beam_scan_lrs":
-        return tuple(dft_codebook(config.geometry.lrs_spec)[0])
-    if experiment == "beam_scan_urs":
-        return tuple(dft_codebook(config.geometry.urs_spec)[0])
-    if experiment == "gamma_sweep":
-        return tuple(np.logspace(-10, -7, 7))
-    if experiment == "lrs_distance":
-        return tuple(np.geomspace(20.0, 160.0, 7))
-    if experiment == "urs_distance":
-        return tuple(np.geomspace(10.0, 80.0, 7))
-    if experiment == "aoa_difference":
-        return (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
-    if experiment == "overlap_ratio":
-        return tuple(np.linspace(0.0, 1.0, 6))
-    if experiment == "angle_error":
-        return (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
-    raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return _EXPERIMENTS[experiment].grid(config)
 
 
 def _row(value, scheme, lrs, urs, feasible, iterations, wall) -> dict:
@@ -130,7 +176,7 @@ def _run_beam_scan(config: ScenarioConfig, grid, lrs: bool) -> list[dict]:
     side, p_side = ("L", p_l) if lrs else ("U", p_u)
     kind, factor = _LINK_TABLE[side * 2]
     t0 = time.perf_counter()
-    steering = _Steering(geom, side, kind)
+    steering = _Steering(geom, kind)
     if lrs:
         # legitimate radar only: reflect coherently back at it
         theta = closed_form_lrs_only(steering.composites["U"])
@@ -156,10 +202,10 @@ def _run_beam_scan(config: ScenarioConfig, grid, lrs: bool) -> list[dict]:
     rows = []
     for zeta in grid:
         t0 = time.perf_counter()
-        k = steering.gain(side, _scan_beam(spec, zeta))
-        q_beam = k * p_side
-        # the link's factor reads only the scanned radar's gain
-        prop = float(factor(k, k, p_l, p_u) * array_gain)
+        beam = _scan_beam(spec, zeta)
+        k_l, k_u = steering.gains(w_l=beam) if lrs else steering.gains(w_u=beam)
+        q_beam = (k_l if lrs else k_u) * p_side
+        prop = float(factor(k_l, k_u, p_l, p_u) * array_gain)
         walls[0] += time.perf_counter() - t0
         pattern = q_beam / matched  # |b^H w|^2 / count, in [0, 1]
         for scheme, value, wall in zip(("proposed", "random_phase", "no_irs"),
@@ -202,56 +248,16 @@ def _baselines(config: ScenarioConfig, value: float) -> list[dict]:
             _row(value, "no_irs", *base, True, 0, t2 - t1)]
 
 
-def _rebuilt(key: str, obj, **changes):
-    """``dataclasses.replace`` whose ValueError is a ConfigError on ``key``."""
-    try:
-        return replace(obj, **changes)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
-
-
 def _point_config(config: ScenarioConfig, experiment: str, value: float) -> ScenarioConfig:
     """Specialize the scenario for one grid point of a CPI-based sweep.
 
     A grid value that the scenario rejects is a ConfigError on the
     experiment that names the value.
     """
-    geom, plan = config.geometry, config.timing
     try:
-        if experiment == "gamma_sweep":
-            return config.replace(gamma=float(value))
-        if experiment == "lrs_distance":
-            return config.replace(geometry=_rebuilt("geometry", geom, dist_li=float(value)))
-        if experiment == "urs_distance":
-            return config.replace(geometry=_rebuilt("geometry", geom, dist_ui=float(value)))
-        if experiment == "aoa_difference":
-            # sweep around broadside of the reflector axis, where the direction
-            # cosine responds linearly to azimuth
-            base = np.pi / 2
-            return config.replace(geometry=replace(
-                geom,
-                angles_l=AnglePair(np.pi / 2, base),
-                angles_u=AnglePair(np.pi / 2, base + float(value)),
-            ))
-        if experiment == "overlap_ratio":
-            # equal pulse lengths; slide the second pulse to set the overlap
-            t = 30e-6
-            return config.replace(timing=_rebuilt(
-                "timing", plan,
-                lrs=_rebuilt("timing", plan.lrs, duration=t, start_offset=0.0),
-                urs=_rebuilt("timing", plan.urs, duration=t, start_offset=float((1.0 - value) * t)),
-            ))
-        if experiment == "angle_error":
-            return config.replace(
-                error=replace(config.error, angle_offset=float(np.deg2rad(value)))
-            )
+        return _EXPERIMENTS[experiment].point(config, float(value))
     except ConfigError as exc:
         raise ConfigError(experiment, f"grid value {_fmt(value)} rejected: {exc}") from exc
-    raise ValueError(f"unknown CPI-based experiment {experiment!r}")
-
-
-# the reflection schedules of each CPI-based sweep; short_term alone otherwise
-_SCHEDULES = dict.fromkeys(("gamma_sweep", "overlap_ratio", "angle_error"), ("short_term", "long_term"))
 
 
 def _point_rows(args, warm=None) -> list[dict]:
@@ -264,7 +270,7 @@ def _point_rows(args, warm=None) -> list[dict]:
     point_cfg, experiment, value, index = args
     warm = {} if warm is None else warm
     rows = []
-    for k, variant in enumerate(_SCHEDULES.get(experiment, ("short_term",))):
+    for k, variant in enumerate(_EXPERIMENTS[experiment].schedules):
         cpi, row = _cpi_row(point_cfg, variant, value, index * 8 + k, warm.get(variant))
         if cpi.feasible:
             warm[variant] = cpi.mode
@@ -285,7 +291,7 @@ def _point_rows(args, warm=None) -> list[dict]:
 def run_experiment(config: ScenarioConfig, sweep: SweepSpec) -> list[dict]:
     """Run one experiment family over its grid; returns the result rows."""
     grid, experiment = sweep.grid, sweep.experiment
-    if experiment in ("beam_scan_lrs", "beam_scan_urs"):
+    if _EXPERIMENTS[experiment].point is None:
         return _run_beam_scan(config, grid, experiment == "beam_scan_lrs")
     # every grid point is checked here, before any is solved, so a rejected
     # value is reported the same way with and without workers

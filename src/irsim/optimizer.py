@@ -415,8 +415,9 @@ def _p9_dual(
     and replaced by steepest ascent where rounding leaves it indefinite;
     trial points along a direction d reuse z = b - C w and C d. The first
     iterate is the warm start ``w0`` (real coordinates of y) when it is
-    nonzero, else a proximal gradient step from y = 0 (step 1 / sig2,
-    sig2 >= ||B||^2), which ascends and keeps off the kink of ||y|| at 0.
+    nonzero and sqrt(gamma) / ||w0|| is finite, else a proximal gradient
+    step from y = 0 (step 1 / sig2, sig2 >= ||B||^2), which ascends and
+    keeps off the kink of ||y|| at 0.
 
     Returns x and the real coordinates w of y, with w = None when there is
     no cap (``dual`` is None) or clip(b) already meets it, or misses it by
@@ -453,8 +454,10 @@ def _p9_dual(
     # relative tolerance, floored above the rounding of B^H x(y): an entry of
     # z = b - B y carries an error of order eps (1 + |b_n|) near the optimum
     tol = 1e-10 * root_gamma + 1e-13 * float(dual.row_norms @ (1.0 + r))
+    # a warm start so small that sqrt(gamma) / ||w0|| overflows counts as none
+    warm = w0 is not None and w0.any() and math.isfinite(root_gamma / math.hypot(*w0.tolist()))
     z, w = b, np.zeros(2 * dual.k)  # the first iterate is a step from y = 0
-    d = w0 if w0 is not None and w0.any() else p * ((1 - root_gamma / math.sqrt(p @ p)) / dual.sig2)
+    d = w0 if warm else p * ((1 - root_gamma / math.sqrt(p @ p)) / dual.sig2)
     if not d.any():
         # ||p|| rounds to sqrt(gamma): clip(b) is over the cap by less than
         # rounding, and y = 0 maximizes g to rounding
@@ -498,7 +501,7 @@ def _p9_dual(
         if not math.isfinite(slope) or state[1].tolist() == w.tolist():
             break  # rounding floor: the slope overflows, or the step no longer moves y
         z, w, m, x, grad, nw = state
-    if not converged and w0 is not None and w0.any() and dual.quad(x) > gamma * (1.0 + FEAS_RTOL):
+    if not converged and warm and dual.quad(x) > gamma * (1.0 + FEAS_RTOL):
         return _p9_dual(b, dual, None)  # the warm start led astray: once more from y = 0
     return _pull_under_cap(x, dual, converged), w
 

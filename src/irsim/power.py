@@ -126,15 +126,14 @@ class PowerReport:
 class _Steering:
     """The steering vectors of one geometry that one power evaluation reads.
 
-    ``radars`` names the radars whose one-hop gains it reads ("L", "U" or
-    both), ``kinds`` its composites. A matched beam needs no radar vector:
-    its gain is abar^2 |b^H b / sqrt(M)|^2 = abar^2 M. A radar's transmit
-    vector b is built on the first explicit beam, once; receive is its
-    exact conjugate.
+    ``kinds`` names the composites it reads. A matched beam needs no radar
+    vector: its gain is abar^2 |b^H b / sqrt(M)|^2 = abar^2 M. A radar's
+    transmit vector b is built on the first explicit beam, once; receive is
+    its exact conjugate.
     """
 
-    def __init__(self, geom: ScenarioGeometry, radars: str, kinds: str = ""):
-        self.geom, self.radars = geom, radars
+    def __init__(self, geom: ScenarioGeometry, kinds: str = ""):
+        self.geom = geom
         self.composites = _composites(kinds, geom.angles_l, geom.angles_u, geom.irs_spec)
         self.transmit = {}  # side -> transmit-sense vector, built on its first explicit beam
 
@@ -155,9 +154,9 @@ class _Steering:
         response = np.vdot(b, w) if side == "L" else w @ np.conj(b)
         return float(abs(abar * response) ** 2)
 
-    def gains(self, w_l=None, w_u=None) -> tuple:
-        """(k_l, k_u), with None for a radar not named."""
-        return tuple(self.gain(s, w) if s in self.radars else None for s, w in (("L", w_l), ("U", w_u)))
+    def gains(self, w_l=None, w_u=None) -> tuple[float, float]:
+        """(k_l, k_u), each for its radar's beam (matched if None)."""
+        return self.gain("L", w_l), self.gain("U", w_u)
 
     def array_gain(self, kind: str, coeff: np.ndarray) -> float:
         """|composite^H theta|^2 for one composite kind."""
@@ -178,11 +177,6 @@ class _Steering:
     def reflection_report(self, coeff: np.ndarray, p_l: float, p_u: float) -> PowerReport:
         """The matched-beam power report of one reflection's coefficients."""
         return self.report({kind: self.array_gain(kind, coeff) for kind in "UVRG"}, p_l, p_u)
-
-
-def _report_from_gains(gains: dict, geom: ScenarioGeometry, p_l, p_u) -> PowerReport:
-    """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
-    return _Steering(geom, "LU").report(gains, p_l, p_u)
 
 
 def _check_inputs(geom: ScenarioGeometry, p_l, p_u, theta=None, w_l=None, w_u=None) -> None:
@@ -206,7 +200,7 @@ def irs_received_powers(
     target direction, which yields the coherent values abar^2 * M * P.
     """
     _check_inputs(geom, p_l, p_u, w_l=w_l, w_u=w_u)
-    k_l, k_u = _Steering(geom, "LU").gains(w_l, w_u)
+    k_l, k_u = _Steering(geom).gains(w_l, w_u)
     return k_l * p_l, k_u * p_u
 
 
@@ -227,7 +221,7 @@ def link_power(
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
     _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
     kind, factor = _LINK_TABLE[link]
-    steering = _Steering(geom, link, kind)
+    steering = _Steering(geom, kind)
     return float(factor(*steering.gains(w_l, w_u), p_l, p_u) * steering.array_gain(kind, theta.coefficients))
 
 
@@ -236,7 +230,7 @@ def power_report(
 ) -> PowerReport:
     """Evaluate every power figure for one reflection vector, with matched beamformers."""
     _check_inputs(geom, p_l, p_u, theta)
-    return _Steering(geom, "LU", "UVRG").reflection_report(theta.coefficients, p_l, p_u)
+    return _Steering(geom, "UVRG").reflection_report(theta.coefficients, p_l, p_u)
 
 
 def bilinear_link_power(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import ScenarioGeometry
-from .power import PowerReport, ReflectionVector, _check_inputs, _report_from_gains, _Steering
+from .power import PowerReport, ReflectionVector, _check_inputs, _Steering
 from .optimizer import (
     Infeasible,
     build_problem,
@@ -157,8 +157,8 @@ def run_cpi(
     est_geom = _perturb_angles(geom, err, rng)
     # one table of the true geometry serves step I and every report of step
     # II, and the design as well when the angles are estimated exactly
-    true = _Steering(geom, "LU", "UVRG")
-    design = true if est_geom is geom else _Steering(est_geom, "", "UVRG")
+    true = _Steering(geom, "UVRG")
+    design = true if est_geom is geom else _Steering(est_geom, "UVRG")
     k_l, k_u = true.gains()
     q_ls_est = k_l * p_l * (1.0 + err.power_rel_error)
     q_us_est = k_u * p_u * (1.0 + err.power_rel_error)
@@ -271,7 +271,7 @@ def _random_phase_expectation(geom: ScenarioGeometry, p_l: float, p_u: float) ->
     composite c, because each of its entries has unit modulus.
     """
     n = float(geom.irs_spec.size)
-    return _report_from_gains(dict.fromkeys("UVRG", n), geom, p_l, p_u)
+    return _Steering(geom).report(dict.fromkeys("UVRG", n), p_l, p_u)
 
 
 def random_phase_baseline(
@@ -294,7 +294,7 @@ def random_phase_baseline(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     _check_inputs(geom, p_l, p_u)
-    steering = _Steering(geom, "LU", "UVRG")
+    steering = _Steering(geom, "UVRG")
     n = geom.irs_spec.size
     # a one-row product takes numpy's vector-dot path, whose sum differs from
     # the matrix-vector one in the last bit, so a block has at least two rows

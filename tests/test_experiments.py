@@ -431,13 +431,26 @@ def test_cli_param_option_is_gone(tmp_path, command):
     assert not out.exists()
 
 
-def test_cli_reproduce_maps_figures(tmp_path):
-    out = tmp_path / "fig12.csv"
-    code = cli_main(["reproduce", "fig12", "--out", str(out),
-                     "--grid", "0,1"])
-    assert code == 0
-    schemes = {line.split(",")[1] for line in open(out).read().splitlines()[1:]}
-    assert {"short_term", "long_term"} <= schemes
+# each figure id, its experiment and a short grid of it
+FIGURE_EXPERIMENTS = {
+    "fig6": ("beam_scan_lrs", "-0.5,0.5"),
+    "fig7": ("beam_scan_urs", "-0.5,0.5"),
+    "fig8": ("gamma_sweep", "1e-9"),
+    "fig9": ("lrs_distance", "40"),
+    "fig10": ("urs_distance", "20"),
+    "fig11": ("aoa_difference", "0.1"),
+    "fig12": ("overlap_ratio", "0,1"),
+    "fig13": ("angle_error", "0.5"),
+}
+
+
+@pytest.mark.parametrize("figure", FIGURE_EXPERIMENTS)
+def test_cli_reproduce_maps_figures(tmp_path, figure):
+    experiment, grid = FIGURE_EXPERIMENTS[figure]
+    fig_out, sweep_out = tmp_path / "figure.csv", tmp_path / "sweep.csv"
+    assert cli_main(["reproduce", figure, f"--grid={grid}", "--out", str(fig_out)]) == 0
+    assert cli_main(["sweep", "--experiment", experiment, f"--grid={grid}", "--out", str(sweep_out)]) == 0
+    assert strip_wall(fig_out) == strip_wall(sweep_out)
 
 
 def test_cli_infeasible_sweep_exits_3(tmp_path):

@@ -222,12 +222,12 @@ def test_exact_random_phase_report_within_monte_carlo_error(rng, n_axis):
     # figure has a per-draw value; the exact report (gains ||c||^2) lies within
     # 4 standard errors of the Monte-Carlo mean, with the errors computed from
     # the estimator's own draws
-    from irsim.power import _report_from_gains
+    from irsim.power import _Steering
     from irsim.protocol import _random_phase_expectation
 
     def report(geom, k):
         # each figure's offset (k None) or its value at a unit gain k
-        return _report_from_gains({j: float(j == k) for j in "UVRG"}, geom, P, P)
+        return _Steering(geom).report({j: float(j == k) for j in "UVRG"}, P, P)
 
     draws = 10**4
     names = list(PowerReport.__dataclass_fields__)
@@ -283,13 +283,13 @@ def test_short_term_powers_come_from_their_case_reflections(rng):
 
 def _exp_route_report(geom, seed, draws):
     # the baseline as one draws-by-N array of exp(j phases)
-    from irsim.power import _report_from_gains
+    from irsim.power import _Steering
 
     n = geom.irs_spec.size
     thetas = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (draws, n)))
     comps = {k: composite_vector(k, geom.angles_l, geom.angles_u, geom.irs_spec) for k in "UVRG"}
     gains = {k: float(np.mean(np.abs(thetas @ np.conj(c)) ** 2)) for k, c in comps.items()}
-    return _report_from_gains(gains, geom, P, P)
+    return _Steering(geom).report(gains, P, P)
 
 
 def _upa_geometry(rng, n_x, n_y):
