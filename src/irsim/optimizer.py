@@ -37,8 +37,14 @@ The random restarts of a binding-cap solve are first screened by the
 unit-modulus fixed-point map of the Lagrangian (Soltanalian & Stoica, IEEE
 TSP 2014), and only those whose screened point beats the finished first
 start run the penalty-dual loop; a restart that then wins gets the same
-finish. Closed-form solutions exist for the two single-radar special
-cases, and a phase-grid exhaustive search serves as a small-size oracle.
+finish. The screen first tests the diagonal dual certificate of the
+finished start (the tightness condition of the SDP relaxation; Bandeira,
+Boumal & Singer, Math. Program. 2017) in O(N): where it holds, no restart
+can beat that start on the Lagrangian, and the screen keeps none without
+iterating. The finish holds the cap at equality, so the certificate holds
+at most binding solves. The solver builds no N x N matrix. Closed-form
+solutions exist for the two single-radar special cases, and a phase-grid
+exhaustive search serves as a small-size oracle.
 """
 
 from __future__ import annotations
@@ -830,29 +836,90 @@ def _cap_multiplier(Q: np.ndarray, dual: _CapDual, theta: np.ndarray) -> float:
     return max(0.0, float(a @ b) / float(b @ b)) if b.any() else 0.0
 
 
+_CERT_SLACK = 1e-11  # the certificate's slack tau, relative to |L(theta_ref)| / N
+
+
+def _pivots(h: list[list[complex]]) -> list[float]:
+    """The pivots of Gaussian elimination without row exchanges of a small
+    Hermitian matrix, as nested lists of Python numbers, up to the first
+    zero one. Past the first j, they are the pivots of the Schur complement
+    of the leading j x j block."""
+    h = [row[:] for row in h]
+    pivots = []
+    for j, row in enumerate(h):
+        pivots.append(row[j].real)
+        if pivots[-1] == 0:
+            break
+        for lower in h[j + 1 :]:
+            f = lower[j] / pivots[-1]
+            for k in range(j + 1, len(h)):
+                lower[k] -= f * row[k]
+    return pivots
+
+
+def _lagrangian_certified(Q: np.ndarray, dual: _CapDual, mu: float, theta_ref: np.ndarray) -> bool:
+    """Whether a diagonal dual certificate proves that no unit-modulus x has
+    L(x) = x^H A x, A = Q Q^H - mu B B^H, above L(theta_ref) + tau N.
+
+    With d = Re(conj(theta_ref) A theta_ref), sum(d) = L(theta_ref), and every
+    unit-modulus x has L(x) = sum(d) - x^H (diag(d) - A) x. So diag(d) - A +
+    tau I positive semidefinite bounds L(x) by L(theta_ref) + tau N, for tau =
+    ``_CERT_SLACK`` |L(theta_ref)| / N: the dual certificate of the
+    unit-modulus quadratic program, the tightness condition of its SDP
+    relaxation (Bandeira, Boumal & Singer, Math. Program. 2017).
+
+    The test is O(N) and builds no N x N matrix. It needs D = diag(d + tau)
+    positive, else it certifies nothing. Then E - Q Q^H, E = D + mu B B^H, is
+    positive definite if and only if I - Q^H E^-1 Q is, and by Woodbury
+    Q^H E^-1 Q = Q^H D^-1 Q - mu Q^H D^-1 B (I + mu B^H D^-1 B)^-1 B^H D^-1 Q.
+    So -(I - Q^H E^-1 Q) is the Schur complement of the leading block in the
+    Hermitian matrix [I + mu B^H D^-1 B, sqrt(mu) B^H D^-1 Q; sqrt(mu) Q^H
+    D^-1 B, Q^H D^-1 Q - I] of size k_B + k_Q <= 4, and it is negative
+    definite when the pivots of the trailing k_Q rows (:func:`_pivots`, on
+    Python numbers) are all negative.
+    """
+    B = dual.B
+    d = (np.conj(theta_ref) * (Q @ (Q.conj().T @ theta_ref) - mu * (B @ (dual.Bh @ theta_ref)))).real
+    w = d + _CERT_SLACK * abs(float(d.sum())) / len(d)
+    if not w.min() > 0:
+        return False
+    V = np.concatenate([math.sqrt(mu) * B, Q], axis=1)
+    g, k = ((V.conj().T / w) @ V).tolist(), dual.k
+    for i, row in enumerate(g):
+        row[i] += 1.0 if i < k else -1.0
+    pivots = _pivots(g)
+    return len(pivots) == len(g) and max(pivots[k:]) < 0
+
+
 def _screen_starts(Q: np.ndarray, dual: _CapDual, theta_ref: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Which columns of ``starts`` may reach a better basin than ``theta_ref``.
 
-    Fits the cap multiplier mu >= 0 at ``theta_ref`` (:func:`_cap_multiplier`)
-    and ascends L(theta) = ||Q^H theta||^2 - mu ||B^H theta||^2 from every column
-    at once by the unit-modulus fixed-point map theta <- phase(M theta),
-    M = Q Q^H - mu B B^H + kappa I with kappa = mu sig2, for which M is
-    positive semidefinite, so that no step lowers L (Soltanalian & Stoica,
-    IEEE TSP 2014). It takes ``_SCREEN_STEPS`` steps at most and stops once
-    no entry moves ``_SCREEN_MOVE_TOL``. A column is kept when its L beats
-    L(theta_ref) by more than ``_SCREEN_RTOL`` relative.
+    Fits the cap multiplier mu >= 0 at ``theta_ref`` (:func:`_cap_multiplier`).
+    Where the diagonal dual certificate (:func:`_lagrangian_certified`)
+    proves that theta_ref is the global maximum of L(theta) = ||Q^H theta||^2
+    - mu ||B^H theta||^2 over unit-modulus theta, up to a slack far inside
+    ``_SCREEN_RTOL``, no column can pass the test below, and none is kept
+    without iterating. Otherwise it ascends L from every column at once by
+    the unit-modulus fixed-point map theta <- phase(M theta), M = Q Q^H - mu
+    B B^H + kappa I with kappa = mu sig2, for which M is positive
+    semidefinite, so that no step lowers L (Soltanalian & Stoica, IEEE TSP
+    2014). M is applied through Q and B, never formed. It takes
+    ``_SCREEN_STEPS`` steps at most and stops once no entry moves
+    ``_SCREEN_MOVE_TOL``. A column is kept when its L beats L(theta_ref) by
+    more than ``_SCREEN_RTOL`` relative.
     """
     B, Qh, Bh = dual.B, Q.conj().T, dual.Bh
     mu = _cap_multiplier(Q, dual, theta_ref)
+    if _lagrangian_certified(Q, dual, mu, theta_ref):
+        return np.zeros(starts.shape[1], dtype=bool)
 
     def lagrangian(T: np.ndarray) -> np.ndarray:
         return (np.abs(Qh @ T) ** 2).sum(axis=0) - mu * (np.abs(Bh @ T) ** 2).sum(axis=0)
 
-    M = Q @ Qh - mu * (B @ Bh)
-    M[np.diag_indices_from(M)] += mu * dual.sig2
+    kappa = mu * dual.sig2
     T = starts
     for _ in range(_SCREEN_STEPS):
-        T, prev = _unit_phases(M @ T), T
+        T, prev = _unit_phases(Q @ (Qh @ T) - mu * (B @ (Bh @ T)) + kappa * T), T
         if np.abs(T - prev).max() < _SCREEN_MOVE_TOL:
             break
     ref = float(lagrangian(theta_ref[:, None])[0])
@@ -973,12 +1040,15 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     instances can have. They are screened first (:func:`_screen_starts`,
     all at once), and the penalty-dual loop runs only from those whose
     screened point beats the finished one; without a kept first copy every
-    restart runs. The best feasible result wins, and a restart that wins is
+    restart runs. Where a diagonal dual certificate proves the finished
+    point the global maximum of the screen's Lagrangian, the screen keeps
+    no restart without iterating. The best feasible result wins, and a restart that wins is
     finished too, so the finish always applies to the winning run.
 
     ``outer_iterations`` counts the outer iterations of every run: the
     first start's, one for each finish and those of each restart that
-    runs; a screened-out restart adds nothing. ``trace`` follows the
+    runs; the screen, certified or not, and a screened-out restart add
+    nothing. ``trace`` follows the
     winning run, with one more point (gap 0, rho ``_RHO0``) for its finish
     when the finish scored higher. ``converged`` is the winning run's flag.
 

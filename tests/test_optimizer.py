@@ -1139,16 +1139,23 @@ def screened(Q, B, theta_ref, starts):
     return L(theta_ref), [L(t) for t in columns]
 
 
-def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatch):
-    screen = optimizer._screen_starts
+def spy_screens(monkeypatch):
+    """Record (Q, dual, theta_ref, starts, keep) of every restart screen of
+    pdd_solve, on the solver's scaled problem."""
     screens = []
+    screen = optimizer._screen_starts
 
-    def screen_spy(Q, dual, theta_ref, starts):
+    def spy(Q, dual, theta_ref, starts):
         keep = screen(Q, dual, theta_ref, starts)
-        screens.append((Q, dual.B, theta_ref, starts, keep))
+        screens.append((Q, dual, theta_ref, starts, keep))
         return keep
 
-    monkeypatch.setattr(optimizer, "_screen_starts", screen_spy)
+    monkeypatch.setattr(optimizer, "_screen_starts", spy)
+    return screens
+
+
+def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatch):
+    screens = spy_screens(monkeypatch)
     runs = spy_solver_runs(monkeypatch)
     finishes = spy_finishes(monkeypatch)
     counts = {"kept": 0, "skipped": 0}
@@ -1161,8 +1168,8 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
         pdd_solve(prob)
         if not screens:
             continue  # the cap does not bind at the finished first start
-        Q, B, theta_ref, starts, keep = screens[0]
-        ref, values = screened(Q, B, theta_ref, starts)
+        Q, dual, theta_ref, starts, keep = screens[0]
+        ref, values = screened(Q, dual.B, theta_ref, starts)
         for value, kept in zip(values, keep):
             margin = value - ref - 1e-9 * abs(ref)
             assert kept == (margin > 0) or abs(margin) < 1e-9 * abs(ref)
@@ -1179,6 +1186,58 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
         counts["kept"] += int(np.sum(keep))
         counts["skipped"] += int(np.sum(~keep))
     assert min(counts.values()) > 0, counts
+
+
+def dense_certified(Q, B, mu, theta):
+    """Reference of the screen's certificate: the least eigenvalue of diag(d) - A,
+    A = Q Q^H - mu B B^H and d = Re(conj(theta) A theta), is at least -tau, tau =
+    1e-11 |sum(d)| / N."""
+    A = Q @ Q.conj().T - mu * (B @ B.conj().T)
+    d = (np.conj(theta) * (A @ theta)).real
+    return np.linalg.eigvalsh(np.diag(d) - A).min() >= -1e-11 * abs(d.sum()) / len(d)
+
+
+def cut_problem(rng, n, k_q, k_b, gamma_frac):
+    """A random P3 problem cut to its first k_q objective and k_b cap vectors,
+    with the cap at gamma_frac of its value at the phases of the first
+    objective vector."""
+    base = random_problem(rng, n=n, case="P3")
+    Q, B = base.Q[:, :k_q], base.B[:, :k_b]
+    cap = problem_constraint(ProblemData(Q, B, 1.0), np.exp(1j * np.angle(Q[:, 0])))
+    return ProblemData(Q, B, cap * gamma_frac)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("k_q, k_b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_lagrangian_certificate_agrees_with_dense_eigenvalues(rng, monkeypatch, n, k_q, k_b):
+    # at the finished first start with its fitted mu, at the same point with
+    # one phase moved by 1e-3, and with mu = 0 at it and at the finished
+    # point of the uncapped problem
+    screens = spy_screens(monkeypatch)
+    certified = {"finished": 0, "moved": 0, "capped at mu = 0": 0, "uncapped": 0}
+    solves = 0
+    for _ in range(6):
+        prob = cut_problem(rng, n, k_q, k_b, gamma_frac=0.3)
+        screens.clear()
+        pdd_solve(prob)
+        if not screens:
+            continue  # the cap does not bind at the finished first start
+        solves += 1
+        Q, dual, theta, _, _ = screens[0]
+        moved = theta * np.exp(1e-3j * (np.arange(n) == 0))
+        uncapped = pdd_solve(replace(prob, B=None)).theta.coefficients
+        points = {"finished": (optimizer._cap_multiplier(Q, dual, theta), theta),
+                  "moved": (optimizer._cap_multiplier(Q, dual, moved), moved),
+                  "capped at mu = 0": (0.0, theta), "uncapped": (0.0, uncapped)}
+        for name, (mu, point) in points.items():
+            cert = optimizer._lagrangian_certified(Q, dual, mu, point)
+            assert cert == dense_certified(Q, dual.B, mu, point), name
+            certified[name] += cert
+    # every finished point of this set is certified, the uncapped ones at mu =
+    # 0 too (a rank-1 objective always is, at its own phases: Cauchy-Schwarz),
+    # and no moved one
+    assert solves >= 5, solves
+    assert certified["finished"] == certified["uncapped"] == solves and certified["moved"] == 0, certified
 
 
 def test_finish_never_lowers_the_first_start(rng, monkeypatch):

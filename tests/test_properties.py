@@ -1,6 +1,7 @@
 """Physics invariants of the solver, checked as properties over random problems."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from irsim import (
 from irsim import optimizer
 
 from conftest import random_geometry, random_reflection
-from test_optimizer import kkt_residual, random_problem
+from test_optimizer import kkt_residual, random_problem, screened
 
 # a fixed example set, so the gate is deterministic; about 2 s at these sizes
 SOLVER_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -52,6 +53,42 @@ def test_pdd_solve_unit_modulus_under_cap(seed, n, case, gamma_frac):
     assert np.all(theta.amplitudes == 1.0)
     assert np.max(np.abs(np.abs(theta.coefficients) - 1.0)) <= 4 * np.finfo(float).eps
     assert problem_constraint(problem, theta.coefficients) <= problem.gamma * (1.0 + 1e-6)
+
+
+
+@SOLVER_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 16),
+    case=st.sampled_from(["P1", "P2", "P3", "P4"]),
+    gamma_frac=st.floats(0.05, 0.9),
+)
+def test_certified_first_start_maximizes_the_screen_lagrangian(seed, n, case, gamma_frac):
+    # where the diagonal dual certificate holds at the finished first start,
+    # the screen's reference ascent keeps no restart, and no random
+    # unit-modulus draw has a higher Lagrangian L = ||Q^H x||^2 - mu ||B^H x||^2
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n=n, case=case, gamma_frac=gamma_frac)
+    screens = []
+    screen = optimizer._screen_starts
+
+    def spy(*args):
+        screens.append(args)
+        return screen(*args)
+
+    with mock.patch.object(optimizer, "_screen_starts", spy):
+        pdd_solve(problem)
+    if not screens:
+        return  # the cap does not bind at the finished first start
+    Q, dual, theta_ref, starts = screens[0]
+    mu = optimizer._cap_multiplier(Q, dual, theta_ref)
+    if not optimizer._lagrangian_certified(Q, dual, mu, theta_ref):
+        return
+    ref, values = screened(Q, dual.B, theta_ref, starts)
+    assert max(values) <= ref + 1e-9 * abs(ref)
+    X = np.exp(2j * np.pi * rng.random((n, 1000)))
+    L = (np.abs(Q.conj().T @ X) ** 2).sum(axis=0) - mu * (np.abs(dual.Bh @ X) ** 2).sum(axis=0)
+    assert L.max() <= ref + 1e-10 * abs(ref)
 
 
 # Median stationarity residual of pdd_solve over the fixed problem set of the
