@@ -45,6 +45,12 @@ iterating. The finish holds the cap at equality, so the certificate holds
 at most binding solves. The solver builds no N x N matrix. Closed-form
 solutions exist for the two single-radar special cases, and a phase-grid
 exhaustive search serves as a small-size oracle.
+
+A problem with one objective vector (the single-radar segments P1 and P2)
+is first solved exactly through its cap dual (:func:`_one_objective`): the
+disk relaxation's maximizer at the dual optimum is unit modulus, so
+globally optimal, and weak duality certifies it. Only a certified result
+is returned; every other problem runs the penalty-dual loop.
 """
 
 from __future__ import annotations
@@ -1018,6 +1024,87 @@ def _finish(
     return (point, new) if new is not None and new > value else (theta, value)
 
 
+def _scaled(problem: ProblemData) -> tuple[ProblemData, float, _CapDual | None]:
+    """The problem with objective and cap scaled to O(1) vectors, so that
+    ``_RHO0`` is problem-independent; the objective's scale sq; and the
+    scaled cap's constants, shared by every start (None without a cap)."""
+    Q, B = problem.Q, problem.B
+    sq = float(max(np.linalg.norm(q) for q in Q.T))
+    sh = 1.0 if B is None else float(max(np.linalg.norm(b) for b in B.T))
+    scaled = replace(problem, Q=Q / sq, B=None if B is None else B / sh, gamma=problem.gamma / sh**2)
+    return scaled, sq, _cap_dual(scaled)
+
+
+def _feasible(dual: _CapDual | None, theta: np.ndarray) -> bool:
+    """Whether a copy is under the scaled cap as the solver rates copies:
+    within ``FEAS_RTOL`` / 10 relative."""
+    return dual is None or dual.quad(theta) <= dual.gamma * (1.0 + 0.1 * FEAS_RTOL)
+
+
+_DUAL_SCALE = 1e8  # P9 projects this multiple of q: its dual is then the cap dual, Huber-smoothed
+_ROUTE_GAP = 1e-9  # the one-objective route returns at a certified gap this small
+
+
+def _one_objective(scaled: ProblemData, dual: _CapDual | None) -> tuple[np.ndarray, float] | None:
+    """The maximizer of a one-objective problem, Q = q, certified by weak
+    duality to ``_ROUTE_GAP``, and its objective; None where the
+    certificate fails.
+
+    Relaxed to |theta_n| <= 1, the problem is max Re(q^H theta) (the
+    feasible set is invariant to a global phase), whose dual over y in C^k,
+    k = B.shape[1], is D(y) = sum_n |q_n - (B y)_n| + sqrt(gamma) ||y||.
+    Any y bounds the square root of the optimum by D(y) (weak duality), and
+    the relaxed maximizer at the dual optimum y* is theta_n = phase(q_n -
+    (B y*)_n), unit modulus wherever no entry vanishes (the fixed-rank view
+    of unit-modulus quadratic programs; Karystinos & Liavas, IEEE Trans.
+    Inf. Theory 2010).
+
+    y is w / t for the dual point w of the P9 projection of t q, t =
+    ``_DUAL_SCALE``: its entries t q_n - (B w)_n lie outside the unit disk
+    unless y nears an anchor, where (B y)_n = q_n, so its Huber terms are
+    |.| - 1/2 and its dual is -t D(w / t) up to a constant. Where P9
+    returns w = None, phase(q) meets the cap and is the unconstrained
+    maximizer, with y = 0. Otherwise :func:`_kkt_newton` holds the cap from
+    phase(q - B y). The point is returned when it is under the cap, as the
+    solver rates copies (:func:`_feasible`), and 1 - ||Q^H theta||^2 /
+    D(y)^2 <= ``_ROUTE_GAP``. A projection that raises
+    :class:`ProjectionError` or a non-finite Newton step returns None.
+    """
+    q = scaled.Q[:, 0]
+    try:
+        _, w = _p9_dual(_DUAL_SCALE * q, dual, None)
+    except ProjectionError:
+        return None
+    if w is None:
+        theta, bound = _unit_phases(q), float(np.abs(q).sum())
+    else:
+        w = w / _DUAL_SCALE
+        residual = q - dual.C @ w  # q - B y
+        theta = _kkt_newton(scaled.Q, dual, _unit_phases(residual))
+        if theta is None:
+            return None
+        bound = float(np.abs(residual).sum()) + dual.root_gamma * math.hypot(*w.tolist())
+    value = problem_objective(scaled, theta)
+    if not _feasible(dual, theta) or value < (1.0 - _ROUTE_GAP) * bound**2:
+        return None
+    return theta, value
+
+
+def _result(
+    problem: ProblemData, scaled: ProblemData, sq: float, theta: np.ndarray, obj: float,
+    history: list[tuple[np.ndarray, float, float]], converged: bool, outer_iterations: int,
+) -> PddResult:
+    """The solve's result on ``problem`` from its scaled copy ``theta``, rated
+    ``obj``, and the (theta, gap, rho) of the winning run's outer iterations."""
+    trace = tuple(
+        PddTracePoint(outer=outer, objective=sq**2 * problem_objective(scaled, point),
+                      constraint=problem_constraint(problem, point), gap=gap, rho=rho)
+        for outer, (point, gap, rho) in enumerate(history, 1)
+    )
+    return PddResult(theta=_under_cap(problem, theta), objective=sq**2 * obj,
+                     trace=trace, converged=converged, outer_iterations=outer_iterations)
+
+
 def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult:
     """Solve the cap-constrained unit-modulus maximization.
 
@@ -1026,6 +1113,16 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     and carries the best feasible objective seen across the outer
     iterations; ``converged=False`` flags a run that hit the outer
     iteration cap before the two variable copies merged.
+
+    A problem with one objective vector is first tried by the route of
+    :func:`_one_objective`: one P9 dual solve, the phases of the relaxed
+    maximizer and Newton's method holding the cap. Its result is returned
+    when it is under the cap and within ``_ROUTE_GAP`` of its weak-duality
+    bound; it then reports one outer iteration (one finish), one trace
+    point (gap 0, rho ``_RHO0``) and ``converged=True``, and ``init`` goes
+    unused. Otherwise, and for every problem with two objective vectors,
+    the solve is the penalty-dual loop below, bit for bit as without the
+    route.
 
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
@@ -1042,15 +1139,16 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     screened point beats the finished one; without a kept first copy every
     restart runs. Where a diagonal dual certificate proves the finished
     point the global maximum of the screen's Lagrangian, the screen keeps
-    no restart without iterating. The best feasible result wins, and a restart that wins is
-    finished too, so the finish always applies to the winning run.
+    no restart without iterating. The best feasible result wins, and a
+    restart that wins is finished too, so the finish always applies to the
+    winning run.
 
-    ``outer_iterations`` counts the outer iterations of every run: the
-    first start's, one for each finish and those of each restart that
-    runs; the screen, certified or not, and a screened-out restart add
-    nothing. ``trace`` follows the
-    winning run, with one more point (gap 0, rho ``_RHO0``) for its finish
-    when the finish scored higher. ``converged`` is the winning run's flag.
+    In the loop, ``outer_iterations`` counts the outer iterations of every
+    run: the first start's, one for each finish and those of each restart
+    that runs; the screen, certified or not, and a screened-out restart add
+    nothing. ``trace`` follows the winning run, with one more point (gap 0,
+    rho ``_RHO0``) for its finish when the finish scored higher.
+    ``converged`` is the winning run's flag.
 
     A start over the cap is blended toward the point of the cap minimizer
     (:func:`_minimize_quad_core`), run once per solve from that start with
@@ -1064,27 +1162,31 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     :class:`ProjectionError` when a projection onto the capped disks fails
     to reach a point under the cap.
     """
+    scaled, sq, dual = _scaled(problem)
+    if scaled.Q.shape[1] == 1:
+        certified = _one_objective(scaled, dual)
+        if certified is not None:
+            theta, obj = certified
+            return _result(problem, scaled, sq, theta, obj, [(theta, 0.0, _RHO0)], True, 1)
+    return _pdd_loop(problem, init, scaled, sq, dual)
+
+
+def _pdd_loop(
+    problem: ProblemData, init: np.ndarray | None, scaled: ProblemData, sq: float, dual: _CapDual | None
+) -> PddResult:
+    """:func:`pdd_solve` by the penalty-dual loop, its restarts and finishes,
+    on ``problem`` as :func:`_scaled` gives it (``scaled``, ``sq``, ``dual``)."""
     n = problem.n
-    # scale objective and cap to O(1) vectors so _RHO0 is problem-independent
-    Q, B = problem.Q, problem.B
-    sq = float(max(np.linalg.norm(q) for q in Q.T))
-    sh = 1.0 if B is None else float(max(np.linalg.norm(b) for b in B.T))
-    scaled = replace(problem, Q=Q / sq, B=None if B is None else B / sh, gamma=problem.gamma / sh**2)
-    dual = _cap_dual(scaled)  # cap constants shared by every start
     gamma = scaled.gamma
-    feas_cap = gamma * (1.0 + 0.1 * FEAS_RTOL)
     feas_ref: dict[str, np.ndarray] = {}  # cap minimizer, computed at most once
     block = _ThetaBlock(scaled, dual)
 
-    def feasible(theta: np.ndarray) -> bool:
-        return dual is None or dual.quad(theta) <= feas_cap
-
     def score(theta: np.ndarray) -> float | None:
-        return problem_objective(scaled, theta) if feasible(theta) else None
+        return problem_objective(scaled, theta) if _feasible(dual, theta) else None
 
     def feasible_start(theta0: np.ndarray) -> np.ndarray:
         """Blend an infeasible start toward the cap minimizer."""
-        if feasible(theta0):
+        if _feasible(dual, theta0):
             return theta0
         if "theta" not in feas_ref:
             # any point under the cap will do, so stop there
@@ -1094,7 +1196,7 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
                                  f"{min_val:.6g}, which exceeds gamma {gamma:.6g}")
             feas_ref["theta"] = rv.coefficients
         theta_feas = feas_ref["theta"]
-        if not feasible(theta_feas):
+        if not _feasible(dual, theta_feas):
             return theta_feas  # near-threshold: start at the minimizer itself
         return _blend_feasible(theta0, theta_feas, dual)
 
@@ -1145,13 +1247,7 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
         best_theta = feas_ref["theta"]
         best_obj = problem_objective(scaled, best_theta)
         converged = False
-    trace = tuple(
-        PddTracePoint(outer=outer, objective=sq**2 * problem_objective(scaled, theta),
-                      constraint=problem_constraint(problem, theta), gap=gap, rho=rho)
-        for outer, (theta, gap, rho) in enumerate(history, 1)
-    )
-    return PddResult(theta=_under_cap(problem, best_theta), objective=sq**2 * best_obj,
-                     trace=trace, converged=converged, outer_iterations=total_outer)
+    return _result(problem, scaled, sq, best_theta, best_obj, history, converged, total_outer)
 
 
 def pdd_solve_with_candidates(

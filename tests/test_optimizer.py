@@ -1033,6 +1033,13 @@ def test_pdd_repeat_solves_identical_on_binding_cap(rng):
         np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
 
 
+def pdd_loop(problem, init=None):
+    """pdd_solve by its penalty-dual loop alone: the path of every problem
+    with two objective vectors, and of a one-objective problem whose route
+    is not certified."""
+    return optimizer._pdd_loop(problem, init, *optimizer._scaled(problem))
+
+
 def oracle_instance(index):
     """The problem of that index in the draw order of the acceptance
     criterion test_criterion_pdd_vs_oracle (N = 4, P3)."""
@@ -1219,7 +1226,7 @@ def test_lagrangian_certificate_agrees_with_dense_eigenvalues(rng, monkeypatch, 
     for _ in range(6):
         prob = cut_problem(rng, n, k_q, k_b, gamma_frac=0.3)
         screens.clear()
-        pdd_solve(prob)
+        pdd_loop(prob)  # a certified one-objective route would skip the screen
         if not screens:
             continue  # the cap does not bind at the finished first start
         solves += 1
@@ -1238,6 +1245,34 @@ def test_lagrangian_certificate_agrees_with_dense_eigenvalues(rng, monkeypatch, 
     # and no moved one
     assert solves >= 5, solves
     assert certified["finished"] == certified["uncapped"] == solves and certified["moved"] == 0, certified
+
+
+@pytest.mark.parametrize("case", ["P1", "P2"])
+def test_one_objective_route_is_certified_in_one_finish(rng, case):
+    # a binding cap: the route returns in one finish, whatever the start, and
+    # is no lower than the penalty-dual loop
+    for _ in range(5):
+        prob = random_problem(rng, n=16, case=case, gamma_frac=0.3)
+        res = pdd_solve(prob)
+        assert res.converged and res.outer_iterations == 1
+        assert [(p.outer, p.gap, p.rho) for p in res.trace] == [(1, 0.0, optimizer._RHO0)]
+        assert res.trace[0].objective == res.objective
+        assert pdd_solve(prob, init=np.exp(1j * rng.uniform(0, 2 * np.pi, prob.n))) == res
+        assert res.objective >= pdd_loop(prob).objective * (1 - 1e-9)
+
+
+def test_one_objective_route_falls_back_where_objective_and_cap_are_parallel():
+    # q = c b with the cap binding: the dual optimum is y* = c, where every
+    # q_n - y* b_n vanishes and the relaxed maximizer has no phase. The
+    # route's Newton point is under the cap, but its gap to the bound, about
+    # 4e-8, is not certified, so the solve is the penalty-dual loop's, bit
+    # for bit
+    rng = np.random.default_rng(1)
+    b = rng.normal(size=16) + 1j * rng.normal(size=16)
+    prob = ProblemData(Q=((0.7 - 0.4j) * b)[:, None], B=b[:, None], gamma=0.3 * np.abs(b).sum() ** 2)
+    scaled, _, dual = optimizer._scaled(prob)
+    assert optimizer._one_objective(scaled, dual) is None
+    assert pdd_solve(prob) == pdd_loop(prob)
 
 
 def test_finish_never_lowers_the_first_start(rng, monkeypatch):

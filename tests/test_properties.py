@@ -30,7 +30,7 @@ from irsim import (
 from irsim import optimizer
 
 from conftest import random_geometry, random_reflection
-from test_optimizer import kkt_residual, random_problem, screened
+from test_optimizer import cut_problem, kkt_residual, pdd_loop, random_problem, screened
 
 # a fixed example set, so the gate is deterministic; about 2 s at these sizes
 SOLVER_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -42,7 +42,7 @@ P = 0.03  # transmit powers of both radars, watts
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(4, 16),
-    case=st.sampled_from(["P3", "P4"]),
+    case=st.sampled_from(["P1", "P2", "P3", "P4"]),
     gamma_frac=st.floats(0.05, 0.9),
 )
 def test_pdd_solve_unit_modulus_under_cap(seed, n, case, gamma_frac):
@@ -77,7 +77,7 @@ def test_certified_first_start_maximizes_the_screen_lagrangian(seed, n, case, ga
         return screen(*args)
 
     with mock.patch.object(optimizer, "_screen_starts", spy):
-        pdd_solve(problem)
+        pdd_loop(problem)  # a certified one-objective route would skip the screen
     if not screens:
         return  # the cap does not bind at the finished first start
     Q, dual, theta_ref, starts = screens[0]
@@ -89,6 +89,38 @@ def test_certified_first_start_maximizes_the_screen_lagrangian(seed, n, case, ga
     X = np.exp(2j * np.pi * rng.random((n, 1000)))
     L = (np.abs(Q.conj().T @ X) ** 2).sum(axis=0) - mu * (np.abs(dual.Bh @ X) ** 2).sum(axis=0)
     assert L.max() <= ref + 1e-10 * abs(ref)
+
+
+@SOLVER_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 32),
+    case=st.sampled_from(["P1", "P2", "two cap vectors"]),
+    gamma_frac=st.floats(0.05, 0.9),
+)
+def test_one_objective_solve_is_under_its_dual_bound(seed, n, case, gamma_frac):
+    # one objective vector q: every y bounds the square root of the objective
+    # of any reflection x under a cap c by D(y) = sum_n |q_n - (B y)_n| +
+    # sqrt(c) ||y|| (weak duality of the disk relaxation). Checked with the
+    # y of the route, at the cap the solve meets, on the solver's scaled
+    # problem; the solve is no lower than its penalty-dual loop's
+    rng = np.random.default_rng(seed)
+    if case == "two cap vectors":
+        problem = cut_problem(rng, n, 1, 2, gamma_frac)
+    else:
+        problem = random_problem(rng, n=n, case=case, gamma_frac=gamma_frac)
+    res = pdd_solve(problem)
+    coeff = res.theta.coefficients
+    assert np.max(np.abs(np.abs(coeff) - 1.0)) <= 4 * np.finfo(float).eps
+    assert problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 1e-6)
+    scaled, sq, dual = optimizer._scaled(problem)
+    q, B = scaled.Q[:, 0], scaled.B
+    _, w = optimizer._p9_dual(1e8 * q, dual, None)
+    y = np.zeros(B.shape[1]) if w is None else (w[: B.shape[1]] + 1j * w[B.shape[1] :]) / 1e8
+    cap = max(scaled.gamma, problem_constraint(scaled, coeff))
+    bound = np.abs(q - B @ y).sum() + np.sqrt(cap) * np.linalg.norm(y)
+    assert res.objective / sq**2 <= bound**2 * (1 + 1e-9)
+    assert res.objective >= pdd_loop(problem).objective * (1 - 1e-9)
 
 
 # Median stationarity residual of pdd_solve over the fixed problem set of the
