@@ -83,10 +83,6 @@ class AnglePair:
             raise ValueError("azimuth must be finite")
         object.__setattr__(self, "azimuth", _wrap_angle(self.azimuth))
 
-    def specular(self) -> "AnglePair":
-        """The mirrored departure direction (pi - elevation, pi + azimuth)."""
-        return AnglePair(np.pi - self.elevation, self.azimuth + np.pi)
-
 
 def steering_1d(count: int, spacing: float, wavelength: float, zeta: float) -> np.ndarray:
     """1D steering vector [1, e^{j 2 pi d/lambda zeta}, ...] of length ``count``.

@@ -37,6 +37,8 @@ class ConfigError(ValueError):
 # may still set each one, to the constant's value only
 _PDD_FIXED = {"rho0": _RHO0, "c": _C, "inner_tol": _INNER_TOL, "outer_tol": _OUTER_TOL,
               "max_outer": _MAX_OUTER, "max_inner": _MAX_INNER, "max_sca": _MAX_SCA}
+# keys that a scenario may not set, each rejected with its reason instead of as unknown
+_UNSUPPORTED = {"timing.urs_pri": "unequal PRIs are not supported; both radars share timing.pri"}
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "arrays": {
@@ -184,27 +186,24 @@ class ScenarioConfig:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError("config", f"malformed file {path}: {exc}") from exc
+        return cls.from_parser(parser)
+
+    @classmethod
+    def from_parser(cls, parser: configparser.ConfigParser) -> "ScenarioConfig":
         for section in parser.sections():
             if section not in DEFAULTS:
                 raise ConfigError(section, "unknown section")
             for key in parser[section]:
                 if key not in DEFAULTS[section]:
-                    raise ConfigError(f"{section}.{key}", "unknown key")
-        return cls.from_parser(parser)
+                    name = f"{section}.{key}"
+                    raise ConfigError(name, _UNSUPPORTED.get(name, "unknown key"))
 
-    @classmethod
-    def from_parser(cls, parser: configparser.ConfigParser) -> "ScenarioConfig":
         def get(section, key, kind=float):
             value = _cast(f"{section}.{key}", parser.get(section, key), kind)
             if key in _FINITE_KEYS.get(section, ()) and not math.isfinite(value):
                 raise ConfigError(f"{section}.{key}", "must be finite")
             return value
 
-        if parser.has_option("timing", "urs_pri"):
-            raise ConfigError(
-                "timing.urs_pri",
-                "unequal PRIs are not supported; both radars share timing.pri",
-            )
         # every value is read before the constructor that range-checks it, so
         # a value that does not parse names its own key
         def spec(key_a, key_b, spacing_key):

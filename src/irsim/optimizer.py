@@ -51,6 +51,12 @@ is first solved exactly through its cap dual (:func:`_one_objective`): the
 disk relaxation's maximizer at the dual optimum is unit modulus, so
 globally optimal, and weak duality certifies it. Only a certified result
 is returned; every other problem runs the penalty-dual loop.
+
+:func:`pdd_solve` scales the problem once (:func:`_scaled`: the objective
+matrix, its scale and the scaled cap's constants). The route and the loop
+each hand back a run record (:class:`_Run`), and :func:`pdd_solve` alone
+assembles the result from it: the trace in the problem's own units and the
+reflection checked against its cap.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -393,10 +400,6 @@ class _CapDual:
         return hess
 
 
-def _cap_dual(problem: ProblemData) -> _CapDual | None:
-    return None if problem.B is None else _CapDual(problem.B, problem.gamma)
-
-
 _P9_MAX_STEPS = 100
 
 
@@ -546,12 +549,8 @@ def _principal_phases(Q: np.ndarray) -> np.ndarray:
     two it uses the principal eigenvector of the rank-2 objective form,
     found in the 2D span.
     """
-    gram = Q.conj().T @ Q
-    w, V = np.linalg.eigh(gram)
-    v = Q @ V[:, -1]
-    if np.linalg.norm(v) == 0:
-        v = Q[:, 0]
-    return _unit_phases(v)
+    _, V = np.linalg.eigh(Q.conj().T @ Q)
+    return _unit_phases(Q @ V[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +567,8 @@ class _ThetaBlock:
     forgets it, which a new start does.
     """
 
-    def __init__(self, problem: ProblemData, dual: _CapDual | None):
-        self.Qr = _real_rows(problem.Q)
+    def __init__(self, Q: np.ndarray, dual: _CapDual | None):
+        self.Qr = _real_rows(Q)
         self.dual = dual
         self.w: np.ndarray | None = None
 
@@ -648,11 +647,23 @@ def _anderson(memory: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return _unit_phases(g - sum(c * (b[0] - a[0]) for c, (a, b) in zip(coef, pairs)))
 
 
+class _Run(NamedTuple):
+    """A run of the solver on its scaled problem: the kept copy (None if
+    none), its objective (-inf if none), the (theta, gap, rho) of each traced
+    outer iteration, the converged flag and the outer iterations counted."""
+
+    theta: np.ndarray | None
+    objective: float
+    history: list[tuple[np.ndarray, float, float]]
+    converged: bool
+    outer: int
+
+
 def _penalty_dual(
     theta0: np.ndarray,
     block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
     score: Callable[[np.ndarray], float | None],
-) -> tuple[np.ndarray | None, float, list[tuple[np.ndarray, float, float]], bool]:
+) -> _Run:
     """The solver's penalty-dual loop.
 
     Starts both copies at ``theta0`` with lambda = 0 and rho = ``_RHO0``. Each
@@ -677,8 +688,8 @@ def _penalty_dual(
     ``_OUTER_TOL`` with a copy kept (converged) or after ``_MAX_OUTER``
     outer iterations.
 
-    Returns the kept copy (None if none), its score (-inf if none), the
-    (theta, gap, rho) of every outer iteration and the converged flag.
+    Returns the run: the kept copy and its score, and the (theta, gap, rho)
+    of every outer iteration, which it counts.
     """
     theta = vartheta = theta0
     lam = np.zeros(theta0.shape, dtype=complex)
@@ -713,9 +724,9 @@ def _penalty_dual(
             best, best_score = vartheta, value
         history.append((theta, gap, rho))
         if gap < _OUTER_TOL and best is not None:
-            return best, best_score, history, True
+            return _Run(best, best_score, history, True, outer)
         lam, rho = _dual_step(lam, theta, vartheta, rho, _C)
-    return best, best_score, history, False
+    return _Run(best, best_score, history, False, _MAX_OUTER)
 
 
 def minimize_unit_modulus_quadratic(vectors) -> tuple[ReflectionVector, float]:
@@ -1004,16 +1015,18 @@ def _kkt_newton(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> np.n
 
 
 def _finish(
-    Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray, value: float,
-    score: Callable[[np.ndarray], float | None],
-) -> tuple[np.ndarray, float]:
-    """A run's kept copy ``theta``, rated ``value`` by ``score``, finished by
-    :func:`_kkt_newton`, or the copy itself where that scores no higher.
+    Q: np.ndarray, dual: _CapDual | None, run: _Run, score: Callable[[np.ndarray], float | None]
+) -> _Run:
+    """``run`` finished: its kept copy, rated by ``score``, taken by
+    :func:`_kkt_newton` where that scores higher, with one more trace point
+    (gap 0, rho ``_RHO0``), and kept otherwise. Either way the finish counts
+    as one outer iteration.
 
     The cap is held when the copy is over gamma (1 - ``_CAP_ACTIVE_RTOL``);
     below that Newton runs without it, and once more with it when that
     lands over gamma.
     """
+    theta = run.theta
     if dual is not None and dual.quad(theta) > dual.gamma * (1.0 - _CAP_ACTIVE_RTOL):
         point = _kkt_newton(Q, dual, theta)
     else:
@@ -1021,18 +1034,21 @@ def _finish(
         if point is not None and dual is not None and dual.quad(point) > dual.gamma:
             point = _kkt_newton(Q, dual, theta)
     new = None if point is None else score(point)
-    return (point, new) if new is not None and new > value else (theta, value)
+    if new is None or not new > run.objective:
+        return run._replace(outer=run.outer + 1)
+    return _Run(point, new, run.history + [(point, 0.0, _RHO0)], run.converged, run.outer + 1)
 
 
-def _scaled(problem: ProblemData) -> tuple[ProblemData, float, _CapDual | None]:
-    """The problem with objective and cap scaled to O(1) vectors, so that
-    ``_RHO0`` is problem-independent; the objective's scale sq; and the
-    scaled cap's constants, shared by every start (None without a cap)."""
+def _scaled(problem: ProblemData) -> tuple[np.ndarray, float, _CapDual | None]:
+    """The objective matrix scaled to a largest column norm of 1, so that
+    ``_RHO0`` is problem-independent; its scale sq; and the constants of the
+    cap scaled the same way, shared by every start (None without a cap)."""
     Q, B = problem.Q, problem.B
     sq = float(max(np.linalg.norm(q) for q in Q.T))
-    sh = 1.0 if B is None else float(max(np.linalg.norm(b) for b in B.T))
-    scaled = replace(problem, Q=Q / sq, B=None if B is None else B / sh, gamma=problem.gamma / sh**2)
-    return scaled, sq, _cap_dual(scaled)
+    if B is None:
+        return Q / sq, sq, None
+    sh = float(max(np.linalg.norm(b) for b in B.T))
+    return Q / sq, sq, _CapDual(B / sh, problem.gamma / sh**2)
 
 
 def _feasible(dual: _CapDual | None, theta: np.ndarray) -> bool:
@@ -1045,9 +1061,10 @@ _DUAL_SCALE = 1e8  # P9 projects this multiple of q: its dual is then the cap du
 _ROUTE_GAP = 1e-9  # the one-objective route returns at a certified gap this small
 
 
-def _one_objective(scaled: ProblemData, dual: _CapDual | None) -> tuple[np.ndarray, float] | None:
+def _one_objective(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
     """The maximizer of a one-objective problem, Q = q, certified by weak
-    duality to ``_ROUTE_GAP``, and its objective; None where the
+    duality to ``_ROUTE_GAP``, as a run of one finish: one outer iteration,
+    one trace point (gap 0, rho ``_RHO0``), converged. None where the
     certificate fails.
 
     Relaxed to |theta_n| <= 1, the problem is max Re(q^H theta) (the
@@ -1070,7 +1087,7 @@ def _one_objective(scaled: ProblemData, dual: _CapDual | None) -> tuple[np.ndarr
     D(y)^2 <= ``_ROUTE_GAP``. A projection that raises
     :class:`ProjectionError` or a non-finite Newton step returns None.
     """
-    q = scaled.Q[:, 0]
+    q = Q[:, 0]
     try:
         _, w = _p9_dual(_DUAL_SCALE * q, dual, None)
     except ProjectionError:
@@ -1080,29 +1097,14 @@ def _one_objective(scaled: ProblemData, dual: _CapDual | None) -> tuple[np.ndarr
     else:
         w = w / _DUAL_SCALE
         residual = q - dual.C @ w  # q - B y
-        theta = _kkt_newton(scaled.Q, dual, _unit_phases(residual))
+        theta = _kkt_newton(Q, dual, _unit_phases(residual))
         if theta is None:
             return None
         bound = float(np.abs(residual).sum()) + dual.root_gamma * math.hypot(*w.tolist())
-    value = problem_objective(scaled, theta)
+    value = _column_power(Q, theta)
     if not _feasible(dual, theta) or value < (1.0 - _ROUTE_GAP) * bound**2:
         return None
-    return theta, value
-
-
-def _result(
-    problem: ProblemData, scaled: ProblemData, sq: float, theta: np.ndarray, obj: float,
-    history: list[tuple[np.ndarray, float, float]], converged: bool, outer_iterations: int,
-) -> PddResult:
-    """The solve's result on ``problem`` from its scaled copy ``theta``, rated
-    ``obj``, and the (theta, gap, rho) of the winning run's outer iterations."""
-    trace = tuple(
-        PddTracePoint(outer=outer, objective=sq**2 * problem_objective(scaled, point),
-                      constraint=problem_constraint(problem, point), gap=gap, rho=rho)
-        for outer, (point, gap, rho) in enumerate(history, 1)
-    )
-    return PddResult(theta=_under_cap(problem, theta), objective=sq**2 * obj,
-                     trace=trace, converged=converged, outer_iterations=outer_iterations)
+    return _Run(theta, value, [(theta, 0.0, _RHO0)], True, 1)
 
 
 def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult:
@@ -1114,15 +1116,18 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     iterations; ``converged=False`` flags a run that hit the outer
     iteration cap before the two variable copies merged.
 
-    A problem with one objective vector is first tried by the route of
+    The solve works on the problem as :func:`_scaled` gives it. A problem
+    with one objective vector is first tried by the route of
     :func:`_one_objective`: one P9 dual solve, the phases of the relaxed
     maximizer and Newton's method holding the cap. Its result is returned
     when it is under the cap and within ``_ROUTE_GAP`` of its weak-duality
     bound; it then reports one outer iteration (one finish), one trace
     point (gap 0, rho ``_RHO0``) and ``converged=True``, and ``init`` goes
     unused. Otherwise, and for every problem with two objective vectors,
-    the solve is the penalty-dual loop below, bit for bit as without the
-    route.
+    the solve is the penalty-dual loop (:func:`_pdd_loop`), bit for bit as
+    without the route. Both hand back the same run record (:class:`_Run`),
+    and the result is assembled from it here, and only here: the trace in
+    the problem's own units and the reflection checked against its cap.
 
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
@@ -1162,92 +1167,70 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     :class:`ProjectionError` when a projection onto the capped disks fails
     to reach a point under the cap.
     """
-    scaled, sq, dual = _scaled(problem)
-    if scaled.Q.shape[1] == 1:
-        certified = _one_objective(scaled, dual)
-        if certified is not None:
-            theta, obj = certified
-            return _result(problem, scaled, sq, theta, obj, [(theta, 0.0, _RHO0)], True, 1)
-    return _pdd_loop(problem, init, scaled, sq, dual)
+    Q, sq, dual = _scaled(problem)
+    run = _one_objective(Q, dual) if Q.shape[1] == 1 else None
+    if run is None:
+        run = _pdd_loop(Q, dual, init)
+    trace = tuple(
+        PddTracePoint(outer=outer, objective=sq**2 * _column_power(Q, point),
+                      constraint=problem_constraint(problem, point), gap=gap, rho=rho)
+        for outer, (point, gap, rho) in enumerate(run.history, 1)
+    )
+    return PddResult(theta=_under_cap(problem, run.theta), objective=sq**2 * run.objective,
+                     trace=trace, converged=run.converged, outer_iterations=run.outer)
 
 
-def _pdd_loop(
-    problem: ProblemData, init: np.ndarray | None, scaled: ProblemData, sq: float, dual: _CapDual | None
-) -> PddResult:
-    """:func:`pdd_solve` by the penalty-dual loop, its restarts and finishes,
-    on ``problem`` as :func:`_scaled` gives it (``scaled``, ``sq``, ``dual``)."""
-    n = problem.n
-    gamma = scaled.gamma
-    feas_ref: dict[str, np.ndarray] = {}  # cap minimizer, computed at most once
-    block = _ThetaBlock(scaled, dual)
+def _pdd_loop(Q: np.ndarray, dual: _CapDual | None, init: np.ndarray | None) -> _Run:
+    """The penalty-dual loop of :func:`pdd_solve`, its restarts and finishes,
+    on the scaled objective ``Q`` and cap ``dual`` of :func:`_scaled`: the
+    winning run, counting the outer iterations of every run. The caller
+    assembles the result."""
+    cap_point = None  # the cap minimizer's point, computed at most once
+    block = _ThetaBlock(Q, dual)
 
     def score(theta: np.ndarray) -> float | None:
-        return problem_objective(scaled, theta) if _feasible(dual, theta) else None
+        return _column_power(Q, theta) if _feasible(dual, theta) else None
 
-    def feasible_start(theta0: np.ndarray) -> np.ndarray:
-        """Blend an infeasible start toward the cap minimizer."""
-        if _feasible(dual, theta0):
-            return theta0
-        if "theta" not in feas_ref:
-            # any point under the cap will do, so stop there
-            rv, min_val = _minimize_quad_core(dual, ref=theta0, stop=gamma)
-            if min_val > gamma * (1.0 + FEAS_RTOL):
-                raise Infeasible(f"the cap minimizer from this solve's start ended at "
-                                 f"{min_val:.6g}, which exceeds gamma {gamma:.6g}")
-            feas_ref["theta"] = rv.coefficients
-        theta_feas = feas_ref["theta"]
-        if not _feasible(dual, theta_feas):
-            return theta_feas  # near-threshold: start at the minimizer itself
-        return _blend_feasible(theta0, theta_feas, dual)
-
-    def single_run(theta0: np.ndarray):
-        theta0 = feasible_start(theta0)
+    def single_run(theta0: np.ndarray) -> _Run:
+        """A run from ``theta0``, blended toward the cap minimizer's point when
+        it is over the cap."""
+        nonlocal cap_point
+        if not _feasible(dual, theta0):
+            if cap_point is None:
+                # any point under the cap will do, so stop there
+                rv, min_val = _minimize_quad_core(dual, ref=theta0, stop=dual.gamma)
+                if min_val > dual.gamma * (1.0 + FEAS_RTOL):
+                    raise Infeasible(f"the cap minimizer from this solve's start ended at "
+                                     f"{min_val:.6g}, which exceeds gamma {dual.gamma:.6g}")
+                cap_point = rv.coefficients
+            # near the threshold that point is over the cap too: start there
+            theta0 = _blend_feasible(theta0, cap_point, dual) if _feasible(dual, cap_point) else cap_point
         block.w = None  # every start follows its own trajectory
         return _penalty_dual(theta0, block.update, score)
 
-    def finish(theta, obj, history, converged):
-        """The run's result with its kept copy finished (:func:`_finish`): one
-        outer iteration, traced when it scores higher."""
-        nonlocal total_outer
-        total_outer += 1
-        theta_f, obj_f = _finish(scaled.Q, dual, theta, obj, score)
-        if theta_f is theta:
-            return theta, obj, history, converged
-        return theta_f, obj_f, history + [(theta_f, 0.0, _RHO0)], converged
-
-    if init is not None:
-        theta0 = _unit_phases(np.asarray(init, dtype=complex))
-    else:
-        theta0 = _principal_phases(scaled.Q)
-    best_theta, best_obj, history, converged = single_run(theta0)
-    total_outer = len(history)
-    if best_theta is not None:
-        best_theta, best_obj, history, converged = finish(best_theta, best_obj, history, converged)
-
-    cap_binding = best_theta is not None and dual is not None and dual.quad(best_theta) > gamma / 2
-    if best_theta is None or cap_binding:
-        starts = np.exp(1j * np.random.default_rng(0x5EED).uniform(0.0, 2.0 * np.pi, (_RESTARTS - 1, n)))
-        if best_theta is None:
+    best = single_run(_principal_phases(Q) if init is None else _unit_phases(np.asarray(init, dtype=complex)))
+    if best.theta is not None:
+        best = _finish(Q, dual, best, score)
+    if best.theta is None or dual is not None and dual.quad(best.theta) > dual.gamma / 2:
+        starts = np.exp(1j * np.random.default_rng(0x5EED).uniform(0.0, 2.0 * np.pi, (_RESTARTS - 1, len(Q))))
+        if best.theta is None:
             keep = np.ones(len(starts), dtype=bool)
         else:
-            keep = _screen_starts(scaled.Q, dual, best_theta, starts.T)
-        restart_won = False
+            keep = _screen_starts(Q, dual, best.theta, starts.T)
+        outer, restart_won = best.outer, False
         for extra in starts[keep]:
-            theta_k, obj_k, history_k, conv_k = single_run(extra)
-            total_outer += len(history_k)
-            if theta_k is not None and obj_k > best_obj:
-                best_theta, best_obj, history, converged = theta_k, obj_k, history_k, conv_k
-                restart_won = True
+            run = single_run(extra)
+            outer += run.outer
+            if run.theta is not None and run.objective > best.objective:
+                best, restart_won = run, True
+        best = best._replace(outer=outer)
         if restart_won:
-            best_theta, best_obj, history, converged = finish(best_theta, best_obj, history, converged)
-
-    if best_theta is None:
+            best = _finish(Q, dual, best, score)
+    if best.theta is None:
         # never produced a unit-modulus iterate under the cap: settle at the
         # cap minimizer, which the infeasible first start already computed
-        best_theta = feas_ref["theta"]
-        best_obj = problem_objective(scaled, best_theta)
-        converged = False
-    return _result(problem, scaled, sq, best_theta, best_obj, history, converged, total_outer)
+        best = best._replace(theta=cap_point, objective=_column_power(Q, cap_point), converged=False)
+    return best
 
 
 def pdd_solve_with_candidates(

@@ -72,11 +72,16 @@ def test_unknown_section_rejected(tmp_path):
         ScenarioConfig.from_file(str(path))
 
 
-def test_unequal_pri_rejected(tmp_path):
+def test_unequal_pri_rejected(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[timing]\nurs_pri = 90e-6\n")
-    with pytest.raises(ConfigError, match="urs_pri"):
+    message = "timing.urs_pri: unequal PRIs are not supported; both radars share timing.pri"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         ScenarioConfig.from_file(str(path))
+    out = tmp_path / "p.json"
+    assert cli_main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_field_level_messages(tmp_path):

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ IRS22 = ArraySpec(2, 2, 0.02, 0.2)
 def _clip_disk(x):
     """Radial projection of every entry onto the closed unit disk."""
     return x / np.maximum(np.abs(x), 1.0)
+
+
+def cap_dual(problem):
+    """The cap constants of ``problem`` unscaled (None without a cap)."""
+    return None if problem.B is None else _CapDual(problem.B, problem.gamma)
 
 
 def random_problem(rng, n=4, case="P3", gamma_frac=None):
@@ -123,6 +129,17 @@ def test_build_problem_rejects_degenerate(rng):
         build_problem("P1", (1.0, 1.0), comps, None, gamma=0.0, p_u_min=1.0)
     with pytest.raises(ValueError):
         build_problem("P5", (1.0, 1.0), comps, None, gamma=1.0, p_u_min=1.0)
+
+
+def test_build_problem_rejects_bad_durations_and_negative_q_us(rng):
+    comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
+    with pytest.raises(ValueError, match="P4 requires pulse durations"):
+        build_problem("P4", (1.0, 1.0), comps, None, gamma=1.0, p_u_min=1.0)
+    for durations in ((0.0, 30e-6), (25e-6, -1e-6)):
+        with pytest.raises(ValueError, match="durations must be positive"):
+            build_problem("P4", (1.0, 1.0), comps, durations, gamma=1.0, p_u_min=1.0)
+    with pytest.raises(ValueError, match="q_us must be >= 0"):
+        build_problem("P1", (1.0, -1e-9), comps, None, gamma=1.0, p_u_min=1.0)
 
 
 def test_problem_data_invariants():
@@ -701,7 +718,7 @@ def test_vartheta_update_zero_argument_convention():
 
 def theta_update(prob, theta, vartheta, lam, rho):
     """One disk-block update of a fresh _ThetaBlock at the full inner tolerance."""
-    block = optimizer._ThetaBlock(prob, optimizer._cap_dual(prob))
+    block = optimizer._ThetaBlock(prob.Q, cap_dual(prob))
     theta, _, objectives = block.update(theta, vartheta - rho * lam, rho, optimizer._INNER_TOL)
     return theta, objectives
 
@@ -802,7 +819,7 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
     the memories handed to _anderson. trial = center + shift is the copy the
     block was called with, shift = rho lambda.
     """
-    inner = block or optimizer._ThetaBlock(problem, optimizer._cap_dual(problem)).update
+    inner = block or optimizer._ThetaBlock(problem.Q, cap_dual(problem)).update
     calls, steps, memories = [], [], []
     state = {"lam": np.zeros(problem.n, complex)}
     dual_step, anderson = optimizer._dual_step, optimizer._anderson
@@ -850,7 +867,7 @@ def test_penalty_dual_merit_never_rises_over_accepted_iterates(rng, monkeypatch)
     for _ in range(4):
         problem = unit_problem(rng)
         theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
-        (_, _, history, _), calls, steps, _ = traced_penalty_dual(monkeypatch, problem, theta0)
+        (_, _, history, _, _), calls, steps, _ = traced_penalty_dual(monkeypatch, problem, theta0)
         kept = accepted_calls(calls, steps, history)
         rejected += len(calls) - len(kept)
         last = None  # (rho, merit) of the last accepted iterate
@@ -875,7 +892,7 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     # for several images after the rejection, however fast it would settle
     monkeypatch.setattr(optimizer, "_INNER_TOL", 1e-15)
     monkeypatch.setattr(optimizer, "_C", 1e-3)
-    real = optimizer._ThetaBlock(problem, optimizer._cap_dual(problem)).update
+    real = optimizer._ThetaBlock(problem.Q, cap_dual(problem)).update
     seen = {"calls": 0, "extrapolated": None}
     anderson = optimizer._anderson
 
@@ -894,7 +911,7 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
 
     monkeypatch.setattr(optimizer, "_anderson", first_extrapolation)
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, problem.n))
-    (_, _, history, _), calls, steps, memories = traced_penalty_dual(
+    (_, _, history, _, _), calls, steps, memories = traced_penalty_dual(
         monkeypatch, problem, theta0, block
     )
     k = seen["extrapolated"]
@@ -928,13 +945,20 @@ def test_penalty_dual_exit_state_is_the_phase_of_theta_plus_shift(monkeypatch, s
     # three images an extrapolation needs
     for name, value in (("_INNER_TOL", 1e-15), ("_C", 1e-3), ("_OUTER_TOL", 5e-324), ("_MAX_OUTER", 3)):
         monkeypatch.setattr(optimizer, name, value)
-    (_, _, history, _), calls, steps, memories = traced_penalty_dual(monkeypatch, problem, theta0)
+    (_, _, history, _, _), calls, steps, memories = traced_penalty_dual(monkeypatch, problem, theta0)
     assert memories and steps
     for lam, theta, vartheta, rho in steps:
         np.testing.assert_array_equal(vartheta, _unit_phases(theta + rho * lam))
     for theta, gap, rho in history:  # the shift each outer iteration's block calls saw
         shift = [call[3] for call in calls if call[2] == rho][-1]
         assert gap == float(np.abs(theta - _unit_phases(theta + shift)).max())
+
+
+def test_anderson_singular_normal_equations_return_the_newest_image(rng):
+    # equal residuals leave no residual difference to combine
+    f = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    memory = [(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)), f) for _ in range(optimizer._ANDERSON_MEMORY + 1)]
+    assert optimizer._anderson(memory) is memory[-1][0]
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (64, 1)])
@@ -1037,7 +1061,8 @@ def pdd_loop(problem, init=None):
     """pdd_solve by its penalty-dual loop alone: the path of every problem
     with two objective vectors, and of a one-objective problem whose route
     is not certified."""
-    return optimizer._pdd_loop(problem, init, *optimizer._scaled(problem))
+    with mock.patch.object(optimizer, "_one_objective", lambda Q, dual: None):
+        return pdd_solve(problem, init)
 
 
 def oracle_instance(index):
@@ -1075,9 +1100,9 @@ def spy_finishes(monkeypatch):
     finishes = []
     finish = optimizer._finish
 
-    def spy(Q, dual, theta, value, score):
-        out = finish(Q, dual, theta, value, score)
-        finishes.append((theta, value, *out))
+    def spy(Q, dual, run, score):
+        out = finish(Q, dual, run, score)
+        finishes.append((run.theta, run.objective, out.theta, out.objective))
         return out
 
     monkeypatch.setattr(optimizer, "_finish", spy)
@@ -1270,9 +1295,49 @@ def test_one_objective_route_falls_back_where_objective_and_cap_are_parallel():
     rng = np.random.default_rng(1)
     b = rng.normal(size=16) + 1j * rng.normal(size=16)
     prob = ProblemData(Q=((0.7 - 0.4j) * b)[:, None], B=b[:, None], gamma=0.3 * np.abs(b).sum() ** 2)
-    scaled, _, dual = optimizer._scaled(prob)
-    assert optimizer._one_objective(scaled, dual) is None
+    Q, _, dual = optimizer._scaled(prob)
+    assert optimizer._one_objective(Q, dual) is None
     assert pdd_solve(prob) == pdd_loop(prob)
+
+
+def test_one_objective_route_falls_back_on_a_projection_error(rng, monkeypatch):
+    # the route's P9 call raises, so the route returns None and the solve is
+    # the penalty-dual loop's, bit for bit; the loop's own projections run
+    prob = random_problem(rng, n=16, case="P1", gamma_frac=0.3)
+    loop = pdd_loop(prob)
+    p9, calls = optimizer._p9_dual, []
+
+    def first_call_raises(b, dual, w0):
+        calls.append(w0)
+        if len(calls) == 1:
+            raise ProjectionError("raised by the test")
+        return p9(b, dual, w0)
+
+    monkeypatch.setattr(optimizer, "_p9_dual", first_call_raises)
+    Q, _, dual = optimizer._scaled(prob)
+    assert optimizer._one_objective(Q, dual) is None
+    calls.clear()
+    assert pdd_solve(prob) == loop
+    assert len(calls) > 1
+
+
+def test_zero_pivot_refuses_the_lagrangian_certificate(monkeypatch):
+    # two equal cap columns orthogonal to theta_ref and mu = 1e40: the cap
+    # block I + mu B^H D^-1 B rounds to the rank-1 matrix of entries 1e40, so
+    # its second pivot is exactly 0, elimination stops there, and the
+    # certificate is refused
+    b = np.array([1.0, -1.0])
+    Q, dual, theta_ref = np.ones((2, 1), complex), _CapDual(np.stack([b, b], axis=1), 1.0), np.ones(2, complex)
+    pivots, found = optimizer._pivots, []
+
+    def spy(h):
+        found.append(pivots(h))
+        return found[-1]
+
+    monkeypatch.setattr(optimizer, "_pivots", spy)
+    assert optimizer._lagrangian_certified(Q, dual, 1e40, theta_ref) is False
+    assert len(found[0]) == 2 and found[0][0] > 1e39 and found[0][1] == 0.0
+    assert pivots([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 5.0]]) == [1.0, 0.0]
 
 
 def test_finish_never_lowers_the_first_start(rng, monkeypatch):
@@ -1311,14 +1376,14 @@ def spy_newton(monkeypatch):
 
 def finish_once(problem, theta):
     """The finish of ``theta`` on ``problem``, scored as pdd_solve scores."""
-    dual = optimizer._cap_dual(problem)
+    dual = cap_dual(problem)
 
     def score(x):
         if dual is not None and dual.quad(x) > problem.gamma * (1 + 0.1 * optimizer.FEAS_RTOL):
             return None
         return problem_objective(problem, x)
 
-    return optimizer._finish(problem.Q, dual, theta, score(theta), score)
+    return optimizer._finish(problem.Q, dual, optimizer._Run(theta, score(theta), [], True, 0), score)
 
 
 def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
@@ -1583,10 +1648,10 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     assert problem_constraint(problem, aligned) > 3 * problem.gamma
 
     def shrunken_run(theta0, update, score):
-        return 1e-3 * aligned, 1.0, [], True  # the first start
+        return optimizer._Run(1e-3 * aligned, 1.0, [], True, 0)  # the first start
 
-    def no_finish(Q, dual, theta, value, score):
-        return theta, value
+    def no_finish(Q, dual, run, score):
+        return run
 
     with monkeypatch.context() as m:
         m.setattr(optimizer, "_penalty_dual", shrunken_run)
@@ -1657,6 +1722,11 @@ def test_minimize_quadratic_two_vectors_reaches_null(rng):
     coeff = theta.coefficients
     assert val == pytest.approx(sum(abs(np.vdot(v, coeff)) ** 2 for v in vecs), rel=1e-6, abs=1e-20)
     np.testing.assert_allclose(np.abs(coeff), 1.0, atol=1e-12)
+
+
+def test_minimize_quadratic_all_zero_vectors():
+    theta, val = minimize_unit_modulus_quadratic([np.zeros(3), np.zeros(3, complex)])
+    assert theta == ReflectionVector.on(np.zeros(3)) and val == 0.0
 
 
 def test_minimize_quadratic_reaches_structured_null(rng):

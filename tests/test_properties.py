@@ -113,11 +113,11 @@ def test_one_objective_solve_is_under_its_dual_bound(seed, n, case, gamma_frac):
     coeff = res.theta.coefficients
     assert np.max(np.abs(np.abs(coeff) - 1.0)) <= 4 * np.finfo(float).eps
     assert problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 1e-6)
-    scaled, sq, dual = optimizer._scaled(problem)
-    q, B = scaled.Q[:, 0], scaled.B
+    Q, sq, dual = optimizer._scaled(problem)
+    q, B = Q[:, 0], dual.B
     _, w = optimizer._p9_dual(1e8 * q, dual, None)
     y = np.zeros(B.shape[1]) if w is None else (w[: B.shape[1]] + 1j * w[B.shape[1] :]) / 1e8
-    cap = max(scaled.gamma, problem_constraint(scaled, coeff))
+    cap = max(dual.gamma, optimizer._column_power(B, coeff))
     bound = np.abs(q - B @ y).sum() + np.sqrt(cap) * np.linalg.norm(y)
     assert res.objective / sq**2 <= bound**2 * (1 + 1e-9)
     assert res.objective >= pdd_loop(problem).objective * (1 - 1e-9)
