@@ -56,13 +56,14 @@ is returned; every other problem runs the penalty-dual loop.
 matrix, its scale and the scaled cap's constants). The route and the loop
 each hand back a run record (:class:`_Run`), and :func:`pdd_solve` alone
 assembles the result from it: the trace in the problem's own units and the
-reflection checked against its cap.
+reflection checked against its cap. A run of the loop
+(:func:`_penalty_dual`) is a plain function of the scaled problem and its
+start, and one rule (:func:`_score`) rates every copy the solver keeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple
@@ -138,14 +139,27 @@ def _check_positive(**values: float) -> None:
 
 def _nonzero_columns(name: str, M, rows: int | None) -> np.ndarray | None:
     """``M`` as a C-contiguous complex array without its all-zero columns,
-    or None when none is left; ``rows`` is the row count it must have."""
+    or None when none is left; ``rows`` is the row count it must have.
+    Rejects a non-finite entry and a column whose squared norm overflows."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or (rows is not None and M.shape[0] != rows):
         raise ValueError(f"{name} must be an N x k array, N shared by Q and B")
     if M.shape[1] > 2:
         raise ValueError(f"{name} has {M.shape[1]} columns; the dual solves take at most 2")
-    keep = [j for j in range(M.shape[1]) if np.linalg.norm(M[:, j]) > 0]
+    with np.errstate(over="ignore"):  # an overflow reads inf, as a non-finite entry does
+        power = [float(np.vdot(m, m).real) for m in M.T]  # squared column norms
+    if not all(map(math.isfinite, power)):
+        raise ValueError(f"{name} must be finite, squared column norms included")
+    keep = [j for j, p in enumerate(power) if p > 0]
     return np.ascontiguousarray(M[:, keep]) if keep else None
+
+
+def _finite_vector(name: str, x, n: int) -> np.ndarray:
+    """``x`` as a complex array; raises ValueError unless it is a finite vector of length n."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise ValueError(f"{name} must be a finite vector of length {n}")
+    return x
 
 
 def _column_power(M: np.ndarray | None, coeff: np.ndarray) -> float:
@@ -166,9 +180,9 @@ class ProblemData:
 
     ``Q`` holds the objective vectors as the columns of an N x k array and
     ``B`` the cap vectors, or is None without a cap; both have at most two
-    columns. All-zero columns, which a silent radar gives, are dropped, and
-    a cap left without columns becomes None; an objective left without
-    columns is rejected.
+    columns, finite entries and finite squared column norms. All-zero
+    columns, which a silent radar gives, are dropped, and a cap left without
+    columns becomes None; an objective left without columns is rejected.
     """
 
     Q: np.ndarray
@@ -242,9 +256,9 @@ def build_problem(
         if case == "P4":
             if durations is None:
                 raise ValueError("P4 requires pulse durations")
+            for t in durations:
+                _check_positive(durations=t)
             t_l, t_u = durations
-            if t_l <= 0 or t_u <= 0:
-                raise ValueError("durations must be positive")
             Q = [np.sqrt(t_l) * Q[0], np.sqrt(t_u) * Q[1]]
     else:
         raise ValueError(f"case must be P1..P4, got {case!r}")
@@ -557,57 +571,46 @@ def _principal_phases(Q: np.ndarray) -> np.ndarray:
 # the solver blocks
 
 
-class _ThetaBlock:
-    """Reusable solver for the disk-constrained block of one problem.
+def _disk_block(
+    Qr: np.ndarray, dual: _CapDual | None, w: np.ndarray | None, theta: np.ndarray, center: np.ndarray,
+    rho: float, tol: float,
+) -> tuple[np.ndarray, float, np.ndarray | None, list[float]]:
+    """Successive convex approximation on the penalized disk-block problem.
 
-    Caches the stacked objective matrix, shares the problem's cap constants
-    ``dual`` (None without a cap) and carries the dual variable of the
-    projection across calls, so each surrogate projection starts its Newton
-    iteration from the previous one's dual solution. Setting ``w`` to None
-    forgets it, which a new start does.
+    Minimizes -||Q^H x||^2 + ||x - center||^2 / (2 rho) over the unit disks
+    under the cap ``dual`` (None without a cap) from ``theta``, Q given as
+    its real rows ``Qr`` (:func:`_real_rows`). Each surrogate re-linearizes
+    the (negated) objective at the previous solution and is a P9 projection
+    (:func:`_p9_dual`) warm-started from the dual point ``w`` of the one
+    before it (None: cold), until the penalized objective stalls to the
+    relative tolerance ``tol``; a safeguard keeps the previous iterate
+    whenever a surrogate step fails to descend (only possible through
+    subsolver tolerance). Returns the new theta, -||Q^H theta||^2 there,
+    the last projection's dual point, and the penalized objective after
+    every surrogate solve, a non-increasing sequence because each surrogate
+    majorizes the true objective at its expansion point.
     """
+    two_rho = 2.0 * rho
 
-    def __init__(self, Q: np.ndarray, dual: _CapDual | None):
-        self.Qr = _real_rows(Q)
-        self.dual = dual
-        self.w: np.ndarray | None = None
+    def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta as real pairs."""
+        p, d = theta.view(float) @ Qr, theta - center
+        return float(np.vdot(d, d).real / two_rho - p @ p), p
 
-    def update(
-        self, theta: np.ndarray, center: np.ndarray, rho: float, tol: float
-    ) -> tuple[np.ndarray, float, list[float]]:
-        """Successive convex approximation on the penalized block problem.
-
-        Minimizes -||Q^H x||^2 + ||x - center||^2 / (2 rho) over the capped
-        unit disks from ``theta``, re-linearizing the (negated) objective at
-        each surrogate solution until the penalized objective stalls to the
-        relative tolerance ``tol``; a safeguard keeps the previous iterate
-        whenever a surrogate step fails to descend (only possible through
-        subsolver tolerance). Returns the new theta, -||Q^H theta||^2 there,
-        and the penalized objective after every surrogate solve, a
-        non-increasing sequence because each surrogate majorizes the true
-        objective at its expansion point.
-        """
-        Qr, dual, two_rho = self.Qr, self.dual, 2.0 * rho
-
-        def penalized(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            """-||Q^H theta||^2 + ||theta - center||^2 / (2 rho), and Q^H theta as real pairs."""
-            p, d = theta.view(float) @ Qr, theta - center
-            return float(np.vdot(d, d).real / two_rho - p @ p), p
-
-        prev, p = penalized(theta)
-        objectives: list[float] = []
-        for _ in range(_MAX_SCA):
-            theta_new, self.w = _p9_dual(center + two_rho * (Qr @ p).view(complex), dual, self.w)
-            obj, p_new = penalized(theta_new)
-            if obj > prev:
-                objectives.append(prev)
-                break
-            theta, p = theta_new, p_new
-            objectives.append(obj)
-            if prev - obj <= tol * max(1.0, abs(prev)):
-                break
-            prev = obj
-        return theta, -float(p @ p), objectives
+    prev, p = penalized(theta)
+    objectives: list[float] = []
+    for _ in range(_MAX_SCA):
+        theta_new, w = _p9_dual(center + two_rho * (Qr @ p).view(complex), dual, w)
+        obj, p_new = penalized(theta_new)
+        if obj > prev:
+            objectives.append(prev)
+            break
+        theta, p = theta_new, p_new
+        objectives.append(obj)
+        if prev - obj <= tol * max(1.0, abs(prev)):
+            break
+        prev = obj
+    return theta, -float(p @ p), w, objectives
 
 
 def _dual_step(
@@ -659,31 +662,40 @@ class _Run(NamedTuple):
     outer: int
 
 
-def _penalty_dual(
-    theta0: np.ndarray,
-    block: Callable[[np.ndarray, np.ndarray, float, float], tuple],
-    score: Callable[[np.ndarray], float | None],
-) -> _Run:
-    """The solver's penalty-dual loop.
+def _feasible(dual: _CapDual | None, theta: np.ndarray) -> bool:
+    """Whether a copy is under the scaled cap as the solver rates copies:
+    within ``FEAS_RTOL`` / 10 relative."""
+    return dual is None or dual.quad(theta) <= dual.gamma * (1.0 + 0.1 * FEAS_RTOL)
+
+
+def _score(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> float | None:
+    """The solver's rating of a unit-modulus copy, higher being better:
+    ||Q^H theta||^2 under the cap (:func:`_feasible`), None over it."""
+    return _column_power(Q, theta) if _feasible(dual, theta) else None
+
+
+def _penalty_dual(Q: np.ndarray, dual: _CapDual | None, theta0: np.ndarray) -> _Run:
+    """A run of the solver's penalty-dual loop from ``theta0`` on the scaled
+    objective ``Q`` and cap ``dual``.
 
     Starts both copies at ``theta0`` with lambda = 0 and rho = ``_RHO0``. Each
-    outer iteration alternates between the disk block,
-    ``block(theta, center, rho, tol)``, which returns the new theta, the
-    block objective f there and its SCA objectives (center = vartheta - rho
-    lambda), and the unit-modulus block, the phase of theta + rho lambda;
-    then it takes a dual step. The alternation is the map vartheta ->
-    phase(block(theta, vartheta - rho lambda) + rho lambda); from its third
-    image on, vartheta is extrapolated by :func:`_anderson`, and kept only
-    if the block result from it does not raise the merit Phi(theta) =
-    f(theta) + ||theta + rho lambda - phase(theta + rho lambda)||^2 /
-    (2 rho), which the plain alternation never raises; else the plain step
-    follows and the memory is cleared. Every block call counts toward
-    ``_MAX_INNER``. The alternation stops once an image moves less than a
-    loop tolerance that shrinks with the outer index to ``_INNER_TOL``, and
-    leaves vartheta = phase(theta + rho lambda).
+    outer iteration alternates between the disk block (:func:`_disk_block`
+    with center = vartheta - rho lambda), which returns the new theta and
+    the block objective f there, and the unit-modulus block, the phase of
+    theta + rho lambda; then it takes a dual step. The alternation is the
+    map vartheta -> phase(block(theta, vartheta - rho lambda) + rho lambda);
+    from its third image on, vartheta is extrapolated by :func:`_anderson`,
+    and kept only if the block result from it does not raise the merit
+    Phi(theta) = f(theta) + ||theta + rho lambda - phase(theta + rho
+    lambda)||^2 / (2 rho), which the plain alternation never raises; else
+    the plain step follows and the memory is cleared. Every block call
+    counts toward ``_MAX_INNER``. The alternation stops once an image moves
+    less than a loop tolerance that shrinks with the outer index to
+    ``_INNER_TOL``, and leaves vartheta = phase(theta + rho lambda). The
+    run's first projection starts cold (w = None), every later one from the
+    dual point of the one before it, a rejected extrapolation's included.
 
-    ``score`` rates a unit-modulus copy, higher being better, or returns
-    None for a copy that may not be returned; the best-rated copy seen,
+    The copies are rated by :func:`_score`; the best-rated copy seen,
     ``theta0`` included, is kept. The loop ends when the copies merge to
     ``_OUTER_TOL`` with a copy kept (converged) or after ``_MAX_OUTER``
     outer iterations.
@@ -691,10 +703,11 @@ def _penalty_dual(
     Returns the run: the kept copy and its score, and the (theta, gap, rho)
     of every outer iteration, which it counts.
     """
+    Qr, w = _real_rows(Q), None
     theta = vartheta = theta0
     lam = np.zeros(theta0.shape, dtype=complex)
     rho = _RHO0
-    first = score(theta0)
+    first = _score(Q, dual, theta0)
     best, best_score = (None, -math.inf) if first is None else (theta0, first)
     history: list[tuple[np.ndarray, float, float]] = []
     for outer in range(1, _MAX_OUTER + 1):
@@ -703,7 +716,7 @@ def _penalty_dual(
         shift = rho * lam
         trial, merit, memory = vartheta, math.inf, []
         for _ in range(_MAX_INNER):
-            theta_new, f, _ = block(theta, trial - shift, rho, tol)
+            theta_new, f, w, _ = _disk_block(Qr, dual, w, theta, trial - shift, rho, tol)
             image = theta_new + shift
             vartheta_new = _unit_phases(image)
             r = image - vartheta_new
@@ -719,7 +732,7 @@ def _penalty_dual(
             memory = (memory + [(vartheta, residual)])[-_ANDERSON_MEMORY - 1 :]
             trial = _anderson(memory) if len(memory) > _ANDERSON_MEMORY else vartheta
         gap = float(np.abs(theta - vartheta).max())
-        value = score(vartheta)
+        value = _score(Q, dual, vartheta)
         if value is not None and value > best_score:
             best, best_score = vartheta, value
         history.append((theta, gap, rho))
@@ -812,14 +825,10 @@ def _minimize_quad_core(
     return min(points, key=lambda point: point[1])  # a finished row only where it is lower
 
 
-def _wrap_pm_pi(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
-
-
 def _blend_feasible(theta_obj: np.ndarray, theta_feas: np.ndarray, dual: _CapDual) -> np.ndarray:
     """Phase-geodesic warm start: as close to theta_obj as stays under the cap."""
     psi0 = np.angle(theta_feas)
-    dpsi = _wrap_pm_pi(np.angle(theta_obj) - psi0)
+    dpsi = (np.angle(theta_obj) - psi0 + np.pi) % (2.0 * np.pi) - np.pi  # wrapped to [-pi, pi)
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
@@ -1014,13 +1023,11 @@ def _kkt_newton(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> np.n
     return np.exp(1j * phi)
 
 
-def _finish(
-    Q: np.ndarray, dual: _CapDual | None, run: _Run, score: Callable[[np.ndarray], float | None]
-) -> _Run:
-    """``run`` finished: its kept copy, rated by ``score``, taken by
-    :func:`_kkt_newton` where that scores higher, with one more trace point
-    (gap 0, rho ``_RHO0``), and kept otherwise. Either way the finish counts
-    as one outer iteration.
+def _finish(Q: np.ndarray, dual: _CapDual | None, run: _Run) -> _Run:
+    """``run`` finished: its kept copy taken by :func:`_kkt_newton` where
+    that rates higher by :func:`_score`, with one more trace point (gap 0,
+    rho ``_RHO0``), and kept otherwise. Either way the finish counts as one
+    outer iteration.
 
     The cap is held when the copy is over gamma (1 - ``_CAP_ACTIVE_RTOL``);
     below that Newton runs without it, and once more with it when that
@@ -1033,7 +1040,7 @@ def _finish(
         point = _kkt_newton(Q, None, theta)
         if point is not None and dual is not None and dual.quad(point) > dual.gamma:
             point = _kkt_newton(Q, dual, theta)
-    new = None if point is None else score(point)
+    new = None if point is None else _score(Q, dual, point)
     if new is None or not new > run.objective:
         return run._replace(outer=run.outer + 1)
     return _Run(point, new, run.history + [(point, 0.0, _RHO0)], run.converged, run.outer + 1)
@@ -1049,12 +1056,6 @@ def _scaled(problem: ProblemData) -> tuple[np.ndarray, float, _CapDual | None]:
         return Q / sq, sq, None
     sh = float(max(np.linalg.norm(b) for b in B.T))
     return Q / sq, sq, _CapDual(B / sh, problem.gamma / sh**2)
-
-
-def _feasible(dual: _CapDual | None, theta: np.ndarray) -> bool:
-    """Whether a copy is under the scaled cap as the solver rates copies:
-    within ``FEAS_RTOL`` / 10 relative."""
-    return dual is None or dual.quad(theta) <= dual.gamma * (1.0 + 0.1 * FEAS_RTOL)
 
 
 _DUAL_SCALE = 1e8  # P9 projects this multiple of q: its dual is then the cap dual, Huber-smoothed
@@ -1082,9 +1083,8 @@ def _one_objective(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
     |.| - 1/2 and its dual is -t D(w / t) up to a constant. Where P9
     returns w = None, phase(q) meets the cap and is the unconstrained
     maximizer, with y = 0. Otherwise :func:`_kkt_newton` holds the cap from
-    phase(q - B y). The point is returned when it is under the cap, as the
-    solver rates copies (:func:`_feasible`), and 1 - ||Q^H theta||^2 /
-    D(y)^2 <= ``_ROUTE_GAP``. A projection that raises
+    phase(q - B y). The point is returned when :func:`_score` rates it
+    (under the cap) and 1 - ||Q^H theta||^2 / D(y)^2 <= ``_ROUTE_GAP``. A projection that raises
     :class:`ProjectionError` or a non-finite Newton step returns None.
     """
     q = Q[:, 0]
@@ -1101,8 +1101,8 @@ def _one_objective(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
         if theta is None:
             return None
         bound = float(np.abs(residual).sum()) + dual.root_gamma * math.hypot(*w.tolist())
-    value = _column_power(Q, theta)
-    if not _feasible(dual, theta) or value < (1.0 - _ROUTE_GAP) * bound**2:
+    value = _score(Q, dual, theta)
+    if value is None or value < (1.0 - _ROUTE_GAP) * bound**2:
         return None
     return _Run(theta, value, [(theta, 0.0, _RHO0)], True, 1)
 
@@ -1110,11 +1110,12 @@ def _one_objective(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
 def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult:
     """Solve the cap-constrained unit-modulus maximization.
 
-    Deterministic given (problem, init). The returned reflection is
-    exactly unit modulus, satisfies the cap within ``FEAS_RTOL`` relative,
-    and carries the best feasible objective seen across the outer
-    iterations; ``converged=False`` flags a run that hit the outer
-    iteration cap before the two variable copies merged.
+    Deterministic given (problem, init); ``init``, when given, must be a
+    finite vector of length N (ValueError otherwise). The returned
+    reflection is exactly unit modulus, satisfies the cap within
+    ``FEAS_RTOL`` relative, and carries the best feasible objective seen
+    across the outer iterations; ``converged=False`` flags a run that hit
+    the outer iteration cap before the two variable copies merged.
 
     The solve works on the problem as :func:`_scaled` gives it. A problem
     with one objective vector is first tried by the route of
@@ -1167,6 +1168,7 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     :class:`ProjectionError` when a projection onto the capped disks fails
     to reach a point under the cap.
     """
+    init = None if init is None else _finite_vector("init", init, problem.n)
     Q, sq, dual = _scaled(problem)
     run = _one_objective(Q, dual) if Q.shape[1] == 1 else None
     if run is None:
@@ -1186,10 +1188,6 @@ def _pdd_loop(Q: np.ndarray, dual: _CapDual | None, init: np.ndarray | None) -> 
     winning run, counting the outer iterations of every run. The caller
     assembles the result."""
     cap_point = None  # the cap minimizer's point, computed at most once
-    block = _ThetaBlock(Q, dual)
-
-    def score(theta: np.ndarray) -> float | None:
-        return _column_power(Q, theta) if _feasible(dual, theta) else None
 
     def single_run(theta0: np.ndarray) -> _Run:
         """A run from ``theta0``, blended toward the cap minimizer's point when
@@ -1205,12 +1203,11 @@ def _pdd_loop(Q: np.ndarray, dual: _CapDual | None, init: np.ndarray | None) -> 
                 cap_point = rv.coefficients
             # near the threshold that point is over the cap too: start there
             theta0 = _blend_feasible(theta0, cap_point, dual) if _feasible(dual, cap_point) else cap_point
-        block.w = None  # every start follows its own trajectory
-        return _penalty_dual(theta0, block.update, score)
+        return _penalty_dual(Q, dual, theta0)
 
-    best = single_run(_principal_phases(Q) if init is None else _unit_phases(np.asarray(init, dtype=complex)))
+    best = single_run(_principal_phases(Q) if init is None else _unit_phases(init))
     if best.theta is not None:
-        best = _finish(Q, dual, best, score)
+        best = _finish(Q, dual, best)
     if best.theta is None or dual is not None and dual.quad(best.theta) > dual.gamma / 2:
         starts = np.exp(1j * np.random.default_rng(0x5EED).uniform(0.0, 2.0 * np.pi, (_RESTARTS - 1, len(Q))))
         if best.theta is None:
@@ -1225,7 +1222,7 @@ def _pdd_loop(Q: np.ndarray, dual: _CapDual | None, init: np.ndarray | None) -> 
                 best, restart_won = run, True
         best = best._replace(outer=outer)
         if restart_won:
-            best = _finish(Q, dual, best, score)
+            best = _finish(Q, dual, best)
     if best.theta is None:
         # never produced a unit-modulus iterate under the cap: settle at the
         # cap minimizer, which the infeasible first start already computed
@@ -1242,11 +1239,12 @@ def pdd_solve_with_candidates(
     here (e.g. the whole-window reflection evaluated on a per-segment
     problem, or the previous point of a cap sweep); seeding and comparing
     against them makes the per-segment and sweep results monotone by
-    construction without touching the solver itself.
+    construction without touching the solver itself. Each candidate must
+    be a finite vector of length N (ValueError otherwise, before any solve).
     """
     feasible: list[tuple[float, np.ndarray]] = []
-    for cand in candidates or []:
-        coeff = _unit_phases(np.asarray(cand, dtype=complex))
+    for i, cand in enumerate(candidates or []):
+        coeff = _unit_phases(_finite_vector(f"candidates[{i}]", cand, problem.n))
         if problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 0.1 * FEAS_RTOL):
             feasible.append((problem_objective(problem, coeff), coeff))
     best_cand = max(feasible, key=lambda t: t[0]) if feasible else None

@@ -260,6 +260,9 @@ def test_unparsable_value_names_its_key(tmp_path, section, key):
     ("error", "power_rel_error", "1.5", r"must lie in \(-1, 1\)"),
     ("geometry", "lrs_distance", "-5", "must be positive"),
     ("geometry", "urs_distance", "0", "must be positive"),
+    ("power", "noise_l", "-1", "must be >= 0"),
+    ("protocol", "step1_pris", "10", "must leave at least one step-II PRI"),
+    ("protocol", "echo_ratio", "0", "must be positive"),
 ])
 def test_out_of_range_value_names_its_key(tmp_path, section, key, value, rule):
     # the key that was set, not another key of the object built from it
@@ -284,6 +287,17 @@ def test_mode_validation(tmp_path):
     path.write_text("[protocol]\nmode = quarterly\n")
     with pytest.raises(ConfigError, match="protocol.mode"):
         ScenarioConfig.from_file(str(path))
+
+
+def test_malformed_file_rejected(tmp_path, capsys):
+    # a key before any section header
+    path = tmp_path / "bad.ini"
+    path.write_text("gamma = 1e-9\n")
+    with pytest.raises(ConfigError, match=f"^config: malformed file {path}: ") as info:
+        ScenarioConfig.from_file(str(path))
+    assert info.value.key == "config"
+    assert cli_main(["optimize", "--config", str(path)]) == 2
+    assert "config: malformed file" in capsys.readouterr().err
 
 
 def test_missing_file():

@@ -302,6 +302,27 @@ def test_cli_non_finite_gamma_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_optimize_rejected_scenario_exits_2(tmp_path, capsys):
+    # every key is valid, but at 1e300 m the reflector's received power
+    # underflows to 0, which build_problem rejects
+    ini = tmp_path / "far.ini"
+    ini.write_text("[geometry]\nlrs_distance = 1e300\n")
+    out = tmp_path / "sol.json"
+    assert cli_main(["optimize", "--config", str(ini), "--out", str(out)]) == 2
+    assert "config error: q_ls must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_optimize_infeasible_cap_exits_3(tmp_path, capsys):
+    # a one-element reflector cannot push the URS echo under a cap of 1e-30 W
+    ini = tmp_path / "one.ini"
+    ini.write_text("[arrays]\nirs_count_x = 1\n\n[power]\ngamma = 1e-30\n")
+    out = tmp_path / "sol.json"
+    assert cli_main(["optimize", "--config", str(ini), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert not out.exists()
+
+
 def test_cli_optimize_without_noise_prints_infinite_snr(tmp_path, capsys):
     # zero noise is a valid config value; the SNR line reads inf, not a crash
     ini = tmp_path / "quiet.ini"
@@ -395,6 +416,7 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
     (["sweep", "--experiment", "gamma_sweep", "--grid=-1e-9,1e-9"], "power.gamma"),
     (["sweep", "--experiment", "lrs_distance", "--grid=-5,10"], "geometry"),
     (["sweep", "--experiment", "overlap_ratio", "--grid", "0.5,1.5"], "timing"),
+    (["sweep", "--experiment", "gamma_sweep", "--grid", "1,x"], "cannot parse grid '1,x'"),
 ])
 def test_cli_bad_grid_value_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

@@ -179,22 +179,38 @@ def test_problem_data_drops_zero_columns():
 def test_problem_data_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="gamma must be finite"):
         ProblemData(Q=np.ones((3, 1)), B=None, gamma=bad)
+    # a non-finite entry, real or imaginary, in a column that is otherwise
+    # nonzero or zero: none may be dropped or solved as another problem
+    ones, zeros = np.ones((4, 1), complex), np.zeros((4, 1), complex)
+    for name, base in (("Q", ones), ("B", ones), ("B", zeros)):
+        for entry in (bad, complex(0.0, bad)):
+            column = base.copy()
+            column[0] = entry
+            Q, B = (column, None) if name == "Q" else (ones, column)
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ProblemData(Q=Q, B=B, gamma=1e-3)
+    # finite entries whose squared column norm overflows
+    for Q, B, name in ((1e200 * ones, None, "Q"), (ones, 1e200 * ones, "B")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, squared column norms included$"):
+            ProblemData(Q=Q, B=B, gamma=1e-200)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_build_problem_rejects_non_finite(rng, bad):
     comps = tuple(composite_vector(k, random_angles(rng), random_angles(rng), IRS22) for k in "UVRG")
-    good = {"scenario_powers": (1.0, 1.0), "gamma": 1.0, "p_u_min": 1.0}
+    good = {"scenario_powers": (1.0, 1.0), "durations": (25e-6, 30e-6), "gamma": 1.0, "p_u_min": 1.0}
     for key, value in (
         ("gamma", bad),
         ("p_u_min", bad),
         ("q_ls", (bad, 1.0)),
         ("q_us", (1.0, bad)),
+        ("durations", (bad, 30e-6)),
+        ("durations", (25e-6, bad)),
     ):
         kwargs = dict(good)
         kwargs["scenario_powers" if key.startswith("q_") else key] = value
         with pytest.raises(ValueError, match=f"{key} must be finite"):
-            build_problem(case="P3", composites=comps, durations=None, **kwargs)
+            build_problem(case="P4", composites=comps, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +733,10 @@ def test_vartheta_update_zero_argument_convention():
 
 
 def theta_update(prob, theta, vartheta, lam, rho):
-    """One disk-block update of a fresh _ThetaBlock at the full inner tolerance."""
-    block = optimizer._ThetaBlock(prob.Q, cap_dual(prob))
-    theta, _, objectives = block.update(theta, vartheta - rho * lam, rho, optimizer._INNER_TOL)
+    """One disk-block update from a cold projection dual at the full inner tolerance."""
+    Qr, center = optimizer._real_rows(prob.Q), vartheta - rho * lam
+    theta, _, _, objectives = optimizer._disk_block(Qr, cap_dual(prob), None, theta, center, rho,
+                                                    optimizer._INNER_TOL)
     return theta, objectives
 
 
@@ -819,13 +836,13 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
     the memories handed to _anderson. trial = center + shift is the copy the
     block was called with, shift = rho lambda.
     """
-    inner = block or optimizer._ThetaBlock(problem.Q, cap_dual(problem)).update
+    inner = block or optimizer._disk_block
     calls, steps, memories = [], [], []
     state = {"lam": np.zeros(problem.n, complex)}
     dual_step, anderson = optimizer._dual_step, optimizer._anderson
 
-    def spy_block(theta, center, rho, tol):
-        theta_out, f, *rest = inner(theta, center, rho, tol)
+    def spy_block(Qr, dual, w, theta, center, rho, tol):
+        theta_out, f, *rest = inner(Qr, dual, w, theta, center, rho, tol)
         shift = rho * state["lam"]
         calls.append((theta, center + shift, rho, shift, theta_out, f))
         return (theta_out, f, *rest)
@@ -841,12 +858,8 @@ def traced_penalty_dual(monkeypatch, problem, theta0, block=None):
 
     monkeypatch.setattr(optimizer, "_dual_step", spy_step)
     monkeypatch.setattr(optimizer, "_anderson", spy_anderson)
-
-    def score(theta):  # as pdd_solve rates a copy
-        feasible = problem_constraint(problem, theta) <= problem.gamma
-        return problem_objective(problem, theta) if feasible else None
-
-    out = optimizer._penalty_dual(theta0, spy_block, score)
+    monkeypatch.setattr(optimizer, "_disk_block", spy_block)
+    out = optimizer._penalty_dual(problem.Q, cap_dual(problem), theta0)
     return out, calls, steps, memories
 
 
@@ -892,16 +905,16 @@ def test_penalty_dual_rejected_extrapolation_takes_plain_step(rng, monkeypatch):
     # for several images after the rejection, however fast it would settle
     monkeypatch.setattr(optimizer, "_INNER_TOL", 1e-15)
     monkeypatch.setattr(optimizer, "_C", 1e-3)
-    real = optimizer._ThetaBlock(problem.Q, cap_dual(problem)).update
+    real = optimizer._disk_block
     seen = {"calls": 0, "extrapolated": None}
     anderson = optimizer._anderson
 
-    def block(theta, center, rho, tol):
-        theta_out, f, objs = real(theta, center, rho, tol)
+    def block(Qr, dual, w, theta, center, rho, tol):
+        theta_out, f, w, objs = real(Qr, dual, w, theta, center, rho, tol)
         seen["calls"] += 1
         if seen["extrapolated"] == seen["calls"] - 1:
             f += 1e6
-        return theta_out, f, objs
+        return theta_out, f, w, objs
 
     def first_extrapolation(memory):
         out = anderson(memory)
@@ -1057,6 +1070,39 @@ def test_pdd_repeat_solves_identical_on_binding_cap(rng):
         np.testing.assert_array_equal(r1.theta.phases, r2.theta.phases)
 
 
+def bad_start(kind, n):
+    """A start vector that is no finite vector of length n."""
+    good = np.exp(1j * np.arange(n))
+    if kind in ("nan", "inf"):
+        good[3] = complex(kind)
+        return good
+    return good[:-1] if kind == "short" else good[:, None]
+
+
+def never_solve(*args, **kwargs):
+    raise AssertionError("a solve ran on a rejected start")
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "short", "column"])
+def test_pdd_solve_rejects_a_bad_init_before_solving(monkeypatch, kind):
+    # a NaN init used to run 54 outer iterations, a short one to fail in a
+    # matrix product
+    problem = random_problem(np.random.default_rng(3), n=8, case="P3", gamma_frac=0.3)
+    monkeypatch.setattr(optimizer, "_scaled", never_solve)
+    with pytest.raises(ValueError, match=r"^init must be a finite vector of length 8$"):
+        pdd_solve(problem, init=bad_start(kind, 8))
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "short", "column"])
+def test_pdd_solve_with_candidates_rejects_a_bad_candidate_before_solving(monkeypatch, kind):
+    # a NaN candidate used to be skipped silently, a short one to fail in a
+    # reshape; the good candidate before it changes nothing
+    problem = random_problem(np.random.default_rng(3), n=8, case="P3", gamma_frac=0.3)
+    monkeypatch.setattr(optimizer, "pdd_solve", never_solve)
+    with pytest.raises(ValueError, match=r"^candidates\[1\] must be a finite vector of length 8$"):
+        pdd_solve_with_candidates(problem, candidates=[np.ones(8), bad_start(kind, 8)])
+
+
 def pdd_loop(problem, init=None):
     """pdd_solve by its penalty-dual loop alone: the path of every problem
     with two objective vectors, and of a one-objective problem whose route
@@ -1085,8 +1131,8 @@ def spy_solver_runs(monkeypatch):
     runs = []
     penalty_dual = optimizer._penalty_dual
 
-    def spy(theta0, block, score):
-        out = penalty_dual(theta0, block, score)
+    def spy(Q, dual, theta0):
+        out = penalty_dual(Q, dual, theta0)
         runs.append((theta0, out))
         return out
 
@@ -1100,8 +1146,8 @@ def spy_finishes(monkeypatch):
     finishes = []
     finish = optimizer._finish
 
-    def spy(Q, dual, run, score):
-        out = finish(Q, dual, run, score)
+    def spy(Q, dual, run):
+        out = finish(Q, dual, run)
         finishes.append((run.theta, run.objective, out.theta, out.objective))
         return out
 
@@ -1142,6 +1188,30 @@ def test_winning_restart_of_oracle_instance_23_is_finished(monkeypatch):
     assert start is winner[0] and value == winner[1]
     sq2 = max(np.linalg.norm(q) for q in oracle_instance(23).Q.T) ** 2
     assert finished >= value and res.objective == sq2 * finished
+
+
+def test_every_run_starts_from_a_cold_projection_dual(monkeypatch):
+    # the restarts of oracle instance 23 run: the first projection of every
+    # run starts its dual solve cold, and the later ones of a run warm
+    events = []  # "run" at each penalty-dual run, then the w0 of each projection
+    p9, penalty_dual = optimizer._p9_dual, optimizer._penalty_dual
+
+    def spy_p9(b, dual, w0):
+        events.append(w0)
+        return p9(b, dual, w0)
+
+    def spy_run(Q, dual, theta0):
+        events.append("run")
+        return penalty_dual(Q, dual, theta0)
+
+    monkeypatch.setattr(optimizer, "_p9_dual", spy_p9)
+    monkeypatch.setattr(optimizer, "_penalty_dual", spy_run)
+    pdd_solve(oracle_instance(23))
+    starts = [k for k, event in enumerate(events) if isinstance(event, str)]
+    assert len(starts) > 1  # a restart ran
+    assert all(events[k + 1] is None for k in starts)
+    for first, end in zip(starts, starts[1:] + [len(events)]):
+        assert any(w0 is not None for w0 in events[first + 2 : end])  # later ones are warm
 
 
 def screened(Q, B, theta_ref, starts):
@@ -1376,14 +1446,8 @@ def spy_newton(monkeypatch):
 
 def finish_once(problem, theta):
     """The finish of ``theta`` on ``problem``, scored as pdd_solve scores."""
-    dual = cap_dual(problem)
-
-    def score(x):
-        if dual is not None and dual.quad(x) > problem.gamma * (1 + 0.1 * optimizer.FEAS_RTOL):
-            return None
-        return problem_objective(problem, x)
-
-    return optimizer._finish(problem.Q, dual, optimizer._Run(theta, score(theta), [], True, 0), score)
+    Q, dual = problem.Q, cap_dual(problem)
+    return optimizer._finish(Q, dual, optimizer._Run(theta, optimizer._score(Q, dual, theta), [], True, 0))
 
 
 def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
@@ -1461,7 +1525,7 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
         raise Decided  # the start is chosen: the decision is made
 
     monkeypatch.setattr(optimizer, "_minimize_quad_core", spy)
-    monkeypatch.setattr(optimizer._ThetaBlock, "update", stop_solving)
+    monkeypatch.setattr(optimizer, "_disk_block", stop_solving)
 
     def solve(problem):
         calls.clear()
@@ -1647,10 +1711,10 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
     aligned = np.exp(1j * np.angle(problem.Q[:, 0]))
     assert problem_constraint(problem, aligned) > 3 * problem.gamma
 
-    def shrunken_run(theta0, update, score):
+    def shrunken_run(Q, dual, theta0):
         return optimizer._Run(1e-3 * aligned, 1.0, [], True, 0)  # the first start
 
-    def no_finish(Q, dual, run, score):
+    def no_finish(Q, dual, run):
         return run
 
     with monkeypatch.context() as m:
