@@ -46,11 +46,15 @@ at most binding solves. The solver builds no N x N matrix. Closed-form
 solutions exist for the two single-radar special cases, and a phase-grid
 exhaustive search serves as a small-size oracle.
 
-A problem with one objective vector (the single-radar segments P1 and P2)
-is first solved exactly through its cap dual (:func:`_one_objective`): the
-disk relaxation's maximizer at the dual optimum is unit modulus, so
-globally optimal, and weak duality certifies it. Only a certified result
-is returned; every other problem runs the penalty-dual loop.
+Every problem is first tried by one certified route (:func:`_certified`):
+one cold P9 dual solve along the principal objective direction q gives the
+cap dual y of the disk relaxation of max Re(q^H theta), Newton's method
+takes phase(q - B y) to a KKT point, and the diagonal dual certificate
+proves that point the global maximum. With one objective vector (the
+single-radar segments P1 and P2) phase(q - B y) is the maximizer itself;
+with two (P3, P4) it is a start that the certificate judges. Only a
+certified result is returned; every other problem runs the penalty-dual
+loop, bit for bit.
 
 :func:`pdd_solve` scales the problem once (:func:`_scaled`: the objective
 matrix, its scale and the scaled cap's constants). The route and the loop
@@ -556,15 +560,12 @@ def _pull_under_cap(x: np.ndarray, dual: _CapDual, converged: bool) -> np.ndarra
     return x
 
 
-def _principal_phases(Q: np.ndarray) -> np.ndarray:
-    """Unit-modulus phase alignment with the dominant objective direction.
-
-    For a single objective vector this is exactly its entrywise phase; for
-    two it uses the principal eigenvector of the rank-2 objective form,
-    found in the 2D span.
-    """
+def _principal(Q: np.ndarray) -> np.ndarray:
+    """The dominant objective direction Q c, c the principal eigenvector of
+    Q^H Q, found in the span of Q's columns: exactly the objective vector
+    when there is one."""
     _, V = np.linalg.eigh(Q.conj().T @ Q)
-    return _unit_phases(Q @ V[:, -1])
+    return Q @ V[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +884,10 @@ def _pivots(h: list[list[complex]]) -> list[float]:
     return pivots
 
 
-def _lagrangian_certified(Q: np.ndarray, dual: _CapDual, mu: float, theta_ref: np.ndarray) -> bool:
+def _lagrangian_certified(Q: np.ndarray, dual: _CapDual | None, mu: float, theta_ref: np.ndarray) -> bool:
     """Whether a diagonal dual certificate proves that no unit-modulus x has
-    L(x) = x^H A x, A = Q Q^H - mu B B^H, above L(theta_ref) + tau N.
+    L(x) = x^H A x, A = Q Q^H - mu B B^H (Q Q^H without a cap, ``dual``
+    None), above L(theta_ref) + tau N.
 
     With d = Re(conj(theta_ref) A theta_ref), sum(d) = L(theta_ref), and every
     unit-modulus x has L(x) = sum(d) - x^H (diag(d) - A) x. So diag(d) - A +
@@ -904,13 +906,16 @@ def _lagrangian_certified(Q: np.ndarray, dual: _CapDual, mu: float, theta_ref: n
     definite when the pivots of the trailing k_Q rows (:func:`_pivots`, on
     Python numbers) are all negative.
     """
-    B = dual.B
-    d = (np.conj(theta_ref) * (Q @ (Q.conj().T @ theta_ref) - mu * (B @ (dual.Bh @ theta_ref)))).real
+    if dual is None:
+        a, V, k = Q @ (Q.conj().T @ theta_ref), Q, 0
+    else:
+        a = Q @ (Q.conj().T @ theta_ref) - mu * (dual.B @ (dual.Bh @ theta_ref))
+        V, k = np.concatenate([math.sqrt(mu) * dual.B, Q], axis=1), dual.k
+    d = (np.conj(theta_ref) * a).real
     w = d + _CERT_SLACK * abs(float(d.sum())) / len(d)
     if not w.min() > 0:
         return False
-    V = np.concatenate([math.sqrt(mu) * B, Q], axis=1)
-    g, k = ((V.conj().T / w) @ V).tolist(), dual.k
+    g = ((V.conj().T / w) @ V).tolist()
     for i, row in enumerate(g):
         row[i] += 1.0 if i < k else -1.0
     pivots = _pivots(g)
@@ -1023,23 +1028,28 @@ def _kkt_newton(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> np.n
     return np.exp(1j * phi)
 
 
-def _finish(Q: np.ndarray, dual: _CapDual | None, run: _Run) -> _Run:
-    """``run`` finished: its kept copy taken by :func:`_kkt_newton` where
-    that rates higher by :func:`_score`, with one more trace point (gap 0,
-    rho ``_RHO0``), and kept otherwise. Either way the finish counts as one
-    outer iteration.
+def _newton_point(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """:func:`_kkt_newton` from ``theta`` under the finish's cap rule, and
+    whether the cap was held.
 
-    The cap is held when the copy is over gamma (1 - ``_CAP_ACTIVE_RTOL``);
+    The cap is held when ``theta`` is over gamma (1 - ``_CAP_ACTIVE_RTOL``);
     below that Newton runs without it, and once more with it when that
-    lands over gamma.
+    lands over gamma. The point is None where a step is not finite.
     """
-    theta = run.theta
     if dual is not None and dual.quad(theta) > dual.gamma * (1.0 - _CAP_ACTIVE_RTOL):
-        point = _kkt_newton(Q, dual, theta)
-    else:
-        point = _kkt_newton(Q, None, theta)
-        if point is not None and dual is not None and dual.quad(point) > dual.gamma:
-            point = _kkt_newton(Q, dual, theta)
+        return _kkt_newton(Q, dual, theta), True
+    point = _kkt_newton(Q, None, theta)
+    if point is not None and dual is not None and dual.quad(point) > dual.gamma:
+        return _kkt_newton(Q, dual, theta), True
+    return point, False
+
+
+def _finish(Q: np.ndarray, dual: _CapDual | None, run: _Run) -> _Run:
+    """``run`` finished: its kept copy taken to its Newton point
+    (:func:`_newton_point`) where that rates higher by :func:`_score`, with
+    one more trace point (gap 0, rho ``_RHO0``), and kept otherwise. Either
+    way the finish counts as one outer iteration."""
+    point, _ = _newton_point(Q, dual, run.theta)
     new = None if point is None else _score(Q, dual, point)
     if new is None or not new > run.objective:
         return run._replace(outer=run.outer + 1)
@@ -1059,50 +1069,56 @@ def _scaled(problem: ProblemData) -> tuple[np.ndarray, float, _CapDual | None]:
 
 
 _DUAL_SCALE = 1e8  # P9 projects this multiple of q: its dual is then the cap dual, Huber-smoothed
-_ROUTE_GAP = 1e-9  # the one-objective route returns at a certified gap this small
+_ROUTE_GAP = 1e-9  # the certified route returns at a certified gap this small
 
 
-def _one_objective(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
-    """The maximizer of a one-objective problem, Q = q, certified by weak
-    duality to ``_ROUTE_GAP``, as a run of one finish: one outer iteration,
-    one trace point (gap 0, rho ``_RHO0``), converged. None where the
-    certificate fails.
+def _certified(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
+    """The maximizer of the problem reached through the cap dual along its
+    principal objective direction and certified to ``_ROUTE_GAP``, as a run
+    of one finish: one outer iteration, one trace point (gap 0, rho
+    ``_RHO0``), converged. None where the certificate fails.
 
-    Relaxed to |theta_n| <= 1, the problem is max Re(q^H theta) (the
-    feasible set is invariant to a global phase), whose dual over y in C^k,
-    k = B.shape[1], is D(y) = sum_n |q_n - (B y)_n| + sqrt(gamma) ||y||.
-    Any y bounds the square root of the optimum by D(y) (weak duality), and
-    the relaxed maximizer at the dual optimum y* is theta_n = phase(q_n -
-    (B y*)_n), unit modulus wherever no entry vanishes (the fixed-rank view
-    of unit-modulus quadratic programs; Karystinos & Liavas, IEEE Trans.
-    Inf. Theory 2010).
+    q = Q c for the principal eigenvector c of Q^H Q (c = 1 for one
+    objective vector). Relaxed to |theta_n| <= 1, max Re(q^H theta) has the
+    dual D(y) = sum_n |q_n - (B y)_n| + sqrt(gamma) ||y|| over y in C^k,
+    k = B.shape[1], and its maximizer at the dual optimum y* is theta_n =
+    phase(q_n - (B y*)_n), unit modulus wherever no entry vanishes (the
+    fixed-rank view of unit-modulus quadratic programs; Karystinos &
+    Liavas, IEEE Trans. Inf. Theory 2010): for one objective vector the
+    maximizer of the problem itself, for two only a start.
 
-    y is w / t for the dual point w of the P9 projection of t q, t =
+    y is w / t for the dual point w of the cold P9 projection of t q, t =
     ``_DUAL_SCALE``: its entries t q_n - (B w)_n lie outside the unit disk
     unless y nears an anchor, where (B y)_n = q_n, so its Huber terms are
-    |.| - 1/2 and its dual is -t D(w / t) up to a constant. Where P9
-    returns w = None, phase(q) meets the cap and is the unconstrained
-    maximizer, with y = 0. Otherwise :func:`_kkt_newton` holds the cap from
-    phase(q - B y). The point is returned when :func:`_score` rates it
-    (under the cap) and 1 - ||Q^H theta||^2 / D(y)^2 <= ``_ROUTE_GAP``. A projection that raises
-    :class:`ProjectionError` or a non-finite Newton step returns None.
+    |.| - 1/2 and its dual is -t D(w / t) up to a constant. The start is
+    phase(q - B y), or phase(q) where P9 returns w = None (phase(q) meets
+    the cap). :func:`_newton_point` takes it to a KKT point under the
+    finish's cap rule. The point is returned when :func:`_score` rates it
+    (under the cap) and the diagonal dual certificate
+    (:func:`_lagrangian_certified`) proves it the maximum of ||Q^H x||^2 -
+    mu ||B^H x||^2 over unit-modulus x, with mu from :func:`_cap_multiplier`
+    where the cap is held and 0 where it is not. Weak duality then bounds
+    every x under the cap by ||Q^H theta||^2 + mu (gamma - ||B^H theta||^2)
+    + tau N, and that gap, relative to the value, must be at most
+    ``_ROUTE_GAP``. A projection that raises :class:`ProjectionError` or a
+    non-finite Newton step returns None.
     """
-    q = Q[:, 0]
+    q = _principal(Q)
     try:
         _, w = _p9_dual(_DUAL_SCALE * q, dual, None)
     except ProjectionError:
         return None
-    if w is None:
-        theta, bound = _unit_phases(q), float(np.abs(q).sum())
-    else:
-        w = w / _DUAL_SCALE
-        residual = q - dual.C @ w  # q - B y
-        theta = _kkt_newton(Q, dual, _unit_phases(residual))
-        if theta is None:
+    start = _unit_phases(q if w is None else q - dual.C @ (w / _DUAL_SCALE))  # phase(q - B y)
+    theta, held = _newton_point(Q, dual, start)
+    value = None if theta is None else _score(Q, dual, theta)
+    if value is None:
+        return None
+    mu = 0.0  # without the cap held, the gap is _CERT_SLACK, inside _ROUTE_GAP
+    if held:
+        mu, cap = _cap_multiplier(Q, dual, theta), dual.quad(theta)
+        if mu * (dual.gamma - cap) + _CERT_SLACK * abs(value - mu * cap) > _ROUTE_GAP * value:
             return None
-        bound = float(np.abs(residual).sum()) + dual.root_gamma * math.hypot(*w.tolist())
-    value = _score(Q, dual, theta)
-    if value is None or value < (1.0 - _ROUTE_GAP) * bound**2:
+    if not _lagrangian_certified(Q, dual, mu, theta):
         return None
     return _Run(theta, value, [(theta, 0.0, _RHO0)], True, 1)
 
@@ -1117,18 +1133,19 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     across the outer iterations; ``converged=False`` flags a run that hit
     the outer iteration cap before the two variable copies merged.
 
-    The solve works on the problem as :func:`_scaled` gives it. A problem
-    with one objective vector is first tried by the route of
-    :func:`_one_objective`: one P9 dual solve, the phases of the relaxed
-    maximizer and Newton's method holding the cap. Its result is returned
-    when it is under the cap and within ``_ROUTE_GAP`` of its weak-duality
-    bound; it then reports one outer iteration (one finish), one trace
-    point (gap 0, rho ``_RHO0``) and ``converged=True``, and ``init`` goes
-    unused. Otherwise, and for every problem with two objective vectors,
-    the solve is the penalty-dual loop (:func:`_pdd_loop`), bit for bit as
-    without the route. Both hand back the same run record (:class:`_Run`),
-    and the result is assembled from it here, and only here: the trace in
-    the problem's own units and the reflection checked against its cap.
+    The solve works on the problem as :func:`_scaled` gives it. Every
+    problem, of one objective vector or two, is first tried by the route of
+    :func:`_certified`: one P9 dual solve along the principal objective
+    direction, the phases of the relaxed maximizer and Newton's method
+    under the finish's cap rule. Its result is returned when it is under
+    the cap and the diagonal dual certificate proves it the global maximum
+    to ``_ROUTE_GAP``; it then reports one outer iteration (one finish),
+    one trace point (gap 0, rho ``_RHO0``) and ``converged=True``, and
+    ``init`` goes unused. Otherwise the solve is the penalty-dual loop
+    (:func:`_pdd_loop`), bit for bit as without the route. Both hand back
+    the same run record (:class:`_Run`), and the result is assembled from
+    it here, and only here: the trace in the problem's own units and the
+    reflection checked against its cap.
 
     The first start aligns with the dominant objective direction (or uses
     the explicit ``init``), blended toward a cap-suppressing reflection
@@ -1170,7 +1187,7 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     """
     init = None if init is None else _finite_vector("init", init, problem.n)
     Q, sq, dual = _scaled(problem)
-    run = _one_objective(Q, dual) if Q.shape[1] == 1 else None
+    run = _certified(Q, dual)
     if run is None:
         run = _pdd_loop(Q, dual, init)
     trace = tuple(
@@ -1205,7 +1222,7 @@ def _pdd_loop(Q: np.ndarray, dual: _CapDual | None, init: np.ndarray | None) -> 
             theta0 = _blend_feasible(theta0, cap_point, dual) if _feasible(dual, cap_point) else cap_point
         return _penalty_dual(Q, dual, theta0)
 
-    best = single_run(_principal_phases(Q) if init is None else _unit_phases(init))
+    best = single_run(_unit_phases(_principal(Q) if init is None else init))
     if best.theta is not None:
         best = _finish(Q, dual, best)
     if best.theta is None or dual is not None and dual.quad(best.theta) > dual.gamma / 2:

@@ -1062,8 +1062,8 @@ def test_pdd_repeat_solves_identical_on_binding_cap(rng):
     # first problem; oracle instance 23 runs them.
     for prob, restarts in ((random_problem(rng, n=16, gamma_frac=0.05), False),
                            (oracle_instance(23), True)):
-        r1 = pdd_solve(prob)
-        r2 = pdd_solve(prob)
+        r1 = pdd_loop(prob)
+        r2 = pdd_loop(prob)
         if restarts:
             assert r1.outer_iterations > len(r1.trace)  # more than one start ran
         assert r1.objective == r2.objective
@@ -1105,9 +1105,8 @@ def test_pdd_solve_with_candidates_rejects_a_bad_candidate_before_solving(monkey
 
 def pdd_loop(problem, init=None):
     """pdd_solve by its penalty-dual loop alone: the path of every problem
-    with two objective vectors, and of a one-objective problem whose route
-    is not certified."""
-    with mock.patch.object(optimizer, "_one_objective", lambda Q, dual: None):
+    whose certified route fails."""
+    with mock.patch.object(optimizer, "_certified", lambda Q, dual: None):
         return pdd_solve(problem, init)
 
 
@@ -1166,7 +1165,7 @@ def test_screen_runs_the_restarts_of_oracle_instance_23(monkeypatch):
     prob = oracle_instance(23)
     runs = spy_solver_runs(monkeypatch)
     finishes = spy_finishes(monkeypatch)
-    res = pdd_solve(prob)
+    res = pdd_loop(prob)
     _, best = brute_force_oracle(prob, 16)
     sq2 = max(np.linalg.norm(q) for q in prob.Q.T) ** 2  # pdd_solve scores on Q / sq
     finished = sq2 * finishes[0][3]
@@ -1180,7 +1179,7 @@ def test_winning_restart_of_oracle_instance_23_is_finished(monkeypatch):
     # start: from its kept copy, kept if it scores higher
     runs = spy_solver_runs(monkeypatch)
     finishes = spy_finishes(monkeypatch)
-    res = pdd_solve(oracle_instance(23))
+    res = pdd_loop(oracle_instance(23))
     winner = max((out for _, out in runs[1:]), key=lambda out: out[1])
     assert winner[1] > finishes[0][3]  # it beats the finished first start
     assert len(finishes) == 2
@@ -1206,7 +1205,7 @@ def test_every_run_starts_from_a_cold_projection_dual(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_p9_dual", spy_p9)
     monkeypatch.setattr(optimizer, "_penalty_dual", spy_run)
-    pdd_solve(oracle_instance(23))
+    pdd_loop(oracle_instance(23))
     starts = [k for k, event in enumerate(events) if isinstance(event, str)]
     assert len(starts) > 1  # a restart ran
     assert all(events[k + 1] is None for k in starts)
@@ -1267,7 +1266,7 @@ def test_screened_out_restarts_never_reach_the_penalty_dual_loop(rng, monkeypatc
         screens.clear()
         runs.clear()
         finishes.clear()
-        pdd_solve(prob)
+        pdd_loop(prob)
         if not screens:
             continue  # the cap does not bind at the finished first start
         Q, dual, theta_ref, starts, keep = screens[0]
@@ -1321,7 +1320,7 @@ def test_lagrangian_certificate_agrees_with_dense_eigenvalues(rng, monkeypatch, 
     for _ in range(6):
         prob = cut_problem(rng, n, k_q, k_b, gamma_frac=0.3)
         screens.clear()
-        pdd_loop(prob)  # a certified one-objective route would skip the screen
+        pdd_loop(prob)  # a certified route would skip the screen
         if not screens:
             continue  # the cap does not bind at the finished first start
         solves += 1
@@ -1359,14 +1358,14 @@ def test_one_objective_route_is_certified_in_one_finish(rng, case):
 def test_one_objective_route_falls_back_where_objective_and_cap_are_parallel():
     # q = c b with the cap binding: the dual optimum is y* = c, where every
     # q_n - y* b_n vanishes and the relaxed maximizer has no phase. The
-    # route's Newton point is under the cap, but its gap to the bound, about
-    # 4e-8, is not certified, so the solve is the penalty-dual loop's, bit
-    # for bit
+    # route's Newton point is under the cap, but the diagonal certificate
+    # refuses it (its slack to the cap alone is a gap of 8e-9), so the solve
+    # is the penalty-dual loop's, bit for bit
     rng = np.random.default_rng(1)
     b = rng.normal(size=16) + 1j * rng.normal(size=16)
     prob = ProblemData(Q=((0.7 - 0.4j) * b)[:, None], B=b[:, None], gamma=0.3 * np.abs(b).sum() ** 2)
     Q, _, dual = optimizer._scaled(prob)
-    assert optimizer._one_objective(Q, dual) is None
+    assert optimizer._certified(Q, dual) is None
     assert pdd_solve(prob) == pdd_loop(prob)
 
 
@@ -1385,10 +1384,51 @@ def test_one_objective_route_falls_back_on_a_projection_error(rng, monkeypatch):
 
     monkeypatch.setattr(optimizer, "_p9_dual", first_call_raises)
     Q, _, dual = optimizer._scaled(prob)
-    assert optimizer._one_objective(Q, dual) is None
+    assert optimizer._certified(Q, dual) is None
     calls.clear()
     assert pdd_solve(prob) == loop
     assert len(calls) > 1
+
+
+def spy_certificates(monkeypatch):
+    """Record (Q, dual, mu, theta, certified) of every diagonal dual certificate tested."""
+    calls = []
+    certified = optimizer._lagrangian_certified
+
+    def spy(Q, dual, mu, theta):
+        out = certified(Q, dual, mu, theta)
+        calls.append((Q, dual, mu, theta, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "_lagrangian_certified", spy)
+    return calls
+
+
+def test_uncertified_two_objective_solve_is_the_loop_bit_for_bit(monkeypatch):
+    # oracle instance 23 (P3, N = 4): the route's point is refused by the
+    # certificate, so the solve is the penalty-dual loop's, which keeps the
+    # instance-23 pin
+    prob = oracle_instance(23)
+    certificates = spy_certificates(monkeypatch)
+    Q, _, dual = optimizer._scaled(prob)
+    assert optimizer._certified(Q, dual) is None
+    assert [out for *_, out in certificates] == [False]
+    res = pdd_solve(prob)
+    assert res == pdd_loop(prob)
+    assert res.objective / brute_force_oracle(prob, 16)[1] >= ORACLE_23_RATIO
+
+
+def test_uncapped_two_objective_problem_is_certified_at_mu_zero(rng, monkeypatch):
+    # no cap: the route runs Newton without it from the principal phases, and
+    # the certificate proves the point the maximum of ||Q^H x||^2 itself
+    prob = replace(random_problem(rng, n=16, case="P3"), B=None)
+    certificates = spy_certificates(monkeypatch)
+    res = pdd_solve(prob)
+    [(Q, dual, mu, theta, certified)] = certificates
+    assert dual is None and mu == 0.0 and certified
+    assert dense_certified(Q, np.zeros((16, 0)), mu, theta)
+    assert res.converged and res.outer_iterations == 1 and len(res.trace) == 1
+    assert res.objective >= pdd_loop(prob).objective * (1 - 1e-9)
 
 
 def test_zero_pivot_refuses_the_lagrangian_certificate(monkeypatch):
@@ -1419,7 +1459,7 @@ def test_finish_never_lowers_the_first_start(rng, monkeypatch):
     for prob in problems:
         runs.clear()
         finishes.clear()
-        res = pdd_solve(prob)
+        res = pdd_loop(prob)
         first = runs[0][1]
         start, value, finished_theta, finished = finishes[0]
         assert start is first[0] and value == first[1]  # it starts at the first start's kept copy
@@ -1530,7 +1570,7 @@ def test_cap_minimizer_stop_level_keeps_infeasible_decisions(rng, monkeypatch):
     def solve(problem):
         calls.clear()
         try:
-            pdd_solve(problem)
+            pdd_loop(problem)
         except Infeasible:
             return True
         except Decided:
@@ -1721,7 +1761,7 @@ def test_cap_violating_returns_raise_infeasible(rng, monkeypatch):
         m.setattr(optimizer, "_penalty_dual", shrunken_run)
         m.setattr(optimizer, "_finish", no_finish)
         with pytest.raises(Infeasible, match="exceeds gamma"):
-            pdd_solve(problem)
+            pdd_loop(problem)
 
     weak = optimizer.PddResult(theta=ReflectionVector.off(problem.n), objective=0.0)
     monkeypatch.setattr(optimizer, "pdd_solve", lambda *args, **kwargs: weak)

@@ -30,7 +30,7 @@ from irsim import (
 from irsim import optimizer
 
 from conftest import random_geometry, random_reflection
-from test_optimizer import cut_problem, kkt_residual, pdd_loop, random_problem, screened
+from test_optimizer import cut_problem, dense_certified, kkt_residual, pdd_loop, random_problem, screened
 
 # a fixed example set, so the gate is deterministic; about 2 s at these sizes
 SOLVER_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -77,7 +77,7 @@ def test_certified_first_start_maximizes_the_screen_lagrangian(seed, n, case, ga
         return screen(*args)
 
     with mock.patch.object(optimizer, "_screen_starts", spy):
-        pdd_loop(problem)  # a certified one-objective route would skip the screen
+        pdd_loop(problem)  # a certified route would skip the screen
     if not screens:
         return  # the cap does not bind at the finished first start
     Q, dual, theta_ref, starts = screens[0]
@@ -121,6 +121,41 @@ def test_one_objective_solve_is_under_its_dual_bound(seed, n, case, gamma_frac):
     bound = np.abs(q - B @ y).sum() + np.sqrt(cap) * np.linalg.norm(y)
     assert res.objective / sq**2 <= bound**2 * (1 + 1e-9)
     assert res.objective >= pdd_loop(problem).objective * (1 - 1e-9)
+
+
+@SOLVER_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 32),
+    case=st.sampled_from(["P1", "P2", "P3", "P4"]),
+    gamma_frac=st.floats(0.05, 2.0),
+)
+@example(seed=2, n=16, case="P3", gamma_frac=0.1)  # two the route leaves to the loop
+@example(seed=18, n=16, case="P3", gamma_frac=1.5)
+def test_certified_route_is_optimal_where_it_returns(seed, n, case, gamma_frac):
+    # wherever the route returns, its point is unit modulus and under the
+    # cap, no lower than the penalty-dual loop's, and its certificate agrees
+    # with the dense eigenvalue test; elsewhere the solve is the loop's
+    problem = random_problem(np.random.default_rng(seed), n=n, case=case, gamma_frac=gamma_frac)
+    Q, sq, dual = optimizer._scaled(problem)
+    certificates = []
+    certified = optimizer._lagrangian_certified
+
+    def spy(Q, dual, mu, theta):
+        certificates.append((mu, theta))
+        return certified(Q, dual, mu, theta)
+
+    with mock.patch.object(optimizer, "_lagrangian_certified", spy):
+        run = optimizer._certified(Q, dual)
+    if run is None:
+        assert pdd_solve(problem) == pdd_loop(problem)
+        return
+    coeff = pdd_solve(problem).theta.coefficients
+    assert np.max(np.abs(np.abs(coeff) - 1.0)) <= 4 * np.finfo(float).eps
+    assert problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 1e-6)
+    assert sq**2 * run.objective >= pdd_loop(problem).objective * (1 - 1e-9)
+    [(mu, theta)] = certificates
+    assert theta is run.theta and dense_certified(Q, dual.B, mu, theta)
 
 
 # Median stationarity residual of pdd_solve over the fixed problem set of the
