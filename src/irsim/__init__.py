@@ -12,14 +12,7 @@ from .arrays import (
     steering_irs,
     steering_radar,
 )
-from .channel import (
-    ChannelSet,
-    LinkGain,
-    ScenarioGeometry,
-    build_channels,
-    path_gain,
-    sample_reference_phases,
-)
+from .channel import ScenarioGeometry, path_gain, sample_reference_phases
 from .config import ConfigError, ScenarioConfig
 from .experiments import EXPERIMENT_IDS, SweepSpec, default_grid, emit, run_experiment
 from .optimizer import (
@@ -37,7 +30,6 @@ from .optimizer import (
     pdd_solve,
     pdd_solve_with_candidates,
     problem_constraint,
-    problem_objective,
 )
 from .power import (
     PowerReport,

@@ -1,10 +1,12 @@
-"""Line-of-sight channel matrices between the radars and the reflector.
+"""Line-of-sight geometry and link gains between the radars and the reflector.
 
 Each hop is a rank-1 outer product of the radar-side and reflector-side
 steering vectors, scaled by a complex link gain alpha = exp(j nu) * abar.
 The repo's gain convention for abar is the one-way free-space amplitude
 wavelength / (4 pi distance); the no-reflector baseline uses the radar
-range equation instead (see :mod:`irsim.protocol`).
+range equation instead (see :mod:`irsim.protocol`). The power closed forms
+never build a hop matrix: :func:`_hop_matrices` is the private reference
+that the guard :func:`irsim.power.bilinear_link_power` multiplies out.
 """
 
 from __future__ import annotations
@@ -17,32 +19,10 @@ import numpy as np
 from .arrays import AnglePair, ArraySpec, steering_irs, steering_radar
 
 __all__ = [
-    "LinkGain",
-    "ChannelSet",
     "ScenarioGeometry",
     "path_gain",
     "sample_reference_phases",
-    "build_channels",
 ]
-
-
-@dataclass(frozen=True)
-class LinkGain:
-    """Complex LoS gain split into real amplitude and reference phase."""
-
-    amplitude: float
-    reference_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        object.__setattr__(
-            self, "reference_phase", float(self.reference_phase % (2.0 * np.pi))
-        )
-
-    @property
-    def value(self) -> complex:
-        return self.amplitude * np.exp(1j * self.reference_phase)
 
 
 @dataclass(frozen=True)
@@ -76,22 +56,12 @@ class ScenarioGeometry:
         return self.irs_spec.wavelength
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """The four LoS hop matrices (radar -> reflector and back, both radars)."""
-
-    h_li: np.ndarray  # reflector -> legitimate radar, M x N
-    h_il: np.ndarray  # legitimate radar -> reflector, N x M
-    h_ui: np.ndarray  # reflector -> unauthorized radar, D x N
-    h_iu: np.ndarray  # unauthorized radar -> reflector, N x D
-
-
 def path_gain(distance: float, wavelength: float) -> float:
     """One-way free-space amplitude gain wavelength / (4 pi distance)."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    if not (math.isfinite(distance) and distance > 0):
+        raise ValueError(f"distance must be finite and positive, got {distance}")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
     return wavelength / (4.0 * np.pi * distance)
 
 
@@ -101,14 +71,15 @@ def sample_reference_phases(rng: np.random.Generator) -> tuple[float, float]:
     return float(nu[0]), float(nu[1])
 
 
-def build_channels(geom: ScenarioGeometry, gains: tuple[LinkGain, LinkGain]) -> ChannelSet:
-    """Construct the four rank-1 hop matrices for one scenario.
+def _hop_matrices(geom: ScenarioGeometry, alpha_l: complex, alpha_u: complex) -> tuple:
+    """The four rank-1 hop matrices (h_li, h_il, h_ui, h_iu) of one scenario.
 
-    ``gains`` holds the (legitimate, unauthorized) link gains. Every matrix
-    entry has modulus equal to the corresponding amplitude.
+    ``alpha_l``/``alpha_u`` are the complex gains of the legitimate and the
+    unauthorized link; every entry of a hop matrix has the modulus of its
+    link's gain. h_li (M x N) and h_ui (D x N) carry the reflector's echo to
+    each radar, h_il (N x M) and h_iu (N x D) each radar's pulse to the
+    reflector.
     """
-    gain_l, gain_u = gains
-    al, au = gain_l.value, gain_u.value
     b_rx = steering_radar(geom.lrs_spec, geom.angles_l, "receive")
     b_tx = steering_radar(geom.lrs_spec, geom.angles_l, "transmit")
     c_rx = steering_radar(geom.urs_spec, geom.angles_u, "receive")
@@ -117,9 +88,9 @@ def build_channels(geom: ScenarioGeometry, gains: tuple[LinkGain, LinkGain]) -> 
     a_l_out = steering_irs(geom.irs_spec, geom.angles_l, "reflected")
     a_u_in = steering_irs(geom.irs_spec, geom.angles_u, "incident")
     a_u_out = steering_irs(geom.irs_spec, geom.angles_u, "reflected")
-    return ChannelSet(
-        h_li=al * np.outer(b_rx, np.conj(a_l_out)),
-        h_il=al * np.outer(a_l_in, np.conj(b_tx)),
-        h_ui=au * np.outer(c_rx, np.conj(a_u_out)),
-        h_iu=au * np.outer(a_u_in, np.conj(c_tx)),
+    return (
+        alpha_l * np.outer(b_rx, np.conj(a_l_out)),
+        alpha_l * np.outer(a_l_in, np.conj(b_tx)),
+        alpha_u * np.outer(c_rx, np.conj(a_u_out)),
+        alpha_u * np.outer(a_u_in, np.conj(c_tx)),
     )

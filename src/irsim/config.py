@@ -154,7 +154,7 @@ def _field_error(exc: ValueError, section: str, field_keys: dict,
 class ScenarioConfig:
     """Fully validated scenario: geometry, timing, powers and error model.
 
-    Built only by :meth:`from_parser` (through :meth:`default` or
+    Built only by :meth:`_from_parser` (through :meth:`default` or
     :meth:`from_file`) and :meth:`replace`, so ``DEFAULTS`` holds the one
     copy of the reference values. The nested objects check their own
     values; :meth:`validate` checks the rest. The transmit powers are
@@ -174,7 +174,7 @@ class ScenarioConfig:
 
     @classmethod
     def default(cls) -> "ScenarioConfig":
-        return cls.from_parser(_parser())
+        return cls._from_parser(_parser())
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":
@@ -186,10 +186,10 @@ class ScenarioConfig:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError("config", f"malformed file {path}: {exc}") from exc
-        return cls.from_parser(parser)
+        return cls._from_parser(parser)
 
     @classmethod
-    def from_parser(cls, parser: configparser.ConfigParser) -> "ScenarioConfig":
+    def _from_parser(cls, parser: configparser.ConfigParser) -> "ScenarioConfig":
         for section in parser.sections():
             if section not in DEFAULTS:
                 raise ConfigError(section, "unknown section")

@@ -86,7 +86,6 @@ __all__ = [
     "PddTracePoint",
     "PddResult",
     "build_problem",
-    "problem_objective",
     "problem_constraint",
     "pdd_solve",
     "pdd_solve_with_candidates",
@@ -267,11 +266,6 @@ def build_problem(
     else:
         raise ValueError(f"case must be P1..P4, got {case!r}")
     return ProblemData(Q=np.stack(Q, axis=1), B=np.stack(B, axis=1), gamma=gamma)
-
-
-def problem_objective(problem: ProblemData, coeff: np.ndarray) -> float:
-    """||Q^H theta||^2 for a complex coefficient vector."""
-    return _column_power(problem.Q, coeff)
 
 
 def problem_constraint(problem: ProblemData, coeff: np.ndarray) -> float:
@@ -1263,7 +1257,7 @@ def pdd_solve_with_candidates(
     for i, cand in enumerate(candidates or []):
         coeff = _unit_phases(_finite_vector(f"candidates[{i}]", cand, problem.n))
         if problem_constraint(problem, coeff) <= problem.gamma * (1.0 + 0.1 * FEAS_RTOL):
-            feasible.append((problem_objective(problem, coeff), coeff))
+            feasible.append((_column_power(problem.Q, coeff), coeff))
     best_cand = max(feasible, key=lambda t: t[0]) if feasible else None
     result = pdd_solve(problem, init=None if best_cand is None else best_cand[1])
     if best_cand is not None and best_cand[0] > result.objective:

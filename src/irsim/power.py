@@ -8,8 +8,9 @@ composites the call reads, and a radar's steering vector only for an
 explicit beam; ``_LINK_TABLE`` gives each link its composite and its
 per-watt factor. Every power evaluation goes through the two. Guard path:
 :func:`bilinear_link_power` evaluates the full beamformer/channel-matrix
-product and must agree with the closed forms to machine precision; it
-exists to catch element-ordering bugs.
+product over the private hop matrices of :mod:`irsim.channel` and must
+agree with the closed forms to machine precision; it exists to catch
+element-ordering bugs.
 
 All powers are evaluated at in-pulse (peak) time, where the chirp envelope
 carries its full transmit power.
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import _composites, matched_beamformer, steering_radar
-from .channel import LinkGain, ScenarioGeometry, build_channels, path_gain
+from .channel import ScenarioGeometry, _hop_matrices, path_gain
 
 __all__ = [
     "ReflectionVector",
@@ -255,17 +256,21 @@ def bilinear_link_power(
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
     _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
+    for name, nu in (("nu_l", nu_l), ("nu_u", nu_u)):
+        if not math.isfinite(nu):
+            raise ValueError(f"{name} must be finite, got {nu}")
     w_l = np.asarray(matched_beamformer(geom.lrs_spec, geom.angles_l) if w_l is None else w_l, dtype=complex)
     w_u = np.asarray(matched_beamformer(geom.urs_spec, geom.angles_u) if w_u is None else w_u, dtype=complex)
-    gains = (
-        LinkGain(path_gain(geom.dist_li, geom.wavelength), nu_l),
-        LinkGain(path_gain(geom.dist_ui, geom.wavelength), nu_u),
+    # each phase wrapped to [0, 2 pi) first: exp of the raw phase differs in the last bits
+    h_li, h_il, h_ui, h_iu = _hop_matrices(
+        geom,
+        path_gain(geom.dist_li, geom.wavelength) * np.exp(1j * (nu_l % (2 * np.pi))),
+        path_gain(geom.dist_ui, geom.wavelength) * np.exp(1j * (nu_u % (2 * np.pi))),
     )
-    ch = build_channels(geom, gains)
     src, dst = link[0], link[1]
-    h_in = ch.h_il @ w_l if src == "L" else ch.h_iu @ w_u
+    h_in = h_il @ w_l if src == "L" else h_iu @ w_u
     p_src = p_l if src == "L" else p_u
-    h_out = ch.h_li if dst == "L" else ch.h_ui
+    h_out = h_li if dst == "L" else h_ui
     w_dst = w_l if dst == "L" else w_u
     amp = w_dst @ (h_out @ (theta.coefficients * h_in))
     return float(abs(amp) ** 2 * p_src)

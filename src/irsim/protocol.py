@@ -239,6 +239,8 @@ def default_rcs(irs_spec, echo_ratio: float = 1.2) -> float:
     The echo surface is ``echo_ratio`` times the reflector area S = N d^2 and
     the RCS of a flat plate of area A is 4 pi A^2 / lambda^2.
     """
+    if not (math.isfinite(echo_ratio) and echo_ratio > 0):
+        raise ValueError(f"echo_ratio must be finite and positive, got {echo_ratio}")
     area = echo_ratio * irs_spec.size * irs_spec.spacing**2
     return float(4.0 * np.pi * area**2 / irs_spec.wavelength**2)
 
@@ -253,8 +255,9 @@ def no_irs_baseline_power(
     target. Returns (power at legitimate radar, power at unauthorized
     radar) in watts.
     """
-    if rcs < 0:
-        raise ValueError("rcs must be >= 0")
+    _check_inputs(geom, p_l, p_u)
+    if not (math.isfinite(rcs) and rcs >= 0):
+        raise ValueError(f"rcs must be finite and >= 0, got {rcs}")
     lam = geom.wavelength
     def rr(p, count, dist):
         return p * count**2 * lam**2 * rcs / ((4.0 * np.pi) ** 3 * dist**4)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irsim import AnglePair, ArraySpec, LinkGain, ScenarioGeometry, build_channels, path_gain
+from irsim import AnglePair, ArraySpec, ScenarioGeometry, path_gain
+from irsim.channel import _hop_matrices
 
 
 def random_angles(rng, elev_lo=0.05, elev_hi=None):
@@ -49,18 +50,16 @@ def overlap_field_amplitudes(geom, theta, w_l, w_u, p_l, p_u, side="L"):
     multiply the two returned terms as exp(2j nu_own) for the same-radar
     echo and exp(j(nu_l + nu_u)) for the cross echo.
     """
-    gains = (
-        LinkGain(path_gain(geom.dist_li, geom.wavelength), 0.0),
-        LinkGain(path_gain(geom.dist_ui, geom.wavelength), 0.0),
+    h_li, h_il, h_ui, h_iu = _hop_matrices(
+        geom, path_gain(geom.dist_li, geom.wavelength), path_gain(geom.dist_ui, geom.wavelength)
     )
-    ch = build_channels(geom, gains)
     d = np.diag(theta.coefficients)
     if side == "L":
-        a_own = (w_l @ ch.h_li @ d @ ch.h_il @ w_l) * np.sqrt(p_l)
-        a_cross = (w_l @ ch.h_li @ d @ ch.h_iu @ w_u) * np.sqrt(p_u)
+        a_own = (w_l @ h_li @ d @ h_il @ w_l) * np.sqrt(p_l)
+        a_cross = (w_l @ h_li @ d @ h_iu @ w_u) * np.sqrt(p_u)
     else:
-        a_own = (w_u @ ch.h_ui @ d @ ch.h_iu @ w_u) * np.sqrt(p_u)
-        a_cross = (w_u @ ch.h_ui @ d @ ch.h_il @ w_l) * np.sqrt(p_l)
+        a_own = (w_u @ h_ui @ d @ h_iu @ w_u) * np.sqrt(p_u)
+        a_cross = (w_u @ h_ui @ d @ h_il @ w_l) * np.sqrt(p_l)
     return a_own, a_cross
 
 

@@ -4,14 +4,13 @@ import pytest
 from irsim import (
     AnglePair,
     ArraySpec,
-    LinkGain,
     ScenarioGeometry,
-    build_channels,
     composite_vector,
     path_gain,
     sample_reference_phases,
     steering_radar,
 )
+from irsim.channel import _hop_matrices
 
 from conftest import random_geometry
 
@@ -35,6 +34,11 @@ def test_path_gain_rejects_nonpositive():
         path_gain(0.0, 0.2)
     with pytest.raises(ValueError):
         path_gain(-1.0, 0.2)
+    # non-finite inputs would give nan, 0 or inf instead of a gain
+    for name, args in (("distance", (np.nan, 0.2)), ("distance", (np.inf, 0.2)),
+                       ("wavelength", (30.0, np.inf)), ("wavelength", (30.0, np.nan))):
+        with pytest.raises(ValueError, match=name):
+            path_gain(*args)
 
 
 def test_reference_phases_deterministic():
@@ -56,10 +60,11 @@ def test_channel_entry_modulus_and_rank(rng):
         abar_l = path_gain(geom.dist_li, geom.wavelength)
         abar_u = path_gain(geom.dist_ui, geom.wavelength)
         nu_l, nu_u = sample_reference_phases(rng)
-        ch = build_channels(geom, (LinkGain(abar_l, nu_l), LinkGain(abar_u, nu_u)))
-        np.testing.assert_allclose(np.abs(ch.h_li), abar_l, rtol=1e-12)
-        np.testing.assert_allclose(np.abs(ch.h_iu), abar_u, rtol=1e-12)
-        for mat in (ch.h_li, ch.h_il, ch.h_ui, ch.h_iu):
+        hops = _hop_matrices(geom, abar_l * np.exp(1j * nu_l), abar_u * np.exp(1j * nu_u))
+        h_li, _, _, h_iu = hops
+        np.testing.assert_allclose(np.abs(h_li), abar_l, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(h_iu), abar_u, rtol=1e-12)
+        for mat in hops:
             s = np.linalg.svd(mat, compute_uv=False)
             if s.size > 1:
                 assert s[1] <= 1e-9 * s[0]
@@ -68,8 +73,8 @@ def test_channel_entry_modulus_and_rank(rng):
 def test_channel_reciprocal_moduli(rng):
     geom = random_geometry(rng)
     g = path_gain(geom.dist_li, geom.wavelength)
-    ch = build_channels(geom, (LinkGain(g, 0.3), LinkGain(g, 1.1)))
-    np.testing.assert_allclose(np.abs(ch.h_li), np.abs(ch.h_il).T, rtol=1e-12)
+    h_li, h_il, _, _ = _hop_matrices(geom, g * np.exp(0.3j), g * np.exp(1.1j))
+    np.testing.assert_allclose(np.abs(h_li), np.abs(h_il).T, rtol=1e-12)
 
 
 def test_channel_matched_product_magnitude(rng):
@@ -77,12 +82,12 @@ def test_channel_matched_product_magnitude(rng):
     for _ in range(10):
         geom = random_geometry(rng)
         abar = path_gain(geom.dist_li, geom.wavelength)
-        ch = build_channels(geom, (LinkGain(abar, 0.0), LinkGain(abar, 0.0)))
+        h_li, h_il, _, _ = _hop_matrices(geom, abar, abar)
         m = geom.lrs_spec.size
         n = geom.irs_spec.size
         w = steering_radar(geom.lrs_spec, geom.angles_l, "transmit") / np.sqrt(m)
         u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
-        val = w @ ch.h_li @ np.diag(u) @ ch.h_il @ w
+        val = w @ h_li @ np.diag(u) @ h_il @ w
         np.testing.assert_allclose(abs(val), abar**2 * m * n, rtol=1e-10)
 
 
@@ -94,8 +99,8 @@ def test_channel_gain_scaling_power_quartic(rng):
     u = composite_vector("U", geom.angles_l, geom.angles_u, geom.irs_spec)
 
     def power(scale):
-        ch = build_channels(geom, (LinkGain(scale, 0.0), LinkGain(scale, 0.0)))
-        return abs(w @ ch.h_li @ np.diag(u) @ ch.h_il @ w) ** 2
+        h_li, h_il, _, _ = _hop_matrices(geom, scale, scale)
+        return abs(w @ h_li @ np.diag(u) @ h_il @ w) ** 2
 
     np.testing.assert_allclose(power(3.0), 81.0 * power(1.0), rtol=1e-9)
 
@@ -111,10 +116,3 @@ def test_geometry_rejects_mixed_wavelengths():
             urs_spec=ArraySpec(4, 1, 0.1, 0.3),
             irs_spec=ArraySpec(4, 1, 0.02, 0.2),
         )
-
-
-def test_link_gain_validation():
-    with pytest.raises(ValueError):
-        LinkGain(-1.0, 0.0)
-    g = LinkGain(2.0, 2 * np.pi + 0.5)
-    assert 0 <= g.reference_phase < 2 * np.pi

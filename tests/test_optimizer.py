@@ -24,10 +24,9 @@ from irsim import (
     pdd_solve,
     pdd_solve_with_candidates,
     problem_constraint,
-    problem_objective,
 )
 from irsim import optimizer
-from irsim.optimizer import _CapDual, _p9_dual, _top_sigma_sq, _unit_phases
+from irsim.optimizer import _CapDual, _column_power, _p9_dual, _top_sigma_sq, _unit_phases
 
 from conftest import random_angles
 
@@ -112,7 +111,7 @@ def test_build_problem_p4_scales_p3(rng):
     for _ in range(10):
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         np.testing.assert_allclose(
-            problem_objective(p4, theta), t * problem_objective(p3, theta), rtol=1e-12
+            _column_power(p4.Q, theta), t * _column_power(p3.Q, theta), rtol=1e-12
         )
         np.testing.assert_allclose(
             problem_constraint(p4, theta), problem_constraint(p3, theta), rtol=1e-12
@@ -987,7 +986,7 @@ def test_pdd_uncapped_rank_one_reaches_closed_form(rng, shape):
     for init in [None] + [np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in range(3)]:
         res = pdd_solve(prob, init=init)
         np.testing.assert_allclose(res.objective, best, rtol=1e-9)
-        assert problem_objective(prob, res.theta.coefficients) == pytest.approx(best, rel=1e-9)
+        assert _column_power(prob.Q, res.theta.coefficients) == pytest.approx(best, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1514,7 +1513,7 @@ def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
         calls.clear()
         out = finish_once(prob, theta)
         assert len(calls) == 1 and calls[0][0] is None
-        assert out[1] > problem_objective(prob, theta) and kkt_residual(prob, out[0]) <= 1e-12
+        assert out[1] > _column_power(prob.Q, theta) and kkt_residual(prob, out[0]) <= 1e-12
         # a kept copy just under the cap, from which Newton without the cap
         # lands far over it: the finish holds the cap instead. The copy is a
         # solve's result, on the cap, moved down the cap's phase gradient
@@ -1541,7 +1540,7 @@ def test_finish_edge_cases_keep_the_copy_or_hold_the_cap(monkeypatch):
     assert start is theta and free is None and held is not None and held_start is start
     assert 1 - 1e-5 < problem_constraint(prob, start) / prob.gamma < 1 - optimizer._CAP_ACTIVE_RTOL
     assert problem_constraint(prob, over) > 10 * prob.gamma
-    assert out[0] is capped and out[1] > problem_objective(prob, theta)
+    assert out[0] is capped and out[1] > _column_power(prob.Q, theta)
     assert problem_constraint(prob, capped) <= prob.gamma * (1 + optimizer.FEAS_RTOL)
 
 

@@ -7,13 +7,11 @@ import irsim.power
 from irsim import (
     AnglePair,
     ArraySpec,
-    LinkGain,
     ReflectionVector,
     ScenarioConfig,
     ScenarioGeometry,
     SweepSpec,
     bilinear_link_power,
-    build_channels,
     closed_form_urs_null,
     composite_vector,
     dft_codebook,
@@ -28,6 +26,7 @@ from irsim import (
     run_experiment,
     steering_radar,
 )
+from irsim.channel import _hop_matrices
 
 from conftest import overlap_field_amplitudes, random_geometry, random_reflection
 
@@ -142,14 +141,14 @@ def test_overlap_field_split_matches_full_rebuild(rng):
     a_own, a_cross = overlap_field_amplitudes(geom, theta, w_l, w_u, P, P)
     for _ in range(20):
         nu_l, nu_u = rng.uniform(0, 2 * np.pi, 2)
-        gains = (
-            LinkGain(path_gain(geom.dist_li, geom.wavelength), nu_l),
-            LinkGain(path_gain(geom.dist_ui, geom.wavelength), nu_u),
+        h_li, h_il, _, h_iu = _hop_matrices(
+            geom,
+            path_gain(geom.dist_li, geom.wavelength) * np.exp(1j * nu_l),
+            path_gain(geom.dist_ui, geom.wavelength) * np.exp(1j * nu_u),
         )
-        ch = build_channels(geom, gains)
         d = np.diag(theta.coefficients)
-        full = (w_l @ ch.h_li @ d @ ch.h_il @ w_l) * np.sqrt(P) + (
-            w_l @ ch.h_li @ d @ ch.h_iu @ w_u
+        full = (w_l @ h_li @ d @ h_il @ w_l) * np.sqrt(P) + (
+            w_l @ h_li @ d @ h_iu @ w_u
         ) * np.sqrt(P)
         split = np.exp(2j * nu_l) * a_own + np.exp(1j * (nu_l + nu_u)) * a_cross
         np.testing.assert_allclose(full, split, rtol=1e-10)
@@ -295,18 +294,22 @@ def test_power_entry_points_reject_bad_arguments(rng):
     calls = (
         (("theta", "p_l", "p_u", "w_l", "w_u"),
          lambda theta, p_l, p_u, w_l, w_u: link_power("LL", theta, geom, p_l, p_u, w_l, w_u)),
-        (("theta", "p_l", "p_u", "w_l", "w_u"),
-         lambda theta, p_l, p_u, w_l, w_u: bilinear_link_power("UU", theta, geom, p_l, p_u, w_l, w_u)),
+        (("theta", "p_l", "p_u", "w_l", "w_u", "nu_l", "nu_u"),
+         lambda theta, p_l, p_u, w_l, w_u, nu_l, nu_u:
+             bilinear_link_power("UU", theta, geom, p_l, p_u, w_l, w_u, nu_l, nu_u)),
         (("p_l", "p_u", "w_l", "w_u"),
          lambda p_l, p_u, w_l, w_u: irs_received_powers(geom, p_l, p_u, w_l, w_u)),
         (("theta", "p_l", "p_u"), lambda theta, p_l, p_u: power_report(theta, geom, p_l, p_u)),
     )
-    good = {"theta": random_reflection(rng, n), "p_l": P, "p_u": P, "w_l": None, "w_u": None}
+    good = {"theta": random_reflection(rng, n), "p_l": P, "p_u": P, "w_l": None, "w_u": None,
+            "nu_l": 0.0, "nu_u": 0.0}
     bad = [
         ("theta", random_reflection(rng, n + 1)),
         ("p_l", -P), ("p_l", np.nan), ("p_l", np.inf), ("p_u", -P), ("p_u", np.nan),
         ("w_l", np.ones(m_l + 1) / np.sqrt(m_l + 1)), ("w_l", np.full(m_l, np.nan)),
         ("w_u", np.ones((m_u, 1))), ("w_u", np.full(m_u, np.inf)),
+        # the guard's reference phases; nu_l does not enter link UU
+        ("nu_l", np.nan), ("nu_l", -np.inf), ("nu_u", np.inf),
     ]
     for names, call in calls:
         for name, value in bad:

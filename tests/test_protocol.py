@@ -207,6 +207,23 @@ def test_baseline_zero_rcs():
         no_irs_baseline_power(cfg.geometry, -1.0, P, P)
 
 
+def test_baseline_rejects_bad_arguments():
+    # the power entry points' rule for p_l/p_u, and a finite rcs >= 0
+    geom = ScenarioConfig.default().geometry
+    good = {"rcs": default_rcs(geom.irs_spec), "p_l": P, "p_u": P}
+    bad = [("p_l", -P), ("p_l", np.nan), ("p_u", -P), ("p_u", np.inf), ("rcs", np.nan), ("rcs", np.inf)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            no_irs_baseline_power(geom, **{**good, name: value})
+
+
+def test_default_rcs_rejects_bad_echo_ratio():
+    spec = ArraySpec(64, 1, 0.02, 0.2)
+    for ratio in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="echo_ratio"):
+            default_rcs(spec, ratio)
+
+
 def test_random_phase_baseline_statistics(rng):
     geom = small_geometry(rng, n_axis=32)
     rep = random_phase_baseline(geom, np.random.default_rng(5), 10**4, P, P)
