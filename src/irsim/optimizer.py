@@ -51,10 +51,15 @@ one cold P9 dual solve along the principal objective direction q gives the
 cap dual y of the disk relaxation of max Re(q^H theta), Newton's method
 takes phase(q - B y) to a KKT point, and the diagonal dual certificate
 proves that point the global maximum. With one objective vector (the
-single-radar segments P1 and P2) phase(q - B y) is the maximizer itself;
-with two (P3, P4) it is a start that the certificate judges. Only a
-certified result is returned; every other problem runs the penalty-dual
-loop, bit for bit.
+single-radar segments P1 and P2) phase(q - B y) is the maximizer itself,
+and where phase(q) meets the cap it is returned with no Newton step; with
+two (P3, P4) it is a start that the certificate judges, and a refused
+point held on the cap gets one Newton run without it, for a maximum inside
+the cap. Only a certified result is returned; every other problem runs the
+penalty-dual loop, bit for bit. The route's eigen-problems, all of size 2
+at most (the principal direction, sigma_1^2 of the cap), are solved in
+closed form on Python numbers; the only linear solve it hands to
+numpy.linalg is the Woodbury system of each Newton step.
 
 :func:`pdd_solve` scales the problem once (:func:`_scaled`: the objective
 matrix, its scale and the scaled cap's constants). The route and the loop
@@ -331,10 +336,36 @@ def _spd_solve(a: list[float], b: list[float]) -> list[float] | None:
     return [b0 / a00 - l10 * x1 - l20 * x2 - l30 * x3, x1, x2, x3]
 
 
+def _top_eigenpair(gram: list[list[complex]]) -> tuple[float, tuple[float, complex]]:
+    """The largest eigenvalue of a positive semidefinite Hermitian matrix of
+    size 1 or 2, given as nested lists of Python numbers, and a unit
+    eigenvector of it whose first entry is real and nonnegative.
+
+    For [[a, b], [conj(b), c]] the eigenvalue is (a + c) / 2 + r, r =
+    hypot((a - c) / 2, |b|), and the eigenvector is along (r + (a - c) / 2,
+    conj(b)) when a >= c and along (|b|, (r - (a - c) / 2) conj(b) / |b|)
+    otherwise: each adds numbers of one sign, so nothing cancels. With b = 0
+    it is the unit vector of the larger diagonal entry.
+    """
+    if len(gram) == 1:
+        return gram[0][0].real, (1.0, 0j)
+    (a, b), (_, c) = gram
+    a, c = a.real, c.real
+    half = 0.5 * (a - c)
+    root = math.hypot(half, abs(b))
+    top = 0.5 * (a + c) + root
+    if b == 0:
+        return top, ((1.0, 0j) if half >= 0 else (0.0, 1 + 0j))
+    phase = b.conjugate() / abs(b)
+    v0, v1 = (half + root, abs(b) * phase) if half >= 0 else (abs(b), (root - half) * phase)
+    norm = math.hypot(v0, abs(v1))
+    return top, (v0 / norm, v1 / norm)
+
+
 def _top_sigma_sq(B: np.ndarray) -> float:
-    """Largest eigenvalue of B B^H via the small Gram matrix."""
-    gram = B.conj().T @ B
-    return float(np.max(np.linalg.eigvalsh(gram)))
+    """Largest eigenvalue of B B^H: that of the Gram matrix B^H B, in closed
+    form (:func:`_top_eigenpair`)."""
+    return _top_eigenpair((B.conj().T @ B).tolist())[0]
 
 
 def _real_rows(M: np.ndarray) -> np.ndarray:
@@ -437,7 +468,10 @@ def _p9_dual(
     with slope in [0, slope(0) / 2]. Both cases are common: a full step
     that lands on the maximizer can show a slope a rounding error below 0,
     and Huber terms outside the disk give g no curvature along their
-    radius, so a full step can be orders of magnitude too long. The Newton
+    radius, so a full step can be orders of magnitude too long. A full step
+    whose gradient already meets the tolerance is taken whatever its
+    slope: it has converged, and the regula falsi would only trade it for
+    a point no better. The Newton
     matrix (:meth:`_CapDual.newton_matrix`) is solved by :func:`_spd_solve`,
     and replaced by steepest ascent where rounding leaves it indefinite;
     trial points along a direction d reuse z = b - C w and C d. The first
@@ -504,7 +538,7 @@ def _p9_dual(
             d, slope0 = grad, float(grad @ grad)
         Cd = (Cr @ d).view(complex)
         state, slope = at(1.0)
-        if slope < 0:  # overshoot: Illinois regula falsi on the slope
+        if slope < 0 and math.hypot(*state[4].tolist()) > tol:  # overshoot: Illinois regula falsi on the slope
             lo, s_lo, hi, s_hi, side = 0.0, slope0, 1.0, slope, 0
             for _ in range(60):
                 t = lo + (hi - lo) * s_lo / (s_lo - s_hi)
@@ -556,10 +590,12 @@ def _pull_under_cap(x: np.ndarray, dual: _CapDual, converged: bool) -> np.ndarra
 
 def _principal(Q: np.ndarray) -> np.ndarray:
     """The dominant objective direction Q c, c the principal eigenvector of
-    Q^H Q, found in the span of Q's columns: exactly the objective vector
-    when there is one."""
-    _, V = np.linalg.eigh(Q.conj().T @ Q)
-    return Q @ V[:, -1]
+    Q^H Q in closed form (:func:`_top_eigenpair`): the objective vector
+    itself when there is one."""
+    if Q.shape[1] == 1:
+        return Q[:, 0]
+    _, c = _top_eigenpair((Q.conj().T @ Q).tolist())
+    return Q @ np.array(c)
 
 
 # ---------------------------------------------------------------------------
@@ -975,39 +1011,46 @@ def _kkt_newton(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray) -> np.n
     gradient, by two solves with J in one application: d phi = x1 + d mu
     x2, J x1 = -F, J x2 = b. mu starts from :func:`_cap_multiplier`.
 
+    The Woodbury system lives in arrays allocated once per run and
+    refilled every step: V = [Re P, Im P, 1], e = (S, S, 1 / N) and the
+    right-hand sides. With D = -diag(d), V^T D^-1 rhs is formed as (D^-1
+    V)^T rhs and the solution as (rhs - V sol) D^-1, so that only the
+    small system of size 2 (k_Q + k_B) + 1 <= 9 goes to numpy.linalg.
+
     Stops after ``_NEWTON_STEPS`` steps or once a step moves no phase by
     ``_NEWTON_STEP_TOL``. Returns None when a step is not finite, as where
     the cap's gradient vanishes (N = 1).
     """
     k = Q.shape[1]
     W = Q if dual is None else np.concatenate([Q, dual.B], axis=1)
-    Wh = W.conj().T
+    Wh, m = W.conj().T, W.shape[1]
     mu = 0.0 if dual is None else _cap_multiplier(Q, dual, theta)
-    signs = np.ones(W.shape[1])
     phi = np.angle(theta)
     n = len(phi)
-    ones = np.ones((n, 1))
+    # J + 11^T / N = -diag(d) + V diag(e) V^T, d = Re(conj(theta) A theta),
+    # V = [Re P, Im P, 1] and e = (S, S, 1 / N), filled in place every step
+    V, e = np.ones((n, 2 * m + 1)), np.full(2 * m + 1, 1.0 / n)
+    e[:m] = e[m : 2 * m] = 1.0
+    rhs = np.empty((n, 1 if dual is None else 2))  # -F, and b with the cap
+    eye = np.eye(2 * m + 1)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             theta = np.exp(1j * phi)
             p = Wh @ theta
-            signs[k:] = -mu
+            e[k:m] = e[m + k : 2 * m] = -mu
             P = np.conj(theta)[:, None] * W
-            t = P @ (signs * p)  # conj(theta) A theta
-            e = np.concatenate([signs, signs, [1.0 / n]])
-            V = np.concatenate([P.real, P.imag, ones], axis=1)
-            # J + 11^T / N = -diag(d) + V diag(e) V^T, d = Re(conj(theta) A theta)
+            t = P @ (e[:m] * p)  # conj(theta) A theta
+            V[:, :m], V[:, m : 2 * m] = P.real, P.imag
             neg_inv_d = -1.0 / t.real
-            rhs = -t.imag[:, None]
+            np.negative(t.imag, out=rhs[:, 0])
             if dual is not None:
-                b = (P[:, k:] @ p[k:]).imag
-                rhs = np.concatenate([rhs, b[:, None]], axis=1)
-            DR, DV = rhs * neg_inv_d[:, None], V * neg_inv_d[:, None]
-            small = np.eye(len(e)) + e[:, None] * (V.T @ DV)
+                rhs[:, 1] = b = (P[:, k:] @ p[k:]).imag
+            DV = V * neg_inv_d[:, None]
             try:
-                X = DR - DV @ np.linalg.solve(small, e[:, None] * (V.T @ DR))
+                sol = np.linalg.solve(eye + e[:, None] * (V.T @ DV), e[:, None] * (DV.T @ rhs))
             except np.linalg.LinAlgError:
                 return None
+            X = (rhs - V @ sol) * neg_inv_d[:, None]
             step = X[:, 0]
             if dual is not None:
                 cap = float(np.vdot(p[k:], p[k:]).real)
@@ -1055,10 +1098,10 @@ def _scaled(problem: ProblemData) -> tuple[np.ndarray, float, _CapDual | None]:
     ``_RHO0`` is problem-independent; its scale sq; and the constants of the
     cap scaled the same way, shared by every start (None without a cap)."""
     Q, B = problem.Q, problem.B
-    sq = float(max(np.linalg.norm(q) for q in Q.T))
+    sq = float(np.linalg.norm(Q, axis=0).max())
     if B is None:
         return Q / sq, sq, None
-    sh = float(max(np.linalg.norm(b) for b in B.T))
+    sh = float(np.linalg.norm(B, axis=0).max())
     return Q / sq, sq, _CapDual(B / sh, problem.gamma / sh**2)
 
 
@@ -1084,26 +1127,63 @@ def _certified(Q: np.ndarray, dual: _CapDual | None) -> _Run | None:
     y is w / t for the dual point w of the cold P9 projection of t q, t =
     ``_DUAL_SCALE``: its entries t q_n - (B w)_n lie outside the unit disk
     unless y nears an anchor, where (B y)_n = q_n, so its Huber terms are
-    |.| - 1/2 and its dual is -t D(w / t) up to a constant. The start is
-    phase(q - B y), or phase(q) where P9 returns w = None (phase(q) meets
-    the cap). :func:`_newton_point` takes it to a KKT point under the
-    finish's cap rule. The point is returned when :func:`_score` rates it
+    |.| - 1/2 and its dual is -t D(w / t) up to a constant.
+
+    Where P9 returns w = None (clip(t q) meets the cap) and Q has one
+    column, phase(q) is returned as it is wherever :func:`_score` rates it:
+    by Cauchy-Schwarz it maximizes ||Q^H x||^2 = |q^H x|^2 over all
+    unit-modulus x, at ||q||_1^2, so it needs no Newton step and no
+    certificate. A zero entry of q gets phase 1 there, which can break the
+    cap; then, as with two columns, phase(q) is the start.
+
+    Otherwise the start is phase(q - B y), or phase(q) where w = None.
+    :func:`_newton_point` takes it to a KKT point under the finish's cap
+    rule, and :func:`_proved` returns it when :func:`_score` rates it
     (under the cap) and the diagonal dual certificate
     (:func:`_lagrangian_certified`) proves it the maximum of ||Q^H x||^2 -
     mu ||B^H x||^2 over unit-modulus x, with mu from :func:`_cap_multiplier`
     where the cap is held and 0 where it is not. Weak duality then bounds
     every x under the cap by ||Q^H theta||^2 + mu (gamma - ||B^H theta||^2)
     + tau N, and that gap, relative to the value, must be at most
-    ``_ROUTE_GAP``. A projection that raises :class:`ProjectionError` or a
-    non-finite Newton step returns None.
+    ``_ROUTE_GAP``.
+
+    A start on the cap makes the finish's rule hold the cap, even where
+    the maximum lies inside it. So where the held point is refused and its
+    fitted multiplier is clipped at 0 (the cap pushes the wrong way there),
+    :func:`_kkt_newton` runs once more from the same start without the cap,
+    and that point is returned where it is under gamma and certified at mu
+    = 0. A projection that raises :class:`ProjectionError` or a non-finite
+    Newton step returns None.
     """
     q = _principal(Q)
     try:
         _, w = _p9_dual(_DUAL_SCALE * q, dual, None)
     except ProjectionError:
         return None
-    start = _unit_phases(q if w is None else q - dual.C @ (w / _DUAL_SCALE))  # phase(q - B y)
+    if w is None:
+        start = _unit_phases(q)
+        value = _score(Q, dual, start) if Q.shape[1] == 1 else None
+        if value is not None:  # Cauchy-Schwarz: the maximum of ||Q^H x||^2 = ||q||_1^2
+            return _Run(start, value, [(start, 0.0, _RHO0)], True, 1)
+    else:
+        start = _unit_phases(q - dual.C @ (w / _DUAL_SCALE))  # phase(q - B y)
     theta, held = _newton_point(Q, dual, start)
+    run = _proved(Q, dual, theta, held)
+    if run is None and held and theta is not None and _cap_multiplier(Q, dual, theta) == 0.0:
+        # the cap pushes the wrong way at the held point (its fitted
+        # multiplier is clipped at 0), so the maximum can lie inside it
+        theta = _kkt_newton(Q, None, start)
+        if theta is not None and dual.quad(theta) <= dual.gamma:
+            run = _proved(Q, dual, theta, False)
+    return run
+
+
+def _proved(Q: np.ndarray, dual: _CapDual | None, theta: np.ndarray | None, held: bool) -> _Run | None:
+    """The route's run of one finish at the Newton point ``theta``, or None
+    unless :func:`_score` rates it and the diagonal dual certificate proves
+    it the maximum to ``_ROUTE_GAP``: at mu = 0 where the cap is not
+    ``held``, else at the fitted mu, after the explicit gap of the slack to
+    the cap (see :func:`_certified`)."""
     value = None if theta is None else _score(Q, dual, theta)
     if value is None:
         return None
@@ -1185,7 +1265,8 @@ def pdd_solve(problem: ProblemData, init: np.ndarray | None = None) -> PddResult
     if run is None:
         run = _pdd_loop(Q, dual, init)
     trace = tuple(
-        PddTracePoint(outer=outer, objective=sq**2 * _column_power(Q, point),
+        PddTracePoint(outer=outer,
+                      objective=sq**2 * (run.objective if point is run.theta else _column_power(Q, point)),
                       constraint=problem_constraint(problem, point), gap=gap, rho=rho)
         for outer, (point, gap, rho) in enumerate(run.history, 1)
     )

@@ -1,5 +1,7 @@
+import importlib
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,7 @@ from irsim import (
     pdd_solve_with_candidates,
     problem_constraint,
 )
-from irsim import optimizer
+from irsim import optimizer, protocol
 from irsim.optimizer import _CapDual, _column_power, _p9_dual, _top_sigma_sq, _unit_phases
 
 from conftest import random_angles
@@ -1430,6 +1432,142 @@ def test_uncapped_two_objective_problem_is_certified_at_mu_zero(rng, monkeypatch
     assert res.objective >= pdd_loop(prob).objective * (1 - 1e-9)
 
 
+def spy_newton_runs(monkeypatch):
+    """Record whether each _kkt_newton run held the cap, in order."""
+    runs = []
+    kkt_newton = optimizer._kkt_newton
+
+    def spy(Q, dual, theta):
+        runs.append(dual is not None)
+        return kkt_newton(Q, dual, theta)
+
+    monkeypatch.setattr(optimizer, "_kkt_newton", spy)
+    return runs
+
+
+@pytest.mark.parametrize("case", ["P1", "P2"])
+def test_one_objective_route_returns_the_principal_phases_without_newton(rng, monkeypatch, case):
+    # the cap at 1.5 times its value at phase(q): the projection needs no
+    # dual point, and phase(q) is the maximum by Cauchy-Schwarz, ||q||_1^2,
+    # with no Newton run and no certificate
+    newton = spy_newton_runs(monkeypatch)
+    certificates = spy_certificates(monkeypatch)
+    for _ in range(3):
+        prob = random_problem(rng, n=16, case=case, gamma_frac=1.5)
+        Q, sq, dual = optimizer._scaled(prob)
+        run = optimizer._certified(Q, dual)
+        q = Q[:, 0]
+        np.testing.assert_array_equal(run.theta, _unit_phases(q))
+        assert run.objective == pytest.approx(np.abs(q).sum() ** 2, rel=1e-14)
+        assert (run.converged, run.outer, len(run.history)) == (True, 1, 1)
+        assert pdd_solve(prob).objective == sq**2 * run.objective
+    assert newton == [] and certificates == []
+
+
+def test_one_objective_route_with_a_zero_entry_falls_through_to_newton(monkeypatch):
+    # q_0 = 0 and the cap |theta_0 + theta_1|^2 <= 1.5: clip(1e8 q) has
+    # theta_0 = 0 and meets the cap (1), so the projection needs no dual
+    # point, but phase(q) fills theta_0 with 1 and breaks it (4). The route
+    # starts Newton there, holding the cap; at mu = 0 the phase Hessian has
+    # a zero diagonal entry where q does, the step is not finite, and the
+    # solve is the penalty-dual loop's, which reaches ||q||_1^2
+    q = np.array([0.0, 1.0, 1j, -1.0 + 1j])
+    b = np.array([1.0, 1.0, 0.0, 0.0])
+    prob = ProblemData(Q=q[:, None], B=b[:, None], gamma=1.5)
+    Q, _, dual = optimizer._scaled(prob)
+    assert optimizer._p9_dual(optimizer._DUAL_SCALE * Q[:, 0], dual, None)[1] is None
+    assert _column_power(dual.B, _unit_phases(Q[:, 0])) > dual.gamma
+    newton = spy_newton_runs(monkeypatch)
+    assert optimizer._certified(Q, dual) is None
+    assert newton == [True]
+    res = pdd_solve(prob)
+    assert res == pdd_loop(prob)
+    assert res.objective == pytest.approx(np.abs(q).sum() ** 2, rel=1e-9)
+
+
+def cpi_draws_problem(monkeypatch, seed, draw, case):
+    """The ``case`` problem of the short-term CPI of that draw of the
+    ``cpi_draws`` benchmark workload (perfbench/workloads.py, imported as it
+    is) at that seed, as run_cpi builds it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    _, geom, plan, gamma, _ = workloads.CpiDraws(None, seed).draws[draw]
+    built, build = {}, protocol.build_problem
+
+    def spy(case, *args):
+        built[case] = build(case, *args)
+        return built[case]
+
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "build_problem", spy)
+        protocol.run_cpi(geom, plan, "short_term", gamma, workloads.P, workloads.P)
+    return built[case]
+
+
+def retried_route_problems(monkeypatch):
+    # the hypothesis-found example of the route's property test, then draw
+    # 11's short-term P3 problem of cpi_draws at seeds 1, 2 and 3
+    yield random_problem(np.random.default_rng(18), n=16, case="P3", gamma_frac=1.5)
+    for seed in (1, 2, 3):
+        yield cpi_draws_problem(monkeypatch, seed, 11, "P3")
+
+
+def test_route_retries_without_the_cap_where_the_maximum_is_interior(monkeypatch):
+    # the start phase(q - B y) is on the cap, so the finish's rule holds it
+    # there and the held point is refused; Newton without the cap from the
+    # same start lands under gamma, where the certificate at mu = 0 proves
+    # it the maximum, at the penalty-dual loop's value
+    for prob in retried_route_problems(monkeypatch):
+        Q, sq, dual = optimizer._scaled(prob)
+        with monkeypatch.context() as m:
+            newton = spy_newton_runs(m)
+            certificates = spy_certificates(m)
+            run = optimizer._certified(Q, dual)
+        assert newton[0] is True and newton[-1] is False
+        assert run is not None and dual.quad(run.theta) <= dual.gamma
+        [(mu, certified)] = [(mu, out) for _, _, mu, theta, out in certificates if theta is run.theta]
+        assert mu == 0.0 and certified and dense_certified(Q, dual.B, 0.0, run.theta)
+        assert sq**2 * run.objective == pytest.approx(pdd_loop(prob).objective, rel=1e-9)
+        assert pdd_solve(prob).objective == sq**2 * run.objective
+
+
+def hermitian_2x2_inputs(rng):
+    """Gram matrices of size 2: random, diagonal (b = 0), equal-diagonal and rank one."""
+    for _ in range(20):
+        M = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        gram = M.conj().T @ M
+        yield "random", gram
+        yield "diagonal", np.diag(gram.diagonal())
+        equal = gram.copy()
+        equal[1, 1] = equal[0, 0]
+        yield "equal diagonal", equal
+        yield "rank one", M[:1].conj().T @ M[:1]
+
+
+def test_top_eigenpair_matches_lapack(rng):
+    for kind, gram in hermitian_2x2_inputs(rng):
+        top, c = optimizer._top_eigenpair(gram.tolist())
+        values, vectors = np.linalg.eigh(gram)
+        assert top == pytest.approx(values[-1], rel=1e-14, abs=0), kind
+        assert top == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-14, abs=0), kind
+        c = np.array(c)
+        assert c[0].imag == 0 and c[0].real >= 0 and np.linalg.norm(c) == pytest.approx(1, rel=1e-15)
+        assert abs(np.vdot(vectors[:, -1], c)) == pytest.approx(1, rel=1e-13), kind  # up to a phase
+    assert optimizer._top_eigenpair([[2.5 + 0j]]) == (2.5, (1.0, 0j))
+
+
+def test_principal_direction_and_top_sigma_in_closed_form(rng):
+    M = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    one = np.ascontiguousarray(M[:, :1])
+    # one column: the column itself, bit for bit as through eigh
+    np.testing.assert_array_equal(optimizer._principal(one), one @ np.linalg.eigh(one.conj().T @ one)[1][:, -1])
+    assert _top_sigma_sq(one) == float(np.max(np.linalg.eigvalsh(one.conj().T @ one)))
+    _, vectors = np.linalg.eigh(M.conj().T @ M)
+    q, ref = optimizer._principal(M), M @ vectors[:, -1]
+    assert abs(np.vdot(ref, q)) == pytest.approx(np.vdot(ref, ref).real, rel=1e-13)
+    assert _top_sigma_sq(M) == pytest.approx(np.linalg.eigvalsh(M.conj().T @ M)[-1], rel=1e-14)
+
+
 def test_zero_pivot_refuses_the_lagrangian_certificate(monkeypatch):
     # two equal cap columns orthogonal to theta_ref and mu = 1e40: the cap
     # block I + mu B^H D^-1 B rounds to the rank-1 matrix of entries 1e40, so
@@ -1815,6 +1953,65 @@ def test_p9_stops_where_its_slope_overflows():
         x, w = _p9_dual(b, dual, np.full(4, 1e-310))
     np.testing.assert_array_equal(x, x_cold)
     np.testing.assert_array_equal(w, w_cold)
+
+
+def collapsing_warm_start(seed):
+    """b inside the unit disks, a cap 1 - 10^-e (e = 1 ... 15) times the cap
+    of clip(b) = b, and a warm start of size 10^-100 ... 10^-307, from which
+    y collapses toward 0 instead of growing to its optimum."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    B = (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) / np.sqrt(n)
+    b = 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    gamma = _CapDual(B).quad(b) * (1 - 10.0 ** -rng.integers(1, 16))
+    w0 = rng.normal(size=4) * 10.0 ** -rng.integers(100, 308)
+    return b, _CapDual(B, gamma), w0
+
+
+def stopped_projection(monkeypatch, seed):
+    """The starts that _p9_dual runs from the collapsing warm start of that
+    seed, its x, its w and the x of the cold run alone."""
+    b, dual, w0 = collapsing_warm_start(seed)
+    x_cold, _ = _p9_dual(b, dual, None)
+    starts = []
+
+    def spy(b, dual, w0):
+        starts.append("cold" if w0 is None else "warm")
+        return _p9_dual(b, dual, w0)
+
+    monkeypatch.setattr(optimizer, "_p9_dual", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = optimizer._p9_dual(b, dual, w0)
+    assert w is not None and dual.quad(x) <= dual.gamma
+    return starts, x, dual, x_cold
+
+
+@pytest.mark.parametrize("seed, rerun", [(0, False), (5, False), (2, True), (3, True)])
+def test_p9_stops_where_a_trial_slope_overflows(monkeypatch, seed, rerun):
+    # y collapses to subnormal size, so sqrt(gamma) / ||y|| at a trial point
+    # is inf and its slope is not finite: the rounding floor's stop, short
+    # of convergence. Within FEAS_RTOL of the cap the point is pulled under
+    # it, ending where the cold run does; further over, the warm start runs
+    # again from y = 0 and ends exactly there
+    starts, x, dual, x_cold = stopped_projection(monkeypatch, seed)
+    if rerun:
+        assert starts == ["warm", "cold"]
+        np.testing.assert_array_equal(x, x_cold)
+    else:
+        assert starts == ["warm"] and dual.quad(x) >= dual.gamma * (1 - 1e-9)
+        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [4, 15, 19])
+def test_p9_stops_where_every_step_along_the_direction_descends(monkeypatch, seed):
+    # the full step overshoots and 60 regula-falsi steps never find a step
+    # with slope in [0, slope(0) / 2] above t = 0: the rounding floor's stop,
+    # short of convergence but within FEAS_RTOL of the cap, so the point is
+    # pulled under it and ends where the cold run does
+    starts, x, dual, x_cold = stopped_projection(monkeypatch, seed)
+    assert starts == ["warm"] and dual.quad(x) >= dual.gamma * (1 - 1e-9)
+    np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-9)
 
 
 def test_minimize_quadratic_two_vectors_reaches_null(rng):
