@@ -4,12 +4,20 @@ All arrays are uniform planar arrays (UPA). A ULA is a UPA with one axis
 count set to 1. Kronecker ordering is fixed repo-wide: the first axis
 (``count_a``) is the outer factor of every Kronecker product, i.e. it
 varies slowest in the stacked element index.
+
+How a vector is built: the direction cosines are taken with :mod:`math` on
+Python floats; each 1D factor is exp(j 2 pi d/lambda zeta k) over one
+read-only index ramp k per element count; the 2D vector is the broadcast
+product ``(dx[:, None] * dy).ravel()``, the values of ``np.outer``. The
+builders of validated specs and angles skip the argument checks of the
+public :func:`steering_1d`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +59,8 @@ class ArraySpec:
     wavelength: float
 
     def __post_init__(self):
+        if not (_is_integer(self.count_a) and _is_integer(self.count_b)):
+            raise ValueError(f"element counts must be integers, got {self.count_a!r}, {self.count_b!r}")
         if self.count_a < 1 or self.count_b < 1:
             raise ValueError("element counts must be >= 1")
         if not (math.isfinite(self.spacing) and math.isfinite(self.wavelength)):
@@ -84,23 +94,51 @@ class AnglePair:
         object.__setattr__(self, "azimuth", _wrap_angle(self.azimuth))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def steering_1d(count: int, spacing: float, wavelength: float, zeta: float) -> np.ndarray:
     """1D steering vector [1, e^{j 2 pi d/lambda zeta}, ...] of length ``count``.
 
     ``zeta`` is the dimensionless steering coordinate (a direction cosine or a
     difference of direction cosines). Periodic in zeta with period
-    wavelength/spacing.
+    wavelength/spacing. Raises ``ValueError``, naming the argument, for a
+    ``count`` that is not an integer >= 1, a non-finite ``zeta`` and a
+    ``spacing`` or ``wavelength`` that is not finite and positive.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    k = np.arange(count)
-    return np.exp(2j * np.pi * (spacing / wavelength) * zeta * k)
+    if not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    if not math.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
+    for name, value in (("spacing", spacing), ("wavelength", wavelength)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    return _steering(count, spacing / wavelength, zeta)
+
+
+@lru_cache(maxsize=64)
+def _index_ramp(count: int) -> np.ndarray:
+    """0, 1, ..., count - 1, read-only: shared by every steering vector of ``count`` elements.
+
+    Stored complex: the complex phase step multiplies an integer ramp as
+    k + 0j anyway, so the product is the same and no cast runs per vector.
+    """
+    k = np.arange(count).astype(complex)
+    k.flags.writeable = False
+    return k
+
+
+def _steering(count: int, ratio: float, zeta: float) -> np.ndarray:
+    """:func:`steering_1d` with ``ratio`` = spacing / wavelength, for arguments already checked."""
+    return np.exp(2j * np.pi * ratio * zeta * _index_ramp(count))
 
 
 def _irs_zetas(angles: AnglePair, sense: str) -> tuple[float, float]:
     """Direction cosines (zeta_x, zeta_y) seen by the reflector UPA."""
-    zx = np.sin(angles.elevation) * np.cos(angles.azimuth)
-    zy = np.sin(angles.elevation) * np.sin(angles.azimuth)
+    sin_el = math.sin(angles.elevation)
+    zx = sin_el * math.cos(angles.azimuth)
+    zy = sin_el * math.sin(angles.azimuth)
     if sense == "incident":
         return zx, zy
     if sense == "reflected":
@@ -108,6 +146,12 @@ def _irs_zetas(angles: AnglePair, sense: str) -> tuple[float, float]:
         # flips both direction cosines
         return -zx, -zy
     raise ValueError(f"sense must be 'incident' or 'reflected', got {sense!r}")
+
+
+def _upa(spec: ArraySpec, zeta_a: float, zeta_b: float) -> np.ndarray:
+    """The 2D steering vector of ``spec``: the outer product of its axes' 1D vectors, raveled."""
+    ratio = spec.spacing / spec.wavelength
+    return (_steering(spec.count_a, ratio, zeta_a)[:, None] * _steering(spec.count_b, ratio, zeta_b)).ravel()
 
 
 def steering_irs(spec: ArraySpec, angles: AnglePair, sense: str = "incident") -> np.ndarray:
@@ -119,10 +163,7 @@ def steering_irs(spec: ArraySpec, angles: AnglePair, sense: str = "incident") ->
     incident vector exactly, value for value (only the signs of zeros may
     differ), so the power layer builds incident vectors only.
     """
-    zx, zy = _irs_zetas(angles, sense)
-    dx = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zx)
-    dy = steering_1d(spec.count_b, spec.spacing, spec.wavelength, zy)
-    return np.outer(dx, dy).ravel()
+    return _upa(spec, *_irs_zetas(angles, sense))
 
 
 def steering_radar(spec: ArraySpec, angles: AnglePair, sense: str = "transmit") -> np.ndarray:
@@ -139,11 +180,8 @@ def steering_radar(spec: ArraySpec, angles: AnglePair, sense: str = "transmit") 
         s = -1.0
     else:
         raise ValueError(f"sense must be 'transmit' or 'receive', got {sense!r}")
-    zy = s * np.sin(angles.elevation) * np.sin(angles.azimuth)
-    zz = s * np.cos(angles.elevation)
-    dy = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zy)
-    dz = steering_1d(spec.count_b, spec.spacing, spec.wavelength, zz)
-    return np.outer(dy, dz).ravel()
+    el, az = angles.elevation, angles.azimuth
+    return _upa(spec, s * math.sin(el) * math.sin(az), s * math.cos(el))
 
 
 def composite_deltas(kind: str, angles_l: AnglePair, angles_u: AnglePair) -> tuple[float, float]:
@@ -192,23 +230,22 @@ def _composites(
     A reflected-sense vector is exactly the conjugate of the incident one, so
     each composite is the product of two conjugated incident vectors.
     """
-    angles = {"L": angles_l, "U": angles_u}
-    sides = dict.fromkeys(side for kind in kinds for side in _COMPOSITE_SIDES[kind])
-    reflected = {side: np.conj(steering_irs(irs_spec, angles[side])) for side in sides}
-    return {
-        kind: reflected[_COMPOSITE_SIDES[kind][0]] * reflected[_COMPOSITE_SIDES[kind][1]]
-        for kind in kinds
-    }
+    reflected, composites = {}, {}
+    for kind in kinds:
+        out_side, in_side = _COMPOSITE_SIDES[kind]
+        for side in (out_side, in_side):
+            if side not in reflected:
+                v = steering_irs(irs_spec, angles_l if side == "L" else angles_u)
+                reflected[side] = np.conj(v, out=v)
+        composites[kind] = reflected[out_side] * reflected[in_side]
+    return composites
 
 
 def composite_vector_kron(
     kind: str, angles_l: AnglePair, angles_u: AnglePair, irs_spec: ArraySpec
 ) -> np.ndarray:
     """Closed Kronecker form d(Nx, dzeta_x) kron d(Ny, dzeta_y) of a composite."""
-    dzx, dzy = composite_deltas(kind, angles_l, angles_u)
-    dx = steering_1d(irs_spec.count_a, irs_spec.spacing, irs_spec.wavelength, dzx)
-    dy = steering_1d(irs_spec.count_b, irs_spec.spacing, irs_spec.wavelength, dzy)
-    return np.outer(dx, dy).ravel()
+    return _upa(irs_spec, *composite_deltas(kind, angles_l, angles_u))
 
 
 def matched_beamformer(spec: ArraySpec, angles: AnglePair) -> np.ndarray:

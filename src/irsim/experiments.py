@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import AnglePair, composite_vector, steering_1d, dft_codebook
+from .arrays import AnglePair, _steering, composite_vector, dft_codebook
 from .config import ConfigError, ScenarioConfig, _cast
 from .waveform import segment_pri
 from .optimizer import closed_form_lrs_only, closed_form_urs_null
@@ -164,8 +164,8 @@ def _row(value, scheme, lrs, urs, feasible, iterations, wall) -> dict:
 
 
 def _scan_beam(spec, zeta) -> np.ndarray:
-    """Unit-norm beam steered at direction cosine ``zeta`` on the y axis."""
-    w = steering_1d(spec.count_a, spec.spacing, spec.wavelength, zeta)
+    """Unit-norm beam steered at direction cosine ``zeta`` on the y axis (a grid value, finite)."""
+    w = _steering(spec.count_a, spec.spacing / spec.wavelength, zeta)
     return np.repeat(w, spec.count_b) / np.sqrt(spec.size)
 
 
@@ -199,12 +199,13 @@ def _run_beam_scan(config: ScenarioConfig, grid, lrs: bool) -> list[dict]:
     walls = [t1 - t0, t2 - t1, time.perf_counter() - t2]
     spec = geom.lrs_spec if lrs else geom.urs_spec
     matched = steering.gain(side) * p_side
+    k_other = steering.gain("U" if lrs else "L")  # the other radar's beam stays matched
     rows = []
     for zeta in grid:
         t0 = time.perf_counter()
-        beam = _scan_beam(spec, zeta)
-        k_l, k_u = steering.gains(w_l=beam) if lrs else steering.gains(w_u=beam)
-        q_beam = (k_l if lrs else k_u) * p_side
+        k = steering.gain(side, _scan_beam(spec, zeta))
+        k_l, k_u = (k, k_other) if lrs else (k_other, k)
+        q_beam = k * p_side
         prop = float(factor(k_l, k_u, p_l, p_u) * array_gain)
         walls[0] += time.perf_counter() - t0
         pattern = q_beam / matched  # |b^H w|^2 / count, in [0, 1]

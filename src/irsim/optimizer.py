@@ -556,8 +556,8 @@ def _p9_dual(
                 else:
                     break
             else:
-                if lo == 0.0:
-                    break  # rounding floor: every step along d descends
+                # at lo = 0 (every step along d descends) this is w itself,
+                # and the stop below ends the loop
                 state, _ = at(lo)
         if not math.isfinite(slope) or state[1].tolist() == w.tolist():
             break  # rounding floor: the slope overflows, or the step no longer moves y

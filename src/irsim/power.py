@@ -4,9 +4,13 @@ Production path: the closed forms in which every link power factors into
 (received power at the reflector) x (reflection-domain array gain
 |composite^H theta|^2). A matched beam's one-hop gain is abar^2 * M in
 closed form, so ``_Steering`` builds, once per evaluation, only the
-composites the call reads, and a radar's steering vector only for an
-explicit beam; ``_LINK_TABLE`` gives each link its composite and its
-per-watt factor. Every power evaluation goes through the two. Guard path:
+composites the call reads (from one incident vector per direction, see
+:mod:`irsim.arrays`), and a radar's steering vector only for an explicit
+beam; ``_LINK_TABLE`` gives each link its composite and its per-watt
+factor. Every power evaluation goes through the two. The entry points
+check their arguments once; below them, nothing is checked again: the
+one-hop amplitude abar is :func:`irsim.channel.path_gain`'s expression on
+the geometry's already-validated distance and wavelength. Guard path:
 :func:`bilinear_link_power` evaluates the full beamformer/channel-matrix
 product over the private hop matrices of :mod:`irsim.channel` and must
 agree with the closed forms to machine precision; it exists to catch
@@ -136,7 +140,7 @@ class _Steering:
     def __init__(self, geom: ScenarioGeometry, kinds: str = ""):
         self.geom = geom
         self.composites = _composites(kinds, geom.angles_l, geom.angles_u, geom.irs_spec)
-        self.transmit = {}  # side -> transmit-sense vector, built on its first explicit beam
+        self.radar = {}  # side -> the vector its beams meet, built on its first explicit beam
 
     def gain(self, side: str, w=None) -> float:
         """One-hop power gain per watt, abar^2 |array response|^2, of a radar's beam (matched if None)."""
@@ -145,19 +149,16 @@ class _Steering:
             spec, angles, dist = g.lrs_spec, g.angles_l, g.dist_li
         else:
             spec, angles, dist = g.urs_spec, g.angles_u, g.dist_ui
-        abar = path_gain(dist, g.wavelength)
+        abar = g.irs_spec.wavelength / (4.0 * np.pi * dist)  # path_gain's expression
         if w is None:
             return float(abar**2 * spec.size)
-        if side not in self.transmit:
-            self.transmit[side] = steering_radar(spec, angles)
-        b, w = self.transmit[side], np.asarray(w, dtype=complex)
-        # the unauthorized radar's echo goes through the receive-sense vector conj(b)
-        response = np.vdot(b, w) if side == "L" else w @ np.conj(b)
+        if side not in self.radar:
+            b = steering_radar(spec, angles)
+            # the unauthorized radar's echo goes through the receive-sense vector conj(b)
+            self.radar[side] = b if side == "L" else np.conj(b)
+        w = np.asarray(w, dtype=complex)
+        response = np.vdot(self.radar[side], w) if side == "L" else w @ self.radar[side]
         return float(abs(abar * response) ** 2)
-
-    def gains(self, w_l=None, w_u=None) -> tuple[float, float]:
-        """(k_l, k_u), each for its radar's beam (matched if None)."""
-        return self.gain("L", w_l), self.gain("U", w_u)
 
     def array_gain(self, kind: str, coeff: np.ndarray) -> float:
         """|composite^H theta|^2 for one composite kind."""
@@ -165,10 +166,8 @@ class _Steering:
 
     def report(self, gains: dict, p_l: float, p_u: float) -> PowerReport:
         """The matched-beam power report whose array gain for composite kind k is ``gains[k]``."""
-        k_l, k_u = self.gains()
-        q_ll, q_lu, q_ul, q_uu = (
-            factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()
-        )
+        k_l, k_u = self.gain("L"), self.gain("U")
+        q_ll, q_lu, q_ul, q_uu = [factor(k_l, k_u, p_l, p_u) * gains[kind] for kind, factor in _LINK_TABLE.values()]
         return PowerReport(
             q_ls=float(k_l * p_l), q_us=float(k_u * p_u),
             q_ll=float(q_ll), q_lu=float(q_lu), q_ul=float(q_ul), q_uu=float(q_uu),
@@ -180,16 +179,24 @@ class _Steering:
         return self.report({kind: self.array_gain(kind, coeff) for kind in "UVRG"}, p_l, p_u)
 
 
-def _check_inputs(geom: ScenarioGeometry, p_l, p_u, theta=None, w_l=None, w_u=None) -> None:
+def _check_inputs(geom: ScenarioGeometry, p_l, p_u, w_l=None, w_u=None) -> None:
     """Reject an argument that would give a negative or non-finite power; p = 0 is a silent radar."""
-    for name, p in (("p_l", p_l), ("p_u", p_u)):
-        if not (math.isfinite(p) and p >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {p}")
-    if theta is not None and len(theta) != geom.irs_spec.size:
+    if not (math.isfinite(p_l) and p_l >= 0):
+        raise ValueError(f"p_l must be finite and >= 0, got {p_l}")
+    if not (math.isfinite(p_u) and p_u >= 0):
+        raise ValueError(f"p_u must be finite and >= 0, got {p_u}")
+    if w_l is not None or w_u is not None:
+        for name, w, spec in (("w_l", w_l, geom.lrs_spec), ("w_u", w_u, geom.urs_spec)):
+            if w is not None and (np.shape(w) != (spec.size,) or not np.all(np.isfinite(w))):
+                raise ValueError(f"{name} must be a finite vector of length {spec.size}")
+
+
+def _check_theta(geom: ScenarioGeometry, theta) -> None:
+    """Reject a reflection that is not a ReflectionVector of the reflector's length."""
+    if not isinstance(theta, ReflectionVector):
+        raise ValueError(f"theta must be a ReflectionVector, got {type(theta).__name__}")
+    if len(theta) != geom.irs_spec.size:
         raise ValueError(f"theta has {len(theta)} elements, the reflector {geom.irs_spec.size}")
-    for name, w, spec in (("w_l", w_l, geom.lrs_spec), ("w_u", w_u, geom.urs_spec)):
-        if w is not None and (np.shape(w) != (spec.size,) or not np.all(np.isfinite(w))):
-            raise ValueError(f"{name} must be a finite vector of length {spec.size}")
 
 
 def irs_received_powers(
@@ -201,8 +208,8 @@ def irs_received_powers(
     target direction, which yields the coherent values abar^2 * M * P.
     """
     _check_inputs(geom, p_l, p_u, w_l=w_l, w_u=w_u)
-    k_l, k_u = _Steering(geom).gains(w_l, w_u)
-    return k_l * p_l, k_u * p_u
+    steering = _Steering(geom)
+    return steering.gain("L", w_l) * p_l, steering.gain("U", w_u) * p_u
 
 
 def link_power(
@@ -220,17 +227,20 @@ def link_power(
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
-    _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
+    _check_inputs(geom, p_l, p_u, w_l, w_u)
+    _check_theta(geom, theta)
     kind, factor = _LINK_TABLE[link]
     steering = _Steering(geom, kind)
-    return float(factor(*steering.gains(w_l, w_u), p_l, p_u) * steering.array_gain(kind, theta.coefficients))
+    k_l, k_u = steering.gain("L", w_l), steering.gain("U", w_u)
+    return float(factor(k_l, k_u, p_l, p_u) * steering.array_gain(kind, theta.coefficients))
 
 
 def power_report(
     theta: ReflectionVector, geom: ScenarioGeometry, p_l: float, p_u: float
 ) -> PowerReport:
     """Evaluate every power figure for one reflection vector, with matched beamformers."""
-    _check_inputs(geom, p_l, p_u, theta)
+    _check_inputs(geom, p_l, p_u)
+    _check_theta(geom, theta)
     return _Steering(geom, "UVRG").reflection_report(theta.coefficients, p_l, p_u)
 
 
@@ -255,7 +265,8 @@ def bilinear_link_power(
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, got {link!r}")
-    _check_inputs(geom, p_l, p_u, theta, w_l, w_u)
+    _check_inputs(geom, p_l, p_u, w_l, w_u)
+    _check_theta(geom, theta)
     for name, nu in (("nu_l", nu_l), ("nu_u", nu_u)):
         if not math.isfinite(nu):
             raise ValueError(f"{name} must be finite, got {nu}")

@@ -159,7 +159,7 @@ def run_cpi(
     # II, and the design as well when the angles are estimated exactly
     true = _Steering(geom, "UVRG")
     design = true if est_geom is geom else _Steering(est_geom, "UVRG")
-    k_l, k_u = true.gains()
+    k_l, k_u = true.gain("L"), true.gain("U")
     q_ls_est = k_l * p_l * (1.0 + err.power_rel_error)
     q_us_est = k_u * p_u * (1.0 + err.power_rel_error)
     comps_est = tuple(design.composites[k] for k in "UVRG")
@@ -305,14 +305,18 @@ def random_phase_baseline(
     block = max(2, _BLOCK_ENTRIES // n)
     conj = {k: np.conj(c) for k, c in steering.composites.items()}
     gains = {k: np.empty(draws) for k in conj}
-    # the values of exp(j phases), without a complex temporary per block
+    # one phase and one exp(j phases) buffer for every block, without a
+    # temporary per block; 2 pi times a standard uniform draw is
+    # uniform(0, 2 pi)'s value, bit for bit
     buffer = np.empty((min(block + 1, draws), n), dtype=complex)
+    phase_buffer = np.empty(buffer.shape)
     start = 0
     while start < draws:
         rows = min(block, draws - start)
         if draws - start - rows == 1:
             rows += 1
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n))
+        phases = rng.random(out=phase_buffer[:rows])
+        phases *= 2.0 * np.pi
         thetas = buffer[:rows]
         np.cos(phases, out=thetas.real)
         np.sin(phases, out=thetas.imag)

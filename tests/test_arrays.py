@@ -13,6 +13,8 @@ from irsim import (
     steering_radar,
 )
 
+from irsim.arrays import _index_ramp
+
 from conftest import random_angles
 
 IRS22 = ArraySpec(2, 2, 0.02, 0.2)
@@ -31,6 +33,21 @@ def test_steering_1d_analytic_phase():
     # phase step 2*pi*0.1*2.5 = pi/2
     v = steering_1d(2, 0.02, 0.2, 2.5)
     np.testing.assert_allclose(v, [1.0, 1.0j], atol=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("count", True), ("count", 2.5), ("count", 3.0), ("count", 0),
+    ("zeta", np.nan), ("zeta", np.inf),
+    ("spacing", 0.0), ("spacing", -0.02), ("spacing", np.nan), ("spacing", np.inf),
+    ("wavelength", 0.0), ("wavelength", -0.2), ("wavelength", np.nan), ("wavelength", np.inf),
+])
+def test_steering_1d_rejects_bad_arguments(name, value):
+    args = {"count": 4, "spacing": 0.02, "wavelength": 0.2, "zeta": 0.3}
+    _index_ramp.cache_clear()
+    with pytest.raises(ValueError, match=name):
+        steering_1d(**{**args, name: value})
+    # no index ramp is made, or kept, for a rejected count
+    assert _index_ramp.cache_info().currsize == 0
 
 
 def test_steering_1d_periodic(rng):
@@ -182,6 +199,11 @@ def test_arrayspec_validation():
         ArraySpec(0, 1, 0.02, 0.2)
     with pytest.raises(ValueError):
         ArraySpec(2, 1, -0.02, 0.2)
+    # a non-integer count would key the steering builders' index ramp
+    for counts in ((2.5, 1), (2, 1.0), (True, 1), (2, np.float64(3.0))):
+        with pytest.raises(ValueError, match="integers"):
+            ArraySpec(*counts, 0.02, 0.2)
+    assert ArraySpec(np.int64(2), 3, 0.02, 0.2).size == 6
 
 
 def test_matched_beamformer_unit_norm(rng):

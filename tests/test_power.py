@@ -7,6 +7,7 @@ import irsim.power
 from irsim import (
     AnglePair,
     ArraySpec,
+    PowerReport,
     ReflectionVector,
     ScenarioConfig,
     ScenarioGeometry,
@@ -24,8 +25,10 @@ from irsim import (
     random_phase_baseline,
     run_cpi,
     run_experiment,
+    steering_irs,
     steering_radar,
 )
+from irsim.arrays import _index_ramp
 from irsim.channel import _hop_matrices
 
 from conftest import overlap_field_amplitudes, random_geometry, random_reflection
@@ -304,7 +307,7 @@ def test_power_entry_points_reject_bad_arguments(rng):
     good = {"theta": random_reflection(rng, n), "p_l": P, "p_u": P, "w_l": None, "w_u": None,
             "nu_l": 0.0, "nu_u": 0.0}
     bad = [
-        ("theta", random_reflection(rng, n + 1)),
+        ("theta", random_reflection(rng, n + 1)), ("theta", np.ones(n)),
         ("p_l", -P), ("p_l", np.nan), ("p_l", np.inf), ("p_u", -P), ("p_u", np.nan),
         ("w_l", np.ones(m_l + 1) / np.sqrt(m_l + 1)), ("w_l", np.full(m_l, np.nan)),
         ("w_u", np.ones((m_u, 1))), ("w_u", np.full(m_u, np.inf)),
@@ -319,6 +322,88 @@ def test_power_entry_points_reject_bad_arguments(rng):
     # a silent radar is a valid input
     assert link_power("LL", good["theta"], geom, 0.0, 0.0) == 0.0
     assert irs_received_powers(geom, 0.0, P)[0] == 0.0
+
+
+# the arithmetic of the vector and power builders as it is written out here:
+# numpy-scalar trig, an index ramp per call, np.outer and path_gain
+def _written_out_1d(count, spec, zeta):
+    return np.exp(2j * np.pi * (spec.spacing / spec.wavelength) * zeta * np.arange(count))
+
+
+def _written_out_irs(spec, angles, sense):
+    s = 1.0 if sense == "incident" else -1.0
+    zx = np.sin(angles.elevation) * np.cos(angles.azimuth)
+    zy = np.sin(angles.elevation) * np.sin(angles.azimuth)
+    return np.outer(_written_out_1d(spec.count_a, spec, s * zx), _written_out_1d(spec.count_b, spec, s * zy)).ravel()
+
+
+def _written_out_radar(spec, angles, sense):
+    s = 1.0 if sense == "transmit" else -1.0
+    zy = s * np.sin(angles.elevation) * np.sin(angles.azimuth)
+    zz = s * np.cos(angles.elevation)
+    return np.outer(_written_out_1d(spec.count_a, spec, zy), _written_out_1d(spec.count_b, spec, zz)).ravel()
+
+
+def _written_out_powers(link, theta, geom, w_l=None, w_u=None):
+    """(link_power of ``link``, power_report) at P, P; the report with matched beams."""
+    def gain(side, w):
+        spec, angles, dist = ((geom.lrs_spec, geom.angles_l, geom.dist_li) if side == "L"
+                              else (geom.urs_spec, geom.angles_u, geom.dist_ui))
+        abar = path_gain(dist, geom.wavelength)
+        if w is None:
+            return float(abar**2 * spec.size)
+        b = _written_out_radar(spec, angles, "transmit")
+        response = np.vdot(b, w) if side == "L" else w @ np.conj(b)
+        return float(abs(abar * response) ** 2)
+
+    incident = {side: _written_out_irs(geom.irs_spec, a, "incident")
+                for side, a in (("L", geom.angles_l), ("U", geom.angles_u))}
+    array_gain = {kind: abs(np.vdot(np.conj(incident[out]) * np.conj(incident[src]), theta.coefficients)) ** 2
+                  for kind, (out, src) in {"U": "LL", "V": "UL", "R": "LU", "G": "UU"}.items()}
+    def factors(k_l, k_u):
+        return {"LL": k_l**2 * P, "LU": k_l * k_u * P, "UL": k_l * k_u * P, "UU": k_u**2 * P}
+    kind = {"LL": "U", "LU": "V", "UL": "R", "UU": "G"}
+    power = float(factors(gain("L", w_l), gain("U", w_u))[link] * array_gain[kind[link]])
+    k_l, k_u = gain("L", None), gain("U", None)
+    q = {link: f * array_gain[kind[link]] for link, f in factors(k_l, k_u).items()}
+    report = PowerReport(float(k_l * P), float(k_u * P), float(q["LL"]), float(q["LU"]), float(q["UL"]),
+                         float(q["UU"]), float(q["LL"] + q["UL"]), float(q["LU"] + q["UU"]))
+    return power, report
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (8, 1), (1, 5), (4, 4), (16, 16)])
+def test_vectors_and_powers_equal_the_written_out_arithmetic(rng, counts):
+    # the builders take their trig with math, reuse one index ramp per count
+    # and broadcast the outer product: the same values, compared with ==
+    irs = ArraySpec(*counts, 0.02, 0.2)
+    radars = (ArraySpec(*counts, 0.1, 0.2), ArraySpec(counts[1], 3, 0.1, 0.2))
+    elevations = [0.0, np.pi] + list(rng.uniform(0.0, np.pi, 6))
+    for i, elevation in enumerate(elevations):
+        a = AnglePair(elevation, rng.uniform(-np.pi, np.pi))
+        for sense in ("incident", "reflected"):
+            assert np.array_equal(steering_irs(irs, a, sense), _written_out_irs(irs, a, sense))
+        for spec in radars:
+            for sense in ("transmit", "receive"):
+                assert np.array_equal(steering_radar(spec, a, sense), _written_out_radar(spec, a, sense))
+        geom = ScenarioGeometry(a, AnglePair(elevations[-1 - i], rng.uniform(-np.pi, np.pi)),
+                                rng.uniform(10, 100), rng.uniform(10, 100), *radars, irs)
+        for kind, (out, src) in {"U": "LL", "V": "UL", "R": "LU", "G": "UU"}.items():
+            angles = {"L": geom.angles_l, "U": geom.angles_u}
+            want = (_written_out_irs(irs, angles[out], "reflected")
+                    * np.conj(_written_out_irs(irs, angles[src], "incident")))
+            assert np.array_equal(composite_vector(kind, geom.angles_l, geom.angles_u, irs), want)
+        theta = random_reflection(rng, irs.size)
+        beams = {"w_l": matched_beamformer(radars[0], geom.angles_u),
+                 "w_u": np.exp(1j * rng.uniform(0, 2 * np.pi, radars[1].size)) / np.sqrt(radars[1].size)}
+        for link in ("LL", "LU", "UL", "UU"):
+            power, report = _written_out_powers(link, theta, geom)
+            assert link_power(link, theta, geom, P, P) == power
+            assert link_power(link, theta, geom, P, P, **beams) == _written_out_powers(link, theta, geom, **beams)[0]
+        assert power_report(theta, geom, P, P) == report
+    ramp = _index_ramp(counts[0])
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError):
+        ramp[0] = 1
 
 
 def test_pulse_scaling_consistency():
